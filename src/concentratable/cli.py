@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 property violation, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -42,10 +43,17 @@ SINGLET_FIDELITY_FLOOR = 1.0 - 1e-9
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    # A unique sibling temp file, so concurrent writers never share one and a
+    # failed write leaves neither a partial target nor a stray temp file.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path: str, payload) -> None:

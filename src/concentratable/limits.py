@@ -7,6 +7,8 @@ used by the SWAP-test routines.
 
 import os
 
+from .errors import ValidationError
+
 # Power-set enumeration cap: purity tables hold 2^c entries.
 PURITY_TABLE_MAX_CARDINALITY = 24
 
@@ -35,7 +37,7 @@ def max_sim_qubits() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"CE_MAX_QUBITS must be an integer, got {raw!r}") from exc
+        raise ValidationError(f"CE_MAX_QUBITS must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"CE_MAX_QUBITS must be positive, got {value}")
+        raise ValidationError(f"CE_MAX_QUBITS must be positive, got {value}")
     return value

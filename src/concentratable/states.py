@@ -23,6 +23,8 @@ def _frozen_amplitudes(values, dim: int) -> np.ndarray:
     amps = np.asarray(values, dtype=np.complex128)
     if amps.shape != (dim,):
         raise ValidationError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise ValidationError("amplitudes contain NaN or infinity")
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")

@@ -10,6 +10,7 @@ from concentratable import (
     statevector_to_dict,
     w_closed_form,
 )
+import concentratable.cli as cli_module
 from concentratable.cli import main
 from concentratable.swaptest import distribution_from_dict, histogram_from_dict
 
@@ -89,6 +90,12 @@ class TestCe:
         assert code == 3
         assert "CE_MAX_QUBITS" in err
 
+    def test_malformed_register_cap_is_a_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CE_MAX_QUBITS", "abc")
+        code, _, err = run_cli(capsys, "dist", "--ghz", "3")
+        assert code == 2
+        assert err.startswith("error:") and "CE_MAX_QUBITS" in err
+
 
 class TestDist:
     def test_ghz3_table(self, capsys):
@@ -127,6 +134,16 @@ class TestDist:
         assert code == 0
         dist = distribution_from_dict(json.loads(out_path.read_text()), 3)
         assert dist.probability("000") == pytest.approx(2 / 3)
+
+
+    def test_failed_write_leaves_no_files(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module.os, "replace", refuse)
+        with pytest.raises(OSError):
+            run_cli(capsys, "dist", "--ghz", "3", "--output", str(tmp_path / "dist.json"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSample:
@@ -188,15 +205,20 @@ class TestVerify:
         assert report[0]["passed"] is True
 
     def test_violation_exits_one_with_witness(self, capsys, monkeypatch):
-        # Flip the projector branches and the suite must exit 1 naming a witness.
+        # Swap the singlet and symmetric roles of each pair in the pair-basis
+        # kernel and the suite must exit 1 naming a witness.
         import concentratable.swaptest as swaptest_module
 
-        original = swaptest_module._projected
-        monkeypatch.setattr(
-            swaptest_module,
-            "_projected",
-            lambda amps, m, k, z_bit: original(amps, m, k, 1 - z_bit),
-        )
+        original = swaptest_module._pair_hadamard
+
+        def roles_swapped(amps, m, labels):
+            original(amps, m, labels)
+            for k in labels:
+                view = swaptest_module._pair_view(amps, m, k)
+                up, down = view[:, 0, :, 1], view[:, 1, :, 0]
+                up[...], down[...] = down.copy(), up.copy()
+
+        monkeypatch.setattr(swaptest_module, "_pair_hadamard", roles_swapped)
         code, out, err = run_cli(
             capsys, "verify", "--trials", "10", "--n-max", "3",
             "--property", "odd-weight-zero", "--seed", "5",

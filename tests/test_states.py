@@ -35,6 +35,11 @@ class TestStatevector:
         with pytest.raises(ValidationError):
             Statevector(1, amps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            Statevector(1, np.array([bad, 0.0]))
+
     def test_accepts_norm_within_tolerance(self):
         amps = np.array([1.0 + 1e-11, 0.0])
         Statevector(1, amps)

@@ -213,6 +213,10 @@ class TestOutcomeDistribution:
         with pytest.raises(ValidationError):
             OutcomeDistribution(QubitSet.full(1), np.array([0.5, 0.4]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            OutcomeDistribution(QubitSet.full(1), np.array([np.nan, np.nan]))
+
     def test_probability_lookup_validates(self):
         dist = exact_distribution(make_ghz(2), make_ghz(2), QubitSet.full(2))
         with pytest.raises(ValidationError):

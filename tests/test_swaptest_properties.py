@@ -1,0 +1,100 @@
+"""Property tests of the pair-basis SWAP-test kernel on random Haar states.
+
+Unequal copies and random tested subsets are checked against the explicit
+ancilla+Fredkin circuit and against dense (1 +/- S_k)/2 matrices.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from concentratable import (
+    JointState,
+    QubitSet,
+    apply_controlled_projector,
+    exact_distribution,
+    full_circuit_oracle,
+    make_haar_random,
+    outcome_probability,
+    pair_marginal,
+    post_measurement,
+    singlet_fidelity,
+    zero_outcome_probability,
+)
+
+TOL = 1e-12
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def unequal_copies(draw, n_max=4):
+    n = draw(st.integers(1, n_max))
+    seed = draw(seeds)
+    seed_prime = draw(seeds.filter(lambda s: s != seed))
+    return make_haar_random(n, seed), make_haar_random(n, seed_prime)
+
+
+@st.composite
+def copies_and_subset(draw):
+    psi, psi_prime = draw(unequal_copies())
+    mask = draw(st.integers(1, (1 << psi.n_qubits) - 1))
+    return psi, psi_prime, QubitSet(psi.n_qubits, mask)
+
+
+@st.composite
+def copies_and_bitstring(draw):
+    psi, psi_prime = draw(unequal_copies())
+    z = draw(st.text(alphabet="01", min_size=psi.n_qubits, max_size=psi.n_qubits))
+    return psi, psi_prime, z
+
+
+def dense_swap(m, k):
+    """Permutation matrix exchanging copy-A qubit k with copy-B qubit k."""
+    index = np.arange(1 << (2 * m)).reshape((2,) * (2 * m))
+    source = np.swapaxes(index, k, m + k).reshape(-1)
+    return np.eye(1 << (2 * m))[source]
+
+
+@PROPERTY_SETTINGS
+@given(copies_and_subset())
+def test_distribution_matches_circuit_oracle(case):
+    psi, psi_prime, tested = case
+    exact = exact_distribution(psi, psi_prime, tested).probabilities
+    oracle = full_circuit_oracle(psi, psi_prime, tested).probabilities
+    np.testing.assert_allclose(exact, oracle, rtol=0, atol=TOL)
+    p_zero = zero_outcome_probability(psi, psi_prime, tested)
+    assert abs(p_zero - oracle[0]) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(copies_and_bitstring())
+def test_outcome_probability_matches_circuit_oracle(case):
+    psi, psi_prime, z = case
+    oracle = full_circuit_oracle(psi, psi_prime, QubitSet.full(psi.n_qubits))
+    assert abs(outcome_probability(psi, psi_prime, z) - oracle.probability(z)) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), seeds, st.data())
+def test_controlled_projector_matches_dense_matrix(m, seed, data):
+    # A generic joint vector, not only a product of two copies.
+    joint = JointState(m, make_haar_random(2 * m, seed).amplitudes)
+    k = data.draw(st.integers(0, m - 1))
+    z_bit = data.draw(st.integers(0, 1))
+    sign = 1.0 if z_bit == 0 else -1.0
+    dense = 0.5 * (np.eye(1 << (2 * m)) + sign * dense_swap(m, k))
+    projected = apply_controlled_projector(joint, k, z_bit)
+    np.testing.assert_allclose(projected.amplitudes, dense @ joint.amplitudes, rtol=0, atol=TOL)
+
+
+@PROPERTY_SETTINGS
+@given(copies_and_bitstring())
+def test_post_measurement_leaves_singlets(case):
+    psi, psi_prime, z = case
+    assume(outcome_probability(psi, psi_prime, z) > 1e-6)
+    outcome = post_measurement(psi, psi_prime, z)
+    for k, bit in enumerate(z):
+        if bit == "1":
+            fidelity = singlet_fidelity(pair_marginal(outcome.post_state, k))
+            assert abs(fidelity - 1.0) <= TOL

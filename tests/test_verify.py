@@ -28,14 +28,18 @@ def test_unknown_property_rejected():
 
 
 def test_injected_projector_bug_is_caught(monkeypatch):
-    # Harness self-test: swapping the projector branches must trip the suite
-    # and name a witness.
-    original = swaptest_module._projected
+    # Harness self-test: swapping the singlet and symmetric roles of each pair
+    # in the pair-basis kernel must trip the suite and name a witness.
+    original = swaptest_module._pair_hadamard
 
-    def flipped(amps, m, k, z_bit):
-        return original(amps, m, k, 1 - z_bit)
+    def roles_swapped(amps, m, labels):
+        original(amps, m, labels)
+        for k in labels:
+            view = swaptest_module._pair_view(amps, m, k)
+            up, down = view[:, 0, :, 1], view[:, 1, :, 0]
+            up[...], down[...] = down.copy(), up.copy()
 
-    monkeypatch.setattr(swaptest_module, "_projected", flipped)
+    monkeypatch.setattr(swaptest_module, "_pair_hadamard", roles_swapped)
     reports = run_suite(trials=10, n_max=3, seed=9, properties=["odd-weight-zero"])
     assert not reports[0].passed
     assert reports[0].witness
