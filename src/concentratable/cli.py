@@ -4,8 +4,9 @@ Subcommands: ce (compute the measure), dist (exact SWAP-test outcome
 distribution), sample (sampled runs), verify (property suite), compare
 (GHZ vs W closed-form table), distill (Bell-pair concentration runs).
 
-Exit codes: 0 success, 1 property violation, 2 usage or validation error,
-3 budget (size cap) error. File outputs are written atomically.
+Exit codes: 0 success, 1 property violation, 2 usage or validation error
+(including an output file that cannot be written), 3 budget (size cap)
+error. File outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

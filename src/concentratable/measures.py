@@ -7,10 +7,11 @@ For a subset s of qubit labels, the measure is
 and equals both 1 - p(all-zero) of a SWAP test on the qubits in s and the
 total probability of even-weight SWAP-test outcomes touching s. The three
 routes are implemented separately so they can cross-check each other:
-``ce_purity`` sums 2^{c(s)} purities, ``ce_distribution`` runs the
-projector-chain simulation, ``ce_even_weight`` sums signed purity terms
-over the full register. Term counts of the first two are inversely
-proportional (2^{c} vs 2^{n-c}), hence the auto-selection policy.
+``ce_purity`` sums the 2^{c(s)} subset purities from the partial-trace
+tree of ``reductions``, ``ce_distribution`` takes the all-zero outcome of
+the pair-basis SWAP test on two copies (O(c * 4^n) time and a 4^n-entry
+joint vector), and ``ce_even_weight`` Walsh-transforms all 2^n purities.
+"auto" always takes the purity sum; see ``concentratable_entanglement``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .limits import PURITY_DISTRIBUTION_MAX_QUBITS
-from .reductions import cross_purity, purity_array, purity_table, submasks
+from .limits import PURITY_TABLE_MAX_CARDINALITY
+from .reductions import cross_purity, purity_table, submasks
 from .states import QubitSet, Statevector
-from .swaptest import ShotHistogram, _parity, _fwht, sample, zero_outcome_probability
+from .swaptest import (
+    ShotHistogram,
+    _purity_walsh_law,
+    sample,
+    zero_outcome_probability,
+)
 
 METHODS = ("purity_sum", "distribution_zero_set", "even_weight_sum", "shots")
 
@@ -69,6 +75,14 @@ class CEResult:
             self.value,
             stderr,
         )
+
+
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """Popcount parity (0 or 1) of each entry of an integer array."""
+    x = masks.copy()
+    for shift in (16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return x & 1
 
 
 def _require_nonempty(psi: Statevector, s: QubitSet) -> None:
@@ -118,14 +132,12 @@ def ce_even_weight(psi: Statevector, s: QubitSet) -> CEResult:
     """
     _require_nonempty(psi, s)
     n = psi.n_qubits
-    if n > PURITY_DISTRIBUTION_MAX_QUBITS:
-        raise BudgetError(
-            f"{1 << n} purity terms for n={n} (cap {PURITY_DISTRIBUTION_MAX_QUBITS})"
-        )
-    by_label_mask = _fwht(purity_array(psi)) / (1 << n)
-    masks = np.arange(1 << n)
-    selected = (_parity(masks) == 0) & ((masks & s.mask) != 0)
-    value = _clamp(float(by_label_mask[selected].sum()))
+    law = _purity_walsh_law(psi)
+    # Table index bit n-1-k is qubit k.
+    touched = sum(1 << (n - 1 - k) for k in s.labels())
+    index = np.arange(1 << n)
+    selected = (_parity(index) == 0) & ((index & touched) != 0)
+    value = _clamp(float(law[selected].sum()))
     return CEResult(value, s, "even_weight_sum", {"terms": int(selected.sum())})
 
 
@@ -155,14 +167,16 @@ def ce_from_histogram(hist: ShotHistogram) -> CEResult:
 def concentratable_entanglement(
     psi: Statevector, s: QubitSet, method: str = "auto"
 ) -> CEResult:
-    """C(s) by the requested route; "auto" picks the cheaper term count."""
+    """C(s) by the requested route; "auto" is the purity sum.
+
+    On the full 10-qubit set the purity sum took about 10 ms against
+    100-120 ms for the SWAP-test route (2-vCPU x86 host, BLAS on one
+    thread), and the SWAP-test route refuses n > 10 under the default
+    20-qubit cap. At n = 5..7 the SWAP-test route was faster on the full
+    set, by 0.1-0.4 ms.
+    """
     if method == "auto":
-        cardinality = s.cardinality
-        method = (
-            "purity_sum"
-            if cardinality <= psi.n_qubits - cardinality
-            else "distribution_zero_set"
-        )
+        method = "purity_sum"
     if method == "purity_sum":
         return ce_purity(psi, s)
     if method == "distribution_zero_set":
@@ -185,8 +199,10 @@ def ce_two_state(psi: Statevector, psi_prime: Statevector, s: QubitSet) -> float
             f"copy sizes differ: {psi.n_qubits} vs {psi_prime.n_qubits}"
         )
     cardinality = s.cardinality
-    if cardinality > 24:
-        raise BudgetError(f"{1 << cardinality} cross-purity terms (cap 2^24)")
+    if cardinality > PURITY_TABLE_MAX_CARDINALITY:
+        raise BudgetError(
+            f"{1 << cardinality} cross-purity terms (cap 2^{PURITY_TABLE_MAX_CARDINALITY})"
+        )
     total = sum(
         cross_purity(psi, psi_prime, QubitSet(psi.n_qubits, mask))
         for mask in submasks(s.mask)

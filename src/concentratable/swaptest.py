@@ -283,14 +283,6 @@ def zero_outcome_probability(
     return _conditioned(psi, psi_prime, labels, [0] * len(labels))[1]
 
 
-def _parity(masks: np.ndarray) -> np.ndarray:
-    """Popcount parity (0 or 1) of each entry of an integer array."""
-    x = masks.copy()
-    for shift in (16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return x & 1
-
-
 def _fwht(values: np.ndarray) -> np.ndarray:
     """b[z] = sum_x (-1)^{popcount(z & x)} a[x] via the Walsh butterfly."""
     a = np.array(values, dtype=float)
@@ -305,23 +297,29 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def distribution_via_purities(psi: Statevector, z: str) -> float:
-    """p(z) for identical copies, from the signed sum of all 2^n subset purities.
+def _purity_walsh_law(psi: Statevector) -> np.ndarray:
+    """Full-register outcome law of identical copies, from subset purities.
 
-    Each subset x contributes Tr[rho_x^2] with the parity of |S1 & x| as its
-    sign, S1 being the set of labels where z is 1. Independent of the
+    p(z) = 2^-n * sum over label masks x of (-1)^{|S1 & x|} Tr[rho_x^2],
+    S1 being the labels where z is 1: one Walsh transform of the 2^n
+    purities, returned by table index int(z, 2). Independent of the
     pair-basis route.
     """
     n = psi.n_qubits
-    _check_bitstring(z, n)
     if n > PURITY_DISTRIBUTION_MAX_QUBITS:
         raise BudgetError(
             f"{1 << n} purity terms for n={n} (cap {PURITY_DISTRIBUTION_MAX_QUBITS})"
         )
-    ones_mask = sum(1 << k for k in range(n) if z[k] == "1")
-    table = purity_array(psi)
-    signs = 1.0 - 2.0 * _parity(np.arange(1 << n) & ones_mask)
-    value = float(signs @ table) / (1 << n)
+    by_label_mask = _fwht(purity_array(psi)) / (1 << n)
+    # Label mask (bit k = qubit k) -> table index (qubit 0 most significant)
+    # is a bit reversal: reversing the axes of the (2,)*n view.
+    return by_label_mask.reshape((2,) * n).transpose().reshape(-1)
+
+
+def distribution_via_purities(psi: Statevector, z: str) -> float:
+    """p(z) for identical copies, from the signed sum of all 2^n subset purities."""
+    _check_bitstring(z, psi.n_qubits)
+    value = float(_purity_walsh_law(psi)[int(z, 2)])
     if value < PROB_CLAMP_FLOOR:
         raise ConsistencyError(f"purity-route probability {value} below {PROB_CLAMP_FLOOR}")
     return max(value, 0.0)
@@ -329,18 +327,7 @@ def distribution_via_purities(psi: Statevector, z: str) -> float:
 
 def full_distribution_via_purities(psi: Statevector) -> OutcomeDistribution:
     """Full-register distribution from one purity table and a Walsh transform."""
-    n = psi.n_qubits
-    if n > PURITY_DISTRIBUTION_MAX_QUBITS:
-        raise BudgetError(
-            f"{1 << n} purity terms for n={n} (cap {PURITY_DISTRIBUTION_MAX_QUBITS})"
-        )
-    by_label_mask = _fwht(purity_array(psi)) / (1 << n)
-    # Label mask (bit k = qubit k) -> table index (qubit 0 most significant).
-    probs = np.empty_like(by_label_mask)
-    for mask in range(1 << n):
-        index = int(format(mask, f"0{n}b")[::-1], 2)
-        probs[index] = by_label_mask[mask]
-    return OutcomeDistribution(QubitSet.full(n), probs)
+    return OutcomeDistribution(QubitSet.full(psi.n_qubits), _purity_walsh_law(psi))
 
 
 def sample(

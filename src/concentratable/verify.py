@@ -9,10 +9,12 @@ functions with their own trial counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .measures import (
     ce_distribution,
     ce_even_weight,
@@ -66,14 +68,18 @@ class PropertyReport:
 
 
 class _Worst:
-    """Tracks the largest violation and the trial that produced it."""
+    """Tracks the largest violation and the trial that produced it.
+
+    A NaN violation outranks every number, so it is kept with its witness
+    and fails the report (NaN <= tolerance is False).
+    """
 
     def __init__(self):
         self.value = -np.inf
         self.witness = ""
 
     def update(self, violation: float, witness: str) -> None:
-        if violation > self.value:
+        if violation > self.value or (math.isnan(violation) and not math.isnan(self.value)):
             self.value = violation
             self.witness = witness
 
@@ -462,6 +468,8 @@ def run_suite(
     properties: list[str] | None = None,
 ) -> list[PropertyReport]:
     """Run the selected (default: all) property checks with shared settings."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     names = properties if properties is not None else list(CHECKS)
     unknown = set(names) - set(CHECKS)
     if unknown:

@@ -141,8 +141,19 @@ class TestDist:
             raise OSError("disk full")
 
         monkeypatch.setattr(cli_module.os, "replace", refuse)
-        with pytest.raises(OSError):
-            run_cli(capsys, "dist", "--ghz", "3", "--output", str(tmp_path / "dist.json"))
+        path = tmp_path / "dist.json"
+        code, _, err = run_cli(capsys, "dist", "--ghz", "3", "--output", str(path))
+        assert code == 2
+        assert f"error: cannot write {path}: disk full" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_in_missing_directory_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, "dist", "--ghz", "2", "--output", str(path))
+        assert code == 2
+        assert f"error: cannot write {path}: No such file or directory" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
         assert list(tmp_path.iterdir()) == []
 
 
@@ -226,6 +237,12 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in out
         assert "witness" in err and "state_seed" in err
+
+    def test_zero_trials_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "error: trials must be >= 1, got 0" in err
 
 
 class TestCompare:

@@ -29,6 +29,7 @@ from concentratable import (
     w_closed_form,
     w_post_projection_ce,
 )
+from concentratable.cli import main
 from concentratable.oracle import LocalKrausPair, apply_local_kraus
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -145,10 +146,20 @@ class TestAutoSelection:
         result = concentratable_entanglement(psi, QubitSet.from_labels(5, [0, 1]))
         assert result.method == "purity_sum"
 
-    def test_large_subset_uses_distribution(self):
+    def test_large_subset_uses_purities(self, capsys):
         psi = make_haar_random(5, 5)
         result = concentratable_entanglement(psi, QubitSet.from_labels(5, [0, 1, 2, 3]))
-        assert result.method == "distribution_zero_set"
+        assert result.method == "purity_sum"
+        # The 12-qubit full set is beyond the SWAP-test route's default cap;
+        # "auto" answers it and agrees with the even-weight route.
+        values = {}
+        for method in ("auto", "even_weight_sum"):
+            code = main(["ce", "--haar", "12", "--state-seed", "3", "--method", method])
+            assert code == 0
+            line = capsys.readouterr().out
+            values[method] = float(line.split(" = ")[1].split()[0])
+            assert line.rstrip().endswith("[purity_sum]" if method == "auto" else "[even_weight_sum]")
+        assert values["auto"] == pytest.approx(values["even_weight_sum"], abs=1e-9)
 
     def test_explicit_method_honored(self):
         psi = make_haar_random(3, 6)

@@ -1,0 +1,67 @@
+"""Property tests of the partial-trace-tree purity kernel.
+
+``purity_table`` and ``purity_array`` are checked entry by entry against the
+dense density-matrix oracle on random Haar and product states, including the
+cardinalities where the smaller side of a cut flips (c = n//2 + 1) and the
+even-n tie (c = n/2).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from concentratable import (
+    QubitSet,
+    make_haar_random,
+    make_product,
+    purity_array,
+    purity_table,
+)
+from concentratable.oracle import dense_reduced_purity
+
+TOL = 1e-12
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_product(n, seed):
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    return make_product([f / np.linalg.norm(f) for f in factors])
+
+
+@st.composite
+def states(draw, n_max=7):
+    n = draw(st.integers(1, n_max))
+    make = draw(st.sampled_from([make_haar_random, random_product]))
+    return make(n, draw(seeds))
+
+
+@st.composite
+def states_and_subsets(draw):
+    psi = draw(states())
+    n = psi.n_qubits
+    # The smaller side flips above n/2, and even n has a tie at n/2.
+    special = [n // 2 + 1] if n % 2 else [n // 2, n // 2 + 1]
+    cardinality = draw(st.sampled_from(special) | st.integers(1, n))
+    labels = draw(st.permutations(range(n)))[:cardinality]
+    return psi, QubitSet.from_labels(n, labels)
+
+
+@PROPERTY_SETTINGS
+@given(states_and_subsets())
+def test_purity_table_matches_dense_oracle(case):
+    psi, s = case
+    table = purity_table(psi, s)
+    assert len(table.values) == 1 << s.cardinality
+    for mask, value in table.values.items():
+        assert mask & ~s.mask == 0
+        assert abs(value - dense_reduced_purity(psi, QubitSet(psi.n_qubits, mask))) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(states())
+def test_purity_array_matches_dense_oracle(psi):
+    n = psi.n_qubits
+    dense = [dense_reduced_purity(psi, QubitSet(n, mask)) for mask in range(1 << n)]
+    np.testing.assert_allclose(purity_array(psi), dense, rtol=0, atol=TOL)

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
 import concentratable.swaptest as swaptest_module
+import concentratable.verify as verify_module
+from concentratable import n_tangle
 from concentratable.verify import CHECKS, PropertyReport, run_suite
 
 
@@ -43,3 +47,20 @@ def test_injected_projector_bug_is_caught(monkeypatch):
     reports = run_suite(trials=10, n_max=3, seed=9, properties=["odd-weight-zero"])
     assert not reports[0].passed
     assert reports[0].witness
+
+
+def test_nan_violation_is_kept_and_fails(monkeypatch):
+    # After one finite trial, a NaN n-tangle makes the next violations NaN;
+    # the worst must be NaN with its witness, and the check must fail.
+    calls = []
+
+    def tangle(psi):
+        calls.append(psi)
+        return n_tangle(psi) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(verify_module, "n_tangle", tangle)
+    (report,) = run_suite(trials=3, n_max=2, seed=10, properties=["tangle-identity"])
+    assert len(calls) == 3
+    assert math.isnan(report.max_violation)
+    assert report.witness.startswith("n=2 state_seed=")
+    assert not report.passed
