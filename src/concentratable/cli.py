@@ -20,8 +20,8 @@ import os
 import sys
 
 from . import __version__
+from . import limits
 from .errors import BudgetError, ValidationError
-from .limits import OUTCOME_ENUM_MAX_QUBITS
 from .measures import (
     CSV_COLUMNS,
     ce_from_histogram,
@@ -145,11 +145,7 @@ def _resolve_subsets(args, n: int) -> list[QubitSet]:
     if args.all_cardinalities:
         return [QubitSet.from_labels(n, range(c)) for c in range(1, n + 1)]
     if args.all_subsets:
-        if n > OUTCOME_ENUM_MAX_QUBITS:
-            raise BudgetError(
-                f"--all-subsets would enumerate {(1 << n) - 1} subsets "
-                f"(cap n <= {OUTCOME_ENUM_MAX_QUBITS})"
-            )
+        limits.require("subsets", n)
         return [QubitSet(n, mask) for mask in range(1, 1 << n)]
     return [_single_subset(args, n)]
 

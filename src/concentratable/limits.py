@@ -1,32 +1,87 @@
 """Size caps for the exponentially-sized objects this package builds.
 
-All caps fail loudly (BudgetError) instead of exhausting memory. The
-CE_MAX_QUBITS environment variable overrides the simulated-register cap
-used by the SWAP-test routines.
+Every cap is checked by one gate, ``require(kind, size)``, which raises
+BudgetError (CLI exit 3) naming the offending count and the cap instead of
+exhausting memory. The kinds, with the size each one is given:
+
+- ``"subsets"``: n, for the 2^n - 1 subsets ``ce --all-subsets``
+  enumerates. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
+- ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``.
+  Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
+- ``"cross-purity"``: c(s), for the 2^c(s) cross-purity terms of
+  ``ce_two_state``. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
+- ``"outcomes"``: the tested qubit count m, for the 2^m-entry table of
+  ``exact_distribution``. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
+- ``"purity-terms"``: n, for the 2^n purities behind the purity+Walsh
+  outcome law (``distribution_via_purities``, ``ce_even_weight``). Cap
+  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14.
+- ``"dense"``: n, for the 4^n-entry density matrix of the dense oracles
+  in ``oracle``. Cap ``DENSE_ORACLE_MAX_QUBITS`` = 10.
+- ``"branches"``: the branch count of ``apply_separable_sequence``. Cap
+  ``SEPARABLE_BRANCH_MAX`` = 2^20.
+- ``"two-copies"``: 2n simulated qubits, for the 4^n two-copy vector of
+  the SWAP-test routines. Cap ``max_sim_qubits()``: CE_MAX_QUBITS, default
+  ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of complex128 amplitudes).
+- ``"circuit"``: 2n plus one ancilla per tested qubit, for the register of
+  ``full_circuit_oracle``. Same cap as ``"two-copies"``.
+
+Caps are read when ``require`` is called, so lowering one of the
+constants above (or setting CE_MAX_QUBITS) takes effect at once.
 """
 
 import os
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 
-# Power-set enumeration cap: purity tables hold 2^c entries.
 PURITY_TABLE_MAX_CARDINALITY = 24
-
-# SWAP-test outcome enumeration cap: 2^m control bitstrings.
 OUTCOME_ENUM_MAX_QUBITS = 14
-
-# Purity-route distributions sum 2^n purity terms.
 PURITY_DISTRIBUTION_MAX_QUBITS = 14
-
-# Branch-tree expansion cap for sequences of local operations.
 SEPARABLE_BRANCH_MAX = 2**20
-
-# Dense density-matrix oracles materialize 4^n entries.
 DENSE_ORACLE_MAX_QUBITS = 10
-
-# Total simulated qubits (two state copies, plus ancillas for the
-# explicit-circuit oracle). 20 qubits = 16 MiB of complex128 amplitudes.
 DEFAULT_MAX_SIM_QUBITS = 20
+
+# kind -> (name of its cap constant, or None for the register cap; message).
+_KINDS = {
+    "subsets": (
+        "OUTCOME_ENUM_MAX_QUBITS",
+        lambda n, cap: f"--all-subsets would enumerate {(1 << n) - 1} subsets (cap n <= {cap})",
+    ),
+    "purity-table": (
+        "PURITY_TABLE_MAX_CARDINALITY",
+        lambda c, cap: f"purity table over c(s)={c} would hold 2^{c} = {1 << c} entries "
+        f"(cap: c(s) <= {cap})",
+    ),
+    "cross-purity": (
+        "PURITY_TABLE_MAX_CARDINALITY",
+        lambda c, cap: f"{1 << c} cross-purity terms (cap 2^{cap})",
+    ),
+    "outcomes": (
+        "OUTCOME_ENUM_MAX_QUBITS",
+        lambda m, cap: f"{1 << m} outcomes for {m} tested qubits (cap {cap})",
+    ),
+    "purity-terms": (
+        "PURITY_DISTRIBUTION_MAX_QUBITS",
+        lambda n, cap: f"{1 << n} purity terms for n={n} (cap {cap})",
+    ),
+    "dense": (
+        "DENSE_ORACLE_MAX_QUBITS",
+        lambda n, cap: f"dense oracle materializes 4^{n} entries (cap n <= {cap})",
+    ),
+    "branches": (
+        "SEPARABLE_BRANCH_MAX",
+        lambda count, cap: f"{count} branches exceeds cap {cap}",
+    ),
+    "two-copies": (
+        None,
+        lambda q, cap: f"two {q // 2}-qubit copies need {q} simulated qubits "
+        f"(cap {cap}; override with CE_MAX_QUBITS)",
+    ),
+    "circuit": (
+        None,
+        lambda q, cap: f"circuit oracle needs {q} simulated qubits "
+        f"(cap {cap}; override with CE_MAX_QUBITS)",
+    ),
+}
 
 
 def max_sim_qubits() -> int:
@@ -41,3 +96,11 @@ def max_sim_qubits() -> int:
     if value < 1:
         raise ValidationError(f"CE_MAX_QUBITS must be positive, got {value}")
     return value
+
+
+def require(kind: str, size: int) -> None:
+    """Raise BudgetError if ``size`` exceeds the cap of ``kind`` (see the module docstring)."""
+    cap_name, message = _KINDS[kind]
+    cap = max_sim_qubits() if cap_name is None else globals()[cap_name]
+    if size > cap:
+        raise BudgetError(message(size, cap))

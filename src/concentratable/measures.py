@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConsistencyError, ValidationError
-from .limits import PURITY_TABLE_MAX_CARDINALITY
+from . import limits
+from .errors import ConsistencyError, ValidationError
 from .reductions import cross_purity, purity_table, submasks
-from .states import QubitSet, Statevector
+from .states import QubitSet, Statevector, require_same_qubits
 from .swaptest import (
     ShotHistogram,
     _purity_walsh_law,
@@ -86,8 +86,7 @@ def _parity(masks: np.ndarray) -> np.ndarray:
 
 
 def _require_nonempty(psi: Statevector, s: QubitSet) -> None:
-    if s.n_qubits != psi.n_qubits:
-        raise ValidationError(f"subset is over {s.n_qubits} qubits, state has {psi.n_qubits}")
+    require_same_qubits(psi, s)
     if s.cardinality == 0:
         raise ValidationError("the empty subset has no concentratable entanglement")
 
@@ -101,11 +100,7 @@ def _clamp(value: float) -> float:
 def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) from the purity sum over all 2^{c(s)} subsets of s."""
     _require_nonempty(psi, s)
-    try:
-        table = purity_table(psi, s)
-    except BudgetError as exc:
-        raise BudgetError(f"{exc}; switch to ce_distribution for large subsets") from exc
-    total = sum(table.values.values())
+    total = sum(purity_table(psi, s).values.values())
     value = _clamp(1.0 - total / (1 << s.cardinality))
     return CEResult(value, s, "purity_sum", {"terms": 1 << s.cardinality})
 
@@ -194,20 +189,13 @@ def ce_two_state(psi: Statevector, psi_prime: Statevector, s: QubitSet) -> float
     bounded by 4 * (trace distance)^2.
     """
     _require_nonempty(psi, s)
-    if psi.n_qubits != psi_prime.n_qubits:
-        raise ValidationError(
-            f"copy sizes differ: {psi.n_qubits} vs {psi_prime.n_qubits}"
-        )
-    cardinality = s.cardinality
-    if cardinality > PURITY_TABLE_MAX_CARDINALITY:
-        raise BudgetError(
-            f"{1 << cardinality} cross-purity terms (cap 2^{PURITY_TABLE_MAX_CARDINALITY})"
-        )
+    require_same_qubits(psi, psi_prime)
+    limits.require("cross-purity", s.cardinality)
     total = sum(
         cross_purity(psi, psi_prime, QubitSet(psi.n_qubits, mask))
         for mask in submasks(s.mask)
     )
-    return 1.0 - total / (1 << cardinality)
+    return 1.0 - total / (1 << s.cardinality)
 
 
 def n_tangle(psi: Statevector) -> float:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConsistencyError, ValidationError
-from .limits import DENSE_ORACLE_MAX_QUBITS, SEPARABLE_BRANCH_MAX
-from .states import QubitSet, Statevector
+from . import limits
+from .errors import ConsistencyError, ValidationError
+from .states import QubitSet, Statevector, require_same_qubits
 from .swaptest import MeasurementOutcome
 
 
@@ -61,15 +61,8 @@ def _partial_trace(rho: np.ndarray, n: int, keep_labels: tuple[int, ...]) -> np.
 
 def reduced_density_matrix(psi: Statevector, alpha: QubitSet) -> DensityMatrix:
     """Reduced state on the qubits in alpha, by dense partial trace."""
-    if alpha.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"subset is over {alpha.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-    if psi.n_qubits > DENSE_ORACLE_MAX_QUBITS:
-        raise BudgetError(
-            f"dense oracle materializes 4^{psi.n_qubits} entries "
-            f"(cap n <= {DENSE_ORACLE_MAX_QUBITS})"
-        )
+    require_same_qubits(psi, alpha)
+    limits.require("dense", psi.n_qubits)
     if alpha.cardinality == 0:
         raise ValidationError("reduced state on the empty set is the scalar 1")
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -78,15 +71,8 @@ def reduced_density_matrix(psi: Statevector, alpha: QubitSet) -> DensityMatrix:
 
 def dense_reduced_purity(psi: Statevector, alpha: QubitSet) -> float:
     """Tr[rho_alpha^2] by materializing the full density matrix. Reference only."""
-    if alpha.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"subset is over {alpha.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-    if psi.n_qubits > DENSE_ORACLE_MAX_QUBITS:
-        raise BudgetError(
-            f"dense oracle materializes 4^{psi.n_qubits} entries "
-            f"(cap n <= {DENSE_ORACLE_MAX_QUBITS})"
-        )
+    require_same_qubits(psi, alpha)
+    limits.require("dense", psi.n_qubits)
     if alpha.cardinality == 0:
         return 1.0
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -181,10 +167,7 @@ def apply_separable_sequence(
                         branch.probability * outcome.probability, outcome.post_state
                     )
                 )
-        if len(expanded) > SEPARABLE_BRANCH_MAX:
-            raise BudgetError(
-                f"{len(expanded)} branches exceeds cap {SEPARABLE_BRANCH_MAX}"
-            )
+        limits.require("branches", len(expanded))
         branches = expanded
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:

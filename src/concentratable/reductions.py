@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
-from .limits import PURITY_TABLE_MAX_CARDINALITY
-from .states import QubitSet, Statevector
+from . import limits
+from .errors import ValidationError
+from .states import QubitSet, Statevector, require_same_qubits
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -58,10 +58,7 @@ def purity(psi: Statevector, alpha: QubitSet) -> float:
 
     alpha = empty set returns exactly 1.0 (the scalar convention).
     """
-    if alpha.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"subset is over {alpha.n_qubits} qubits, state has {psi.n_qubits}"
-        )
+    require_same_qubits(psi, alpha)
     if alpha.mask == 0:
         return 1.0
     if 2 * alpha.cardinality > psi.n_qubits:
@@ -77,14 +74,7 @@ def cross_purity(psi: Statevector, psi_prime: Statevector, alpha: QubitSet) -> f
     No complement shortcut here: for distinct states the two sides of a cut
     carry different overlaps.
     """
-    if psi.n_qubits != psi_prime.n_qubits:
-        raise ValidationError(
-            f"qubit count mismatch: {psi.n_qubits} vs {psi_prime.n_qubits}"
-        )
-    if alpha.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"subset is over {alpha.n_qubits} qubits, state has {psi.n_qubits}"
-        )
+    require_same_qubits(psi, psi_prime, alpha)
     if alpha.mask == 0:
         return 1.0
     labels = alpha.labels()
@@ -177,16 +167,8 @@ def _subset_purities(psi: Statevector, mask: int) -> dict[int, float]:
 
 def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:
     """Purities for every subset of s, keyed by mask (includes the empty set)."""
-    if s.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"subset is over {s.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-    cardinality = s.cardinality
-    if cardinality > PURITY_TABLE_MAX_CARDINALITY:
-        raise BudgetError(
-            f"purity table over c(s)={cardinality} would hold 2^{cardinality} "
-            f"= {1 << cardinality} entries (cap: c(s) <= {PURITY_TABLE_MAX_CARDINALITY})"
-        )
+    require_same_qubits(psi, s)
+    limits.require("purity-table", s.cardinality)
     return PurityTable(psi.n_qubits, _subset_purities(psi, s.mask))
 
 

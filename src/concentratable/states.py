@@ -102,6 +102,16 @@ class QubitSet:
         return 0 <= label < self.n_qubits and bool(self.mask >> label & 1)
 
 
+def require_same_qubits(psi: Statevector, *others) -> None:
+    """Raise ValidationError unless every qubit set or state in ``others`` is over psi's qubits."""
+    for other in others:
+        if other.n_qubits != psi.n_qubits:
+            what = "subset" if isinstance(other, QubitSet) else "second state"
+            raise ValidationError(
+                f"{what} is over {other.n_qubits} qubits, state has {psi.n_qubits}"
+            )
+
+
 def make_product(single_qubit_states: Sequence[tuple[complex, complex]]) -> Statevector:
     """Tensor product of single-qubit states, each given as (amp0, amp1)."""
     if not single_qubit_states:
@@ -146,8 +156,7 @@ def make_haar_random(n: int, seed: int) -> Statevector:
 
 def inner_product(a: Statevector, b: Statevector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
-    if a.n_qubits != b.n_qubits:
-        raise ValidationError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
+    require_same_qubits(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -200,10 +209,7 @@ def statevector_to_dict(psi: Statevector) -> dict:
 def statevector_from_dict(data: dict) -> Statevector:
     try:
         n = int(data["n"])
-        pairs = data["amplitudes"]
-    except (KeyError, TypeError) as exc:
+        amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state record: {exc}") from exc
-    if len(pairs) != 1 << n:
-        raise ValidationError(f"expected {1 << n} amplitudes, got {len(pairs)}")
-    amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return Statevector(n, amps)

@@ -20,14 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConsistencyError, ValidationError
-from .limits import (
-    OUTCOME_ENUM_MAX_QUBITS,
-    PURITY_DISTRIBUTION_MAX_QUBITS,
-    max_sim_qubits,
-)
+from . import limits
+from .errors import ConsistencyError, ValidationError
 from .reductions import purity_array
-from .states import QubitSet, Statevector
+from .states import QubitSet, Statevector, require_same_qubits
 
 PROB_CLAMP_FLOOR = -1e-12
 
@@ -61,10 +57,7 @@ class JointState:
 
     @classmethod
     def from_copies(cls, psi: Statevector, psi_prime: Statevector) -> "JointState":
-        if psi.n_qubits != psi_prime.n_qubits:
-            raise ValidationError(
-                f"copy sizes differ: {psi.n_qubits} vs {psi_prime.n_qubits}"
-            )
+        require_same_qubits(psi, psi_prime)
         return cls(psi.n_qubits, np.kron(psi.amplitudes, psi_prime.amplitudes))
 
     @property
@@ -206,26 +199,6 @@ def apply_controlled_projector(joint: JointState, qubit: int, z_bit: int) -> Joi
     return JointState(m, amps)
 
 
-def _check_joint_budget(n_qubits: int) -> None:
-    cap = max_sim_qubits()
-    if 2 * n_qubits > cap:
-        raise BudgetError(
-            f"two {n_qubits}-qubit copies need {2 * n_qubits} simulated qubits "
-            f"(cap {cap}; override with CE_MAX_QUBITS)"
-        )
-
-
-def _require_same_size(psi: Statevector, psi_prime: Statevector, tested: QubitSet) -> None:
-    if psi.n_qubits != psi_prime.n_qubits:
-        raise ValidationError(
-            f"copy sizes differ: {psi.n_qubits} vs {psi_prime.n_qubits}"
-        )
-    if tested.n_qubits != psi.n_qubits:
-        raise ValidationError(
-            f"tested set is over {tested.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-
-
 def _require_tested_nonempty(tested: QubitSet) -> None:
     if tested.cardinality == 0:
         raise ValidationError("no tested qubits: the control register would be empty")
@@ -240,15 +213,11 @@ def exact_distribution(
     |amplitude|^2 over the singlet pattern A & ~B of the copy indices:
     O(n * 4^n) time and O(4^n) memory, whatever the number of outcomes.
     """
-    _require_same_size(psi, psi_prime, tested)
+    require_same_qubits(psi, psi_prime, tested)
     _require_tested_nonempty(tested)
     m_tested = tested.cardinality
-    if m_tested > OUTCOME_ENUM_MAX_QUBITS:
-        raise BudgetError(
-            f"{1 << m_tested} outcomes for {m_tested} tested qubits "
-            f"(cap {OUTCOME_ENUM_MAX_QUBITS})"
-        )
-    _check_joint_budget(psi.n_qubits)
+    limits.require("outcomes", m_tested)
+    limits.require("two-copies", 2 * psi.n_qubits)
     labels = tested.labels()
     m = psi.n_qubits
     amps = np.outer(psi.amplitudes, psi_prime.amplitudes).reshape(-1)
@@ -266,19 +235,18 @@ def exact_distribution(
 
 def outcome_probability(psi: Statevector, psi_prime: Statevector, z: str) -> float:
     """Probability of one full-register control bitstring."""
-    tested = QubitSet.full(psi.n_qubits)
-    _require_same_size(psi, psi_prime, tested)
+    require_same_qubits(psi, psi_prime)
     _check_bitstring(z, psi.n_qubits)
-    _check_joint_budget(psi.n_qubits)
-    return _conditioned(psi, psi_prime, tested.labels(), [int(bit) for bit in z])[1]
+    limits.require("two-copies", 2 * psi.n_qubits)
+    return _conditioned(psi, psi_prime, range(psi.n_qubits), [int(bit) for bit in z])[1]
 
 
 def zero_outcome_probability(
     psi: Statevector, psi_prime: Statevector, tested: QubitSet
 ) -> float:
     """Probability of the all-zero outcome of a SWAP test on ``tested`` only."""
-    _require_same_size(psi, psi_prime, tested)
-    _check_joint_budget(psi.n_qubits)
+    require_same_qubits(psi, psi_prime, tested)
+    limits.require("two-copies", 2 * psi.n_qubits)
     labels = tested.labels()
     return _conditioned(psi, psi_prime, labels, [0] * len(labels))[1]
 
@@ -306,10 +274,7 @@ def _purity_walsh_law(psi: Statevector) -> np.ndarray:
     pair-basis route.
     """
     n = psi.n_qubits
-    if n > PURITY_DISTRIBUTION_MAX_QUBITS:
-        raise BudgetError(
-            f"{1 << n} purity terms for n={n} (cap {PURITY_DISTRIBUTION_MAX_QUBITS})"
-        )
+    limits.require("purity-terms", n)
     by_label_mask = _fwht(purity_array(psi)) / (1 << n)
     # Label mask (bit k = qubit k) -> table index (qubit 0 most significant)
     # is a bit reversal: reversing the axes of the (2,)*n view.
@@ -375,16 +340,15 @@ def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> Measur
     singlet (|01> - |10>)/sqrt(2).
     """
     n = psi.n_qubits
-    tested = QubitSet.full(n)
-    _require_same_size(psi, psi_prime, tested)
+    require_same_qubits(psi, psi_prime)
     _check_bitstring(z, n)
-    _check_joint_budget(n)
+    limits.require("two-copies", 2 * n)
     amps, probability = _conditioned(psi, psi_prime, range(n), [int(bit) for bit in z])
     if probability <= 1e-12:
         raise ValidationError(f"outcome {z!r} has probability {probability}; cannot condition on it")
     _pair_hadamard(amps, n, range(n))
-    post = JointState(n, amps / np.sqrt(probability))
-    return MeasurementOutcome(probability, post)
+    amps /= np.sqrt(probability)
+    return MeasurementOutcome(probability, JointState(n, amps))
 
 
 def pair_marginal(joint: JointState, qubit: int) -> np.ndarray:
@@ -438,18 +402,13 @@ def full_circuit_oracle(
     and returns the exact ancilla marginal distribution. Slow but direct;
     used to cross-check the projector route.
     """
-    _require_same_size(psi, psi_prime, tested)
+    require_same_qubits(psi, psi_prime, tested)
     _require_tested_nonempty(tested)
     labels = tested.labels()
     m = psi.n_qubits
     m_tested = len(labels)
     n_total = m_tested + 2 * m
-    cap = max_sim_qubits()
-    if n_total > cap:
-        raise BudgetError(
-            f"circuit oracle needs {n_total} simulated qubits "
-            f"(cap {cap}; override with CE_MAX_QUBITS)"
-        )
+    limits.require("circuit", n_total)
     state = np.zeros(1 << n_total, dtype=np.complex128)
     state[: 1 << (2 * m)] = np.kron(psi.amplitudes, psi_prime.amplitudes)
     for j in range(m_tested):

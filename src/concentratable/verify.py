@@ -71,17 +71,23 @@ class _Worst:
     """Tracks the largest violation and the trial that produced it.
 
     A NaN violation outranks every number, so it is kept with its witness
-    and fails the report (NaN <= tolerance is False).
+    and fails the report (NaN <= tolerance is False). A check whose pass
+    condition is stricter than ``value <= tolerance`` sets ``failed``.
     """
 
     def __init__(self):
         self.value = -np.inf
         self.witness = ""
+        self.failed = False
 
     def update(self, violation: float, witness: str) -> None:
         if violation > self.value or (math.isnan(violation) and not math.isnan(self.value)):
             self.value = violation
             self.witness = witness
+
+    def report(self, name: str, trials: int, tolerance: float) -> PropertyReport:
+        passed = not self.failed and self.value <= tolerance
+        return PropertyReport(name, trials, self.value, tolerance, passed, self.witness)
 
 
 def _state_seed(rng: np.random.Generator) -> int:
@@ -111,9 +117,7 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
                 f"n={n} state_seed={state_seed} mask={s.mask:#b}",
             )
             count += 1
-    return PropertyReport(
-        "route-agreement", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("route-agreement", count, tolerance)
 
 
 def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, tolerance=1e-10):
@@ -142,9 +146,7 @@ def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, toleran
                 f"n={n} state_seed={state_seed} z={z} route=purities",
             )
             count += 1
-    return PropertyReport(
-        "odd-weight-zero", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("odd-weight-zero", count, tolerance)
 
 
 def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolerance=1e-10):
@@ -167,9 +169,7 @@ def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolera
                     f"n={n} cut={cut} seeds=({seed_a},{seed_b}) z={z}",
                 )
         count += 1
-    return PropertyReport(
-        "bi-separable-zero", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("bi-separable-zero", count, tolerance)
 
 
 def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-9):
@@ -188,9 +188,7 @@ def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-
                 f"n={n} state_seed={state_seed}",
             )
             count += 1
-    return PropertyReport(
-        "tangle-identity", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("tangle-identity", count, tolerance)
 
 
 def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance=1e-9):
@@ -220,10 +218,8 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
                 f"n={n} state_seed={state_seed} shot_seed={shot_seed} z={z} k={k}",
             )
     if pairs_seen == 0:
-        return PropertyReport("singlet-projection", count, np.inf, tolerance, False, "no |1> outcomes sampled")
-    return PropertyReport(
-        "singlet-projection", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+        worst.update(np.inf, "no |1> outcomes sampled")
+    return worst.report("singlet-projection", count, tolerance)
 
 
 def check_ce_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=606, tolerance=1e-9):
@@ -246,9 +242,7 @@ def check_ce_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=606, tole
             averaged - before,
             f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} mask={s.mask:#b}",
         )
-    return PropertyReport(
-        "ce-locc-monotonicity", trials, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("ce-locc-monotonicity", trials, tolerance)
 
 
 def check_purity_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=707, tolerance=1e-9):
@@ -269,9 +263,7 @@ def check_purity_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=707, 
                 purity(psi, alpha) - averaged,
                 f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} alpha={mask:#b}",
             )
-    return PropertyReport(
-        "purity-locc-monotonicity", trials, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("purity-locc-monotonicity", trials, tolerance)
 
 
 def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, tolerance=1e-10):
@@ -294,9 +286,7 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
             inner - outer,
             f"n={n} state_seed={state_seed} inner={inner_mask:#b} outer={outer_mask:#b}",
         )
-    return PropertyReport(
-        "nested-monotonicity", trials, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("nested-monotonicity", trials, tolerance)
 
 
 def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, tolerance=1e-10):
@@ -321,9 +311,7 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
         witness = f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"
         worst.update(c_union - c_first - c_second, witness)
         worst.update(max(c_first, c_second) - c_union, witness)
-    return PropertyReport(
-        "subadditivity", trials, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("subadditivity", trials, tolerance)
 
 
 def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-9):
@@ -343,9 +331,7 @@ def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-
             gap - 2.0 * one_norm,
             f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={s.mask:#b}",
         )
-    return PropertyReport(
-        "continuity", trials, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("continuity", trials, tolerance)
 
 
 def check_error_bound(
@@ -357,7 +343,6 @@ def check_error_bound(
     s = QubitSet.full(n)
     per_eps = max(1, trials // len(epsilons))
     count = 0
-    strict_ok = True
     for epsilon in epsilons:
         for _ in range(per_eps):
             state_seed = _state_seed(rng)
@@ -370,11 +355,10 @@ def check_error_bound(
             witness = f"n={n} state_seed={state_seed} eps={epsilon}"
             worst.update(-excess, witness)
             if excess >= 4.0 * epsilon * epsilon:
-                strict_ok = False
+                worst.failed = True
                 worst.update(excess - 4.0 * epsilon * epsilon + tolerance, witness)
             count += 1
-    passed = strict_ok and worst.value <= tolerance
-    return PropertyReport("error-bound", count, worst.value, tolerance, passed, worst.witness)
+    return worst.report("error-bound", count, tolerance)
 
 
 def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
@@ -397,9 +381,7 @@ def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
                 f"w n={n} mask={s.mask:#b}",
             )
             count += 1
-    return PropertyReport(
-        "closed-forms", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("closed-forms", count, tolerance)
 
 
 def _projective_pair(qubit: int) -> LocalKrausPair:
@@ -438,9 +420,7 @@ def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
                 f"ghz n={n}",
             )
             count += 1
-    return PropertyReport(
-        "w-projection", count, worst.value, tolerance, worst.value <= tolerance, worst.witness
-    )
+    return worst.report("w-projection", count, tolerance)
 
 
 CHECKS = {
@@ -460,6 +440,35 @@ CHECKS = {
 }
 
 
+def _drawn(sizes):
+    """Arguments of a check that draws ``trials`` states with n from ``sizes`` up to n_max."""
+    return lambda trials, n_max, epsilons: {
+        "trials": trials,
+        "n_values": tuple(v for v in sizes if v <= n_max),
+    }
+
+
+# Property -> its check's keyword arguments (besides the seed) for the
+# suite's trials, n_max and epsilons. Looked up by the names in CHECKS.
+_SUITE_ARGS = {
+    "route-agreement": _drawn((2, 3, 4, 5, 6)),
+    "odd-weight-zero": _drawn((2, 3, 4, 5, 6)),
+    "bi-separable-zero": _drawn((2, 3, 4, 5, 6)),
+    "tangle-identity": _drawn((2, 4, 6, 8)),
+    "singlet-projection": _drawn((2, 3, 4)),
+    "ce-locc-monotonicity": _drawn((2, 3, 4, 5)),
+    "purity-locc-monotonicity": _drawn((2, 3, 4, 5)),
+    "nested-monotonicity": _drawn((2, 3, 4, 5, 6)),
+    "subadditivity": _drawn((2, 3, 4, 5, 6)),
+    "continuity": _drawn((2, 3, 4, 5)),
+    "error-bound": lambda trials, n_max, epsilons: {"trials": trials, "epsilons": epsilons},
+    "closed-forms": lambda trials, n_max, epsilons: {"n_max": max(n_max, 4)},
+    "w-projection": lambda trials, n_max, epsilons: {
+        "n_values": tuple(v for v in (3, 4, 5, 6) if v <= max(n_max, 3))
+    },
+}
+
+
 def run_suite(
     trials: int = 200,
     seed: int = 2024,
@@ -470,27 +479,12 @@ def run_suite(
     """Run the selected (default: all) property checks with shared settings."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if n_max < 2:
+        raise ValidationError(f"n_max must be >= 2, got {n_max}")
     names = properties if properties is not None else list(CHECKS)
     unknown = set(names) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
-    small = tuple(v for v in (2, 3, 4, 5, 6) if v <= n_max)
-    even = tuple(v for v in (2, 4, 6, 8) if v <= max(n_max, 2))
-    reports = []
-    for name in names:
-        check = CHECKS[name]
-        if name == "error-bound":
-            reports.append(check(trials=trials, epsilons=epsilons, seed=seed))
-        elif name == "closed-forms":
-            reports.append(check(n_max=max(n_max, 4), seed=seed))
-        elif name == "w-projection":
-            reports.append(check(n_values=tuple(v for v in (3, 4, 5, 6) if v <= max(n_max, 3)), seed=seed))
-        elif name == "tangle-identity":
-            reports.append(check(trials=trials, n_values=even, seed=seed))
-        elif name == "singlet-projection":
-            reports.append(check(trials=trials, n_values=tuple(v for v in (2, 3, 4) if v <= n_max), seed=seed))
-        elif name in ("ce-locc-monotonicity", "purity-locc-monotonicity", "continuity"):
-            reports.append(check(trials=trials, n_values=tuple(v for v in small if v <= 5), seed=seed))
-        else:
-            reports.append(check(trials=trials, n_values=small, seed=seed))
-    return reports
+    return [
+        CHECKS[name](**_SUITE_ARGS[name](trials, n_max, epsilons), seed=seed) for name in names
+    ]

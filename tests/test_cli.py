@@ -40,6 +40,14 @@ class TestCe:
         assert code == 0
         assert "0.222222222222" in out
 
+    def test_malformed_amplitude_pair_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": [[1], [0, 0]]}))
+        code, out, err = run_cli(capsys, "ce", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed state record")
+
     def test_product_file_all_cardinalities(self, capsys, product_file):
         code, out, _ = run_cli(capsys, "ce", "--file", product_file, "--all-cardinalities")
         assert code == 0
@@ -243,6 +251,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "error: trials must be >= 1, got 0" in err
+
+    def test_n_max_below_two_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "error: n_max must be >= 2, got 1" in err
 
 
 class TestCompare:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import concentratable.oracle as oracle_module
+import concentratable.limits as limits
 from concentratable import (
     BudgetError,
     QubitSet,
@@ -71,7 +71,7 @@ class TestDenseReducedPurity:
             ) <= 1e-10
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "DENSE_ORACLE_MAX_QUBITS", 3)
+        monkeypatch.setattr(limits, "DENSE_ORACLE_MAX_QUBITS", 3)
         with pytest.raises(BudgetError):
             dense_reduced_purity(make_haar_random(4, 4), QubitSet(4, 0b1))
 
@@ -221,7 +221,7 @@ class TestSeparableSequence:
             assert averaged_ce <= ce_purity(psi, s).value + 1e-9
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "SEPARABLE_BRANCH_MAX", 2)
+        monkeypatch.setattr(limits, "SEPARABLE_BRANCH_MAX", 2)
         psi = make_haar_random(2, 14)
         pairs = [random_local_kraus(s, 0) for s in range(2)]
         with pytest.raises(BudgetError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import concentratable.reductions as reductions_module
+import concentratable.limits as limits
 from concentratable import (
     BudgetError,
     PurityTable,
@@ -162,7 +162,7 @@ class TestPurityTable:
             )
 
     def test_budget_error_names_count(self, monkeypatch):
-        monkeypatch.setattr(reductions_module, "PURITY_TABLE_MAX_CARDINALITY", 3)
+        monkeypatch.setattr(limits, "PURITY_TABLE_MAX_CARDINALITY", 3)
         psi = make_haar_random(4, 130)
         with pytest.raises(BudgetError, match="16"):
             purity_table(psi, QubitSet.full(4))

@@ -265,3 +265,8 @@ class TestSerialization:
     def test_rejects_missing_keys(self):
         with pytest.raises(ValidationError):
             statevector_from_dict({"amplitudes": []})
+
+    @pytest.mark.parametrize("pair", [[1], [1, 0, 0], 1, ["a", "b"]])
+    def test_rejects_malformed_amplitude_pair(self, pair):
+        with pytest.raises(ValidationError, match="malformed state record"):
+            statevector_from_dict({"n": 1, "amplitudes": [pair, [0, 0]]})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import concentratable.limits as limits
 import concentratable.swaptest as swaptest_module
 from concentratable import (
     BudgetError,
@@ -186,7 +187,7 @@ class TestExactDistribution:
             assert permuted_dist.probability(z_new) == pytest.approx(p, abs=1e-12)
 
     def test_outcome_budget(self, monkeypatch):
-        monkeypatch.setattr(swaptest_module, "OUTCOME_ENUM_MAX_QUBITS", 2)
+        monkeypatch.setattr(limits, "OUTCOME_ENUM_MAX_QUBITS", 2)
         psi = make_haar_random(3, 8)
         with pytest.raises(BudgetError):
             exact_distribution(psi, psi, QubitSet.full(3))
@@ -263,7 +264,7 @@ class TestPurityRouteDistribution:
             assert transformed[z] == pytest.approx(explicit, abs=1e-12)
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(swaptest_module, "PURITY_DISTRIBUTION_MAX_QUBITS", 2)
+        monkeypatch.setattr(limits, "PURITY_DISTRIBUTION_MAX_QUBITS", 2)
         with pytest.raises(BudgetError):
             distribution_via_purities(make_haar_random(3, 11), "000")
 

@@ -1,7 +1,9 @@
-"""Property tests of the pair-basis SWAP-test kernel on random Haar states.
+"""Property tests of the SWAP-test routes on random Haar states.
 
-Unequal copies and random tested subsets are checked against the explicit
-ancilla+Fredkin circuit and against dense (1 +/- S_k)/2 matrices.
+The pair-basis kernel is checked on unequal copies and random tested
+subsets against the explicit ancilla+Fredkin circuit and against dense
+(1 +/- S_k)/2 matrices; the purity+Walsh law is checked against the circuit
+on identical copies.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from concentratable import (
     apply_controlled_projector,
     exact_distribution,
     full_circuit_oracle,
+    full_distribution_via_purities,
     make_haar_random,
     outcome_probability,
     pair_marginal,
@@ -98,3 +101,12 @@ def test_post_measurement_leaves_singlets(case):
         if bit == "1":
             fidelity = singlet_fidelity(pair_marginal(outcome.post_state, k))
             assert abs(fidelity - 1.0) <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), seeds)
+def test_purity_walsh_law_matches_circuit_oracle(n, seed):
+    psi = make_haar_random(n, seed)
+    via_purities = full_distribution_via_purities(psi).probabilities
+    oracle = full_circuit_oracle(psi, psi, QubitSet.full(n)).probabilities
+    np.testing.assert_allclose(via_purities, oracle, rtol=0, atol=TOL)
