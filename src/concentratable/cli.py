@@ -24,10 +24,13 @@ from . import limits
 from .errors import BudgetError, ValidationError
 from .measures import (
     CSV_COLUMNS,
+    CEResult,
+    ce_all_subsets,
     ce_from_histogram,
     compare_ghz_w,
     concentratable_entanglement,
 )
+from .reductions import purity_array
 from .states import QubitSet, Statevector, make_ghz, make_haar_random, make_w, statevector_from_dict
 from .swaptest import (
     distribution_to_dict,
@@ -150,12 +153,22 @@ def _resolve_subsets(args, n: int) -> list[QubitSet]:
     return [_single_subset(args, n)]
 
 
+def _sweep(psi: Statevector, subsets: list[QubitSet], method: str) -> list[CEResult]:
+    """C(s) for each subset; a purity-sum sweep reads them all from one purity array."""
+    if len(subsets) == 1 or method not in ("auto", "purity_sum"):
+        return [concentratable_entanglement(psi, s, method=method) for s in subsets]
+    # The full array is the purity table of the largest set a sweep asks for.
+    limits.require("purity-table", psi.n_qubits)
+    values = ce_all_subsets(purity_array(psi))
+    return [
+        CEResult(float(values[s.mask]), s, "purity_sum", {"terms": 1 << s.cardinality})
+        for s in subsets
+    ]
+
+
 def cmd_ce(args) -> int:
     psi = _resolve_state(args)
-    results = [
-        concentratable_entanglement(psi, s, method=args.method)
-        for s in _resolve_subsets(args, psi.n_qubits)
-    ]
+    results = _sweep(psi, _resolve_subsets(args, psi.n_qubits), args.method)
     for r in results:
         print(f"C(mask={r.s.mask:#b}, c={r.s.cardinality}) = {r.value:.12g}  [{r.method}]")
     if args.output:
@@ -251,6 +264,8 @@ def cmd_compare(args) -> int:
 
 def cmd_distill(args) -> int:
     psi = _resolve_state(args)
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be >= 1, got {args.runs}")
     n = psi.n_qubits
     tested = QubitSet.full(n)
     violations = 0

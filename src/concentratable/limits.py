@@ -24,6 +24,10 @@ exhausting memory. The kinds, with the size each one is given:
   ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of complex128 amplitudes).
 - ``"circuit"``: 2n plus one ancilla per tested qubit, for the register of
   ``full_circuit_oracle``. Same cap as ``"two-copies"``.
+- ``"state"``: n, for the 2^n amplitudes ``make_ghz``, ``make_w`` and
+  ``make_haar_random`` allocate. Same cap as ``"two-copies"``: one n-qubit
+  state is n simulated qubits. (A state read from a file is already in
+  memory; ``Statevector`` checks its amplitude count.)
 
 Caps are read when ``require`` is called, so lowering one of the
 constants above (or setting CE_MAX_QUBITS) takes effect at once.
@@ -80,6 +84,11 @@ _KINDS = {
         None,
         lambda q, cap: f"circuit oracle needs {q} simulated qubits "
         f"(cap {cap}; override with CE_MAX_QUBITS)",
+    ),
+    "state": (
+        None,
+        lambda n, cap: f"a {n}-qubit state needs 2^{n} amplitudes "
+        f"(cap {cap} qubits; override with CE_MAX_QUBITS)",
     ),
 }
 

@@ -105,6 +105,24 @@ def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
     return CEResult(value, s, "purity_sum", {"terms": 1 << s.cardinality})
 
 
+def ce_all_subsets(purities: np.ndarray) -> np.ndarray:
+    """C(s) for every label mask s, from the 2^n purities of ``purity_array``.
+
+    The last axis is indexed by label mask; leading axes (such as the rows of
+    ``purity_arrays``) are separate states. The sum over the subsets of s in
+    ``ce_purity`` is one subset-sum (zeta) transform: pass k adds each entry
+    without qubit k into the one with it. Entry 0 (the empty set) is 0.
+    """
+    sums = np.array(purities, dtype=float)
+    size = sums.shape[-1]
+    for k in range(size.bit_length() - 1):
+        pairs = sums.reshape(sums.shape[:-1] + (-1, 2, 1 << k))
+        pairs[..., 1, :] += pairs[..., 0, :]
+    values = 1.0 - sums / 2.0 ** np.bitwise_count(np.arange(size))
+    _clamp(float(values.min()))
+    return np.maximum(values, 0.0)
+
+
 def ce_distribution(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) = 1 - p(all-zero) from a simulated SWAP test on the qubits in s.
 

@@ -16,11 +16,19 @@ plus the result. On a 2-vCPU x86 host with BLAS on one thread,
 ``purity_array`` took 5.6 ms at n=10 and 50 ms at n=12, against 21 ms and
 210 ms with one Gram product per subset, and peaked at 0.73 MB under
 tracemalloc at n=12.
+
+``purity_arrays`` walks the same tree for a (B, 2^n) stack of states of
+one n: the tree has a leading batch axis, so each Gram product, partial
+trace and purity is one numpy call for all B states. One state keeps the
+2-D BLAS product and ``np.vdot``, so the single-state functions cost what
+they did. On the same host a stack of B = 10..40 states took 4-12x less
+time than one ``purity_array`` call per state at n = 2..7, with equal
+values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +54,19 @@ def subsets_of(s: QubitSet) -> Iterator[QubitSet]:
         yield QubitSet(s.n_qubits, sub)
 
 
-def _gather_matrix(psi: Statevector, labels: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes reshaped so rows index the qubits in ``labels``."""
-    rest = [k for k in range(psi.n_qubits) if k not in labels]
-    tensor = psi.tensor().transpose(list(labels) + rest)
-    return tensor.reshape(1 << len(labels), -1)
+def _gather_matrix(amps: np.ndarray, n: int, labels) -> np.ndarray:
+    """Amplitudes reshaped so rows index the qubits in ``labels``.
+
+    ``amps`` is one state's 2^n amplitudes, or a (B, 2^n) stack that gives a
+    (B, 2^k, 2^(n-k)) stack of matrices.
+    """
+    rest = [k for k in range(n) if k not in labels]
+    axes = list(labels) + rest
+    lead = amps.shape[:-1]
+    if lead:
+        axes = [0] + [1 + k for k in axes]
+    tensor = amps.reshape(lead + (2,) * n).transpose(axes)
+    return tensor.reshape(lead + (1 << len(labels), -1))
 
 
 def purity(psi: Statevector, alpha: QubitSet) -> float:
@@ -63,7 +79,7 @@ def purity(psi: Statevector, alpha: QubitSet) -> float:
         return 1.0
     if 2 * alpha.cardinality > psi.n_qubits:
         alpha = alpha.complement()
-    matrix = _gather_matrix(psi, alpha.labels())
+    matrix = _gather_matrix(psi.amplitudes, psi.n_qubits, alpha.labels())
     gram = matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)
 
@@ -78,8 +94,8 @@ def cross_purity(psi: Statevector, psi_prime: Statevector, alpha: QubitSet) -> f
     if alpha.mask == 0:
         return 1.0
     labels = alpha.labels()
-    m1 = _gather_matrix(psi, labels)
-    m2 = _gather_matrix(psi_prime, labels)
+    m1 = _gather_matrix(psi.amplitudes, psi.n_qubits, labels)
+    m2 = _gather_matrix(psi_prime.amplitudes, psi.n_qubits, labels)
     if 2 * len(labels) <= psi.n_qubits:
         r1 = m1 @ m1.conj().T
         r2 = m2 @ m2.conj().T
@@ -119,18 +135,22 @@ class PurityTable:
         return cls(n, values)
 
 
-def _subset_purities(psi: Statevector, mask: int) -> dict[int, float]:
-    """Purity of every subset of ``mask``, keyed by label mask.
+def _subset_purities(amps: np.ndarray, mask: int) -> dict:
+    """Purities of every subset of ``mask``, keyed by label mask.
 
-    The partial-trace tree of the module docstring. On a tie (|alpha| = n/2)
-    the side holding the highest label of ``mask`` is kept, so every smaller
-    needed set lies inside a kept one.
+    ``amps`` is one state's 2^n amplitudes or a (B, 2^n) stack of states; a
+    value is a float64 for one state and a (B,) array for a stack. The
+    partial-trace tree of the module docstring, walked once for the whole
+    stack. On a tie (|alpha| = n/2) the side holding the highest label of
+    ``mask`` is kept, so every smaller needed set lies inside a kept one.
     """
-    n = psi.n_qubits
+    lead = amps.shape[:-1]
+    b = len(lead)
+    n = amps.shape[-1].bit_length() - 1
     full = (1 << n) - 1
     outside = full ^ mask
     tie_label = mask.bit_length() - 1
-    values = {0: 1.0}
+    values = {0: np.ones(lead) if lead else 1.0}
 
     def smaller_side(alpha):
         twice = 2 * alpha.bit_count()
@@ -139,20 +159,26 @@ def _subset_purities(psi: Statevector, mask: int) -> dict[int, float]:
 
     def trace_down(rho, labels, node, start):
         # Removing only labels from ``start`` on visits every subset once.
-        values[node] = float(np.vdot(rho, rho).real)
+        if lead:
+            flat = rho.reshape(lead + (-1,))
+            values[node] = np.vecdot(flat, flat).real
+        else:
+            # np.vdot does not batch, but it is the cheapest call for one state.
+            values[node] = float(np.vdot(rho, rho).real)
         k = len(labels)
         for i in range(start, k):
             child = node ^ (1 << labels[i])
             # Below the top every set is on its smaller side; it is needed if it
             # is a subset of ``mask`` or the complement of one.
             if child & outside in (0, outside) and child not in values:
-                reduced = rho.reshape((2,) * (2 * k)).trace(axis1=i, axis2=k + i)
+                tensor = rho.reshape(lead + (2,) * (2 * k))
+                reduced = tensor.trace(axis1=b + i, axis2=b + k + i)
                 trace_down(reduced, labels[:i] + labels[i + 1 :], child, i)
 
     def grow(top):
         labels = [k for k in range(n) if top >> k & 1]
-        matrix = _gather_matrix(psi, labels)
-        trace_down(matrix @ matrix.conj().T, labels, top, 0)
+        matrix = _gather_matrix(amps, n, labels)
+        trace_down(matrix @ matrix.conj().swapaxes(-1, -2), labels, top, 0)
 
     if smaller_side(mask) == mask:
         # Then so is every subset of it, and one tree holds them all.
@@ -165,15 +191,31 @@ def _subset_purities(psi: Statevector, mask: int) -> dict[int, float]:
     return {alpha: values[cut] for alpha, cut in side.items()}
 
 
+def _all_purities(amps: np.ndarray) -> np.ndarray:
+    """All 2^n purities of each state in ``amps``, indexed by label mask on the last axis."""
+    size = amps.shape[-1]
+    values = _subset_purities(amps, size - 1)
+    return np.array([values[mask] for mask in range(size)]).T
+
+
 def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:
     """Purities for every subset of s, keyed by mask (includes the empty set)."""
     require_same_qubits(psi, s)
     limits.require("purity-table", s.cardinality)
-    return PurityTable(psi.n_qubits, _subset_purities(psi, s.mask))
+    return PurityTable(psi.n_qubits, _subset_purities(psi.amplitudes, s.mask))
 
 
 def purity_array(psi: Statevector) -> np.ndarray:
     """All 2^n purities of psi as an array indexed by label mask."""
-    size = 1 << psi.n_qubits
-    values = _subset_purities(psi, size - 1)
-    return np.fromiter(map(values.__getitem__, range(size)), float, size)
+    return _all_purities(psi.amplitudes)
+
+
+def purity_arrays(states: Sequence[Statevector]) -> np.ndarray:
+    """All 2^n purities of each state as a (B, 2^n) array; row b is ``purity_array(states[b])``.
+
+    The states must share n; the partial-trace tree is walked once for all of them.
+    """
+    if not states:
+        raise ValidationError("need at least one state")
+    require_same_qubits(*states)
+    return _all_purities(np.stack([psi.amplitudes for psi in states]))

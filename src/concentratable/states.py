@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import ValidationError
 
 NORM_ATOL = 1e-10
 
 
-def _frozen_amplitudes(values, dim: int) -> np.ndarray:
+def _frozen_amplitudes(values, n: int) -> np.ndarray:
     amps = np.asarray(values, dtype=np.complex128)
-    if amps.shape != (dim,):
-        raise ValidationError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    # The bit-length test comes first, so 1 << n is only built for a sane n.
+    if amps.ndim != 1 or amps.size.bit_length() != n + 1 or amps.size != 1 << n:
+        raise ValidationError(f"expected 2^{n} amplitudes, got shape {amps.shape}")
     if not np.isfinite(amps).all():
         raise ValidationError("amplitudes contain NaN or infinity")
     norm = float(np.linalg.norm(amps))
@@ -43,9 +45,7 @@ class Statevector:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        object.__setattr__(
-            self, "amplitudes", _frozen_amplitudes(self.amplitudes, 1 << self.n_qubits)
-        )
+        object.__setattr__(self, "amplitudes", _frozen_amplitudes(self.amplitudes, self.n_qubits))
 
     @property
     def dim(self) -> int:
@@ -131,6 +131,7 @@ def make_ghz(n: int) -> Statevector:
     """(|0...0> + |1...1>)/sqrt(2); for n=1 this is |+>."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    limits.require("state", n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return Statevector(n, amps)
@@ -140,6 +141,7 @@ def make_w(n: int) -> Statevector:
     """Equal superposition of the n basis states with a single 1 bit."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    limits.require("state", n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[[1 << k for k in range(n)]] = 1.0 / np.sqrt(n)
     return Statevector(n, amps)
@@ -149,6 +151,9 @@ def make_haar_random(n: int, seed: int) -> Statevector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian vector."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    limits.require("state", n)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return Statevector(n, amps / np.linalg.norm(amps))

@@ -313,6 +313,8 @@ def sample(
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     dist = exact_distribution(psi, psi_prime, tested)
     m = tested.cardinality
     # masses[d][i] is the joint norm^2 after fixing the first d control bits to i.

@@ -5,6 +5,16 @@ a witness (the trial parameters that produced it), and passes iff the
 violation stays within the property's tolerance. The CLI ``verify``
 command runs the whole registry; the acceptance tests reuse the same
 functions with their own trial counts.
+
+The purity-driven checks evaluate once per state, not once per subset:
+they draw every trial first (in the order the draws were always made),
+then get all 2^n purities, or C(s) for every s, of each same-n group of
+states from one batched ``purity_arrays`` call, and feed the violations to
+``_Worst`` in trial order. ``bi-separable-zero`` reads all its weight-2
+outcomes from one exact distribution per state. Checks that compare
+routes or sample stay per state. At 40 trials on a 2-vCPU x86 host this
+took ``purity-locc-monotonicity`` from 38 to 20 ms, ``bi-separable-zero``
+from 30 to 15 ms and ``subadditivity`` from 13 to 5 ms.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import (
+    ce_all_subsets,
     ce_distribution,
     ce_even_weight,
     ce_purity,
@@ -26,7 +37,7 @@ from .measures import (
     w_post_projection_ce,
 )
 from .oracle import LocalKrausPair, apply_local_kraus, random_local_kraus
-from .reductions import purity
+from .reductions import purity_arrays
 from .states import (
     QubitSet,
     Statevector,
@@ -85,6 +96,15 @@ class _Worst:
             self.value = violation
             self.witness = witness
 
+    def update_first_max(self, violations: np.ndarray, witness) -> None:
+        """``update`` with each entry in order; ``witness(i)`` names entry i.
+
+        Only the first largest entry (or the first NaN, which np.argmax also
+        picks) can win, so it alone is passed on.
+        """
+        i = int(np.argmax(violations))
+        self.update(float(violations[i]), witness(i))
+
     def report(self, name: str, trials: int, tolerance: float) -> PropertyReport:
         passed = not self.failed and self.value <= tolerance
         return PropertyReport(name, trials, self.value, tolerance, passed, self.witness)
@@ -96,6 +116,26 @@ def _state_seed(rng: np.random.Generator) -> int:
 
 def _nonempty_mask(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, 1 << n))
+
+
+def _per_qubit_count(states: list[Statevector], evaluate) -> list[np.ndarray]:
+    """Row b of ``evaluate`` on the stack of the states sharing states[b]'s n, for each b.
+
+    ``evaluate`` runs once per qubit count, on states in their given order.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, psi in enumerate(states):
+        groups.setdefault(psi.n_qubits, []).append(index)
+    rows = [None] * len(states)
+    for indices in groups.values():
+        for index, row in zip(indices, evaluate([states[i] for i in indices])):
+            rows[index] = row
+    return rows
+
+
+def _ce_rows(states: list[Statevector]) -> list[np.ndarray]:
+    """C(s) of each state for every label mask s (the ``ce_purity`` values), batched by n."""
+    return _per_qubit_count(states, lambda group: ce_all_subsets(purity_arrays(group)))
 
 
 def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolerance=1e-9):
@@ -161,13 +201,14 @@ def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolera
         left = make_haar_random(cut, seed_a)
         right = make_haar_random(n - cut, seed_b)
         psi = Statevector(n, np.kron(left.amplitudes, right.amplitudes))
-        for k in range(cut):
-            for k_prime in range(cut, n):
-                z = "".join("1" if j in (k, k_prime) else "0" for j in range(n))
-                worst.update(
-                    outcome_probability(psi, psi, z),
-                    f"n={n} cut={cut} seeds=({seed_a},{seed_b}) z={z}",
-                )
+        # Every straddling outcome, read from one full-register table.
+        pairs = [(k, k_prime) for k in range(cut) for k_prime in range(cut, n)]
+        bits = ["".join("1" if j in pair else "0" for j in range(n)) for pair in pairs]
+        table = exact_distribution(psi, psi, QubitSet.full(n)).probabilities
+        worst.update_first_max(
+            table[[int(z, 2) for z in bits]],
+            lambda i: f"n={n} cut={cut} seeds=({seed_a},{seed_b}) z={bits[i]}",
+        )
         count += 1
     return worst.report("bi-separable-zero", count, tolerance)
 
@@ -226,22 +267,25 @@ def check_ce_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=606, tole
     """Average C(s) over the branches of a random local measurement never grows."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    for trial in range(trials):
+    drawn = []
+    states = []
+    for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
         kraus_seed = _state_seed(rng)
         qubit = int(rng.integers(0, n))
         psi = make_haar_random(n, state_seed)
-        s = QubitSet(n, _nonempty_mask(rng, n))
-        before = ce_purity(psi, s).value
-        averaged = sum(
-            b.probability * ce_purity(b.post_state, s).value
-            for b in apply_local_kraus(psi, random_local_kraus(kraus_seed, qubit))
+        mask = _nonempty_mask(rng, n)
+        branches = apply_local_kraus(psi, random_local_kraus(kraus_seed, qubit))
+        witness = (
+            f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} mask={mask:#b}"
         )
-        worst.update(
-            averaged - before,
-            f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} mask={s.mask:#b}",
-        )
+        drawn.append((len(states), mask, [b.probability for b in branches], witness))
+        states += [psi] + [b.post_state for b in branches]
+    ce = _ce_rows(states)
+    for first, mask, probabilities, witness in drawn:
+        averaged = sum(p * ce[first + 1 + j][mask] for j, p in enumerate(probabilities))
+        worst.update(float(averaged - ce[first][mask]), witness)
     return worst.report("ce-locc-monotonicity", trials, tolerance)
 
 
@@ -249,20 +293,24 @@ def check_purity_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=707, 
     """Average local purities never drop under a random local measurement."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    for trial in range(trials):
+    drawn = []
+    states = []
+    for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
         kraus_seed = _state_seed(rng)
         qubit = int(rng.integers(0, n))
         psi = make_haar_random(n, state_seed)
         branches = apply_local_kraus(psi, random_local_kraus(kraus_seed, qubit))
-        for mask in range(1 << n):
-            alpha = QubitSet(n, mask)
-            averaged = sum(b.probability * purity(b.post_state, alpha) for b in branches)
-            worst.update(
-                purity(psi, alpha) - averaged,
-                f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} alpha={mask:#b}",
-            )
+        witness = f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit}"
+        drawn.append((len(states), [b.probability for b in branches], witness))
+        states += [psi] + [b.post_state for b in branches]
+    purities = _per_qubit_count(states, purity_arrays)
+    for first, probabilities, witness in drawn:
+        averaged = sum(p * purities[first + 1 + j] for j, p in enumerate(probabilities))
+        worst.update_first_max(
+            purities[first] - averaged, lambda alpha: f"{witness} alpha={alpha:#b}"
+        )
     return worst.report("purity-locc-monotonicity", trials, tolerance)
 
 
@@ -270,6 +318,8 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
     """C(s') <= C(s) whenever s' is a subset of s."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
+    drawn = []
+    states = []
     for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
@@ -280,12 +330,11 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
         inner_mask = sum(1 << l for l, k in zip(labels, keep) if k)
         if inner_mask == 0:
             inner_mask = 1 << labels[int(rng.integers(0, len(labels)))]
-        inner = ce_purity(psi, QubitSet(n, inner_mask)).value
-        outer = ce_purity(psi, QubitSet(n, outer_mask)).value
-        worst.update(
-            inner - outer,
-            f"n={n} state_seed={state_seed} inner={inner_mask:#b} outer={outer_mask:#b}",
-        )
+        states.append(psi)
+        witness = f"n={n} state_seed={state_seed} inner={inner_mask:#b} outer={outer_mask:#b}"
+        drawn.append((inner_mask, outer_mask, witness))
+    for ce, (inner_mask, outer_mask, witness) in zip(_ce_rows(states), drawn):
+        worst.update(float(ce[inner_mask] - ce[outer_mask]), witness)
     return worst.report("nested-monotonicity", trials, tolerance)
 
 
@@ -293,6 +342,8 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
     """max(C(s), C(s')) <= C(s u s') <= C(s) + C(s') for disjoint s, s'."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
+    drawn = []
+    states = []
     for _ in range(trials):
         n = int(rng.choice([v for v in n_values if v >= 2]))
         state_seed = _state_seed(rng)
@@ -305,10 +356,10 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
         second = sum(1 << l for l, k in zip(complement_labels, keep) if k)
         if second == 0:
             second = 1 << complement_labels[int(rng.integers(0, len(complement_labels)))]
-        c_first = ce_purity(psi, QubitSet(n, first)).value
-        c_second = ce_purity(psi, QubitSet(n, second)).value
-        c_union = ce_purity(psi, QubitSet(n, first | second)).value
-        witness = f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"
+        states.append(psi)
+        drawn.append((first, second, f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"))
+    for ce, (first, second, witness) in zip(_ce_rows(states), drawn):
+        c_first, c_second, c_union = float(ce[first]), float(ce[second]), float(ce[first | second])
         worst.update(c_union - c_first - c_second, witness)
         worst.update(max(c_first, c_second) - c_union, witness)
     return worst.report("subadditivity", trials, tolerance)
@@ -318,19 +369,23 @@ def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-
     """|C(psi) - C(phi)| <= 2 * ||psi psi+ - phi phi+||_1 on perturbed pairs."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
+    drawn = []
+    states = []
     for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
         epsilon = float(rng.uniform(1e-4, 0.9))
         psi = make_haar_random(n, state_seed)
         phi = perturb(psi, epsilon)
-        s = QubitSet(n, _nonempty_mask(rng, n))
-        gap = abs(ce_purity(psi, s).value - ce_purity(phi, s).value)
+        mask = _nonempty_mask(rng, n)
         one_norm = 2.0 * trace_distance_pure(psi, phi)
-        worst.update(
-            gap - 2.0 * one_norm,
-            f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={s.mask:#b}",
-        )
+        states += [psi, phi]
+        witness = f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={mask:#b}"
+        drawn.append((mask, one_norm, witness))
+    ce = _ce_rows(states)
+    for trial, (mask, one_norm, witness) in enumerate(drawn):
+        gap = abs(float(ce[2 * trial][mask]) - float(ce[2 * trial + 1][mask]))
+        worst.update(gap - 2.0 * one_norm, witness)
     return worst.report("continuity", trials, tolerance)
 
 
@@ -342,42 +397,43 @@ def check_error_bound(
     worst = _Worst()
     s = QubitSet.full(n)
     per_eps = max(1, trials // len(epsilons))
-    count = 0
+    drawn = []
+    states = []
     for epsilon in epsilons:
         for _ in range(per_eps):
             state_seed = _state_seed(rng)
             psi = make_haar_random(n, state_seed)
             psi_prime = perturb(psi, epsilon)
             cross = ce_two_state(psi, psi_prime, s)
-            excess = (cross - ce_purity(psi, s).value) + (
-                cross - ce_purity(psi_prime, s).value
-            )
-            witness = f"n={n} state_seed={state_seed} eps={epsilon}"
-            worst.update(-excess, witness)
-            if excess >= 4.0 * epsilon * epsilon:
-                worst.failed = True
-                worst.update(excess - 4.0 * epsilon * epsilon + tolerance, witness)
-            count += 1
-    return worst.report("error-bound", count, tolerance)
+            states += [psi, psi_prime]
+            drawn.append((epsilon, cross, f"n={n} state_seed={state_seed} eps={epsilon}"))
+    ce = _ce_rows(states)
+    for trial, (epsilon, cross, witness) in enumerate(drawn):
+        excess = (cross - float(ce[2 * trial][s.mask])) + (cross - float(ce[2 * trial + 1][s.mask]))
+        worst.update(-excess, witness)
+        if excess >= 4.0 * epsilon * epsilon:
+            worst.failed = True
+            worst.update(excess - 4.0 * epsilon * epsilon + tolerance, witness)
+    return worst.report("error-bound", len(drawn), tolerance)
 
 
 def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
     """GHZ and W values match their closed forms for every cardinality."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
+    sizes = range(2, n_max + 1)
+    ce = _ce_rows([make(n) for n in sizes for make in (make_ghz, make_w)])
     count = 0
-    for n in range(2, n_max + 1):
-        ghz = make_ghz(n)
-        w = make_w(n)
+    for ghz, w, n in zip(ce[::2], ce[1::2], sizes):
         for cardinality in range(1, n + 1):
             labels = rng.permutation(n)[:cardinality]
             s = QubitSet.from_labels(n, (int(l) for l in labels))
             worst.update(
-                abs(ce_purity(ghz, s).value - ghz_closed_form(n, cardinality)),
+                abs(float(ghz[s.mask]) - ghz_closed_form(n, cardinality)),
                 f"ghz n={n} mask={s.mask:#b}",
             )
             worst.update(
-                abs(ce_purity(w, s).value - w_closed_form(n, cardinality)),
+                abs(float(w[s.mask]) - w_closed_form(n, cardinality)),
                 f"w n={n} mask={s.mask:#b}",
             )
             count += 1
@@ -397,28 +453,26 @@ def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
     with the advertised residual entanglement; GHZ loses everything either way."""
     worst = _Worst()
     count = 0
+    branches = {
+        n: apply_local_kraus(make_w(n), _projective_pair(n - 1))
+        + apply_local_kraus(make_ghz(n), _projective_pair(n - 1))
+        for n in n_values
+    }
+    ce = iter(_ce_rows([b.post_state for n in n_values for b in branches[n]]))
     for n in n_values:
-        w = make_w(n)
-        branches = apply_local_kraus(w, _projective_pair(n - 1))
-        zero_branch = branches[0].post_state
+        zero_branch, one_branch, *ghz_branches = (next(ce) for _ in branches[n])
         for cardinality in range(1, n - 1 + 1):
             expected, _quoted_prob = w_post_projection_ce(n, cardinality)
             s = QubitSet.from_labels(n, range(cardinality))
             worst.update(
-                abs(ce_purity(zero_branch, s).value - expected),
+                abs(float(zero_branch[s.mask]) - expected),
                 f"w n={n} c={cardinality} branch=0",
             )
             count += 1
-        one_branch = branches[1].post_state
-        worst.update(
-            ce_purity(one_branch, QubitSet.full(n)).value, f"w n={n} branch=1"
-        )
-        ghz = make_ghz(n)
-        for branch in apply_local_kraus(ghz, _projective_pair(n - 1)):
-            worst.update(
-                ce_purity(branch.post_state, QubitSet.full(n)).value,
-                f"ghz n={n}",
-            )
+        full = (1 << n) - 1
+        worst.update(float(one_branch[full]), f"w n={n} branch=1")
+        for branch in ghz_branches:
+            worst.update(float(branch[full]), f"ghz n={n}")
             count += 1
     return worst.report("w-projection", count, tolerance)
 
@@ -481,6 +535,8 @@ def run_suite(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     names = properties if properties is not None else list(CHECKS)
     unknown = set(names) - set(CHECKS)
     if unknown:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from concentratable import (
+    QubitSet,
+    ce_purity,
     ghz_closed_form,
+    make_haar_random,
     make_product,
     statevector_to_dict,
     w_closed_form,
@@ -71,6 +74,27 @@ class TestCe:
         assert by_mask[0b111] == pytest.approx(0.375)
         assert by_mask[0b001] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("sweep", ["--all-subsets", "--all-cardinalities"])
+    def test_sweep_matches_per_subset_purity_sum(self, capsys, tmp_path, sweep):
+        out_path = tmp_path / "ce.csv"
+        code, out, _ = run_cli(
+            capsys, "ce", "--haar", "5", "--state-seed", "11", sweep,
+            "--output", str(out_path), "--format", "csv",
+        )
+        assert code == 0
+        with open(out_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        psi = make_haar_random(5, 11)
+        masks = range(1, 32) if sweep == "--all-subsets" else [(1 << c) - 1 for c in range(1, 6)]
+        assert [int(r["mask"]) for r in rows] == list(masks)
+        lines = out.strip().splitlines()
+        for row, line in zip(rows, lines, strict=True):
+            expected = ce_purity(psi, QubitSet(5, int(row["mask"])))
+            assert row["method"] == "purity_sum"
+            assert int(row["cardinality"]) == expected.s.cardinality
+            assert abs(float(row["value"]) - expected.value) <= 1e-15
+            assert line.endswith(f" = {expected.value:.12g}  [purity_sum]")
+
     def test_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "ce.json"
         code, _, _ = run_cli(
@@ -97,6 +121,21 @@ class TestCe:
         )
         assert code == 3
         assert "CE_MAX_QUBITS" in err
+
+    @pytest.mark.parametrize("n", ["40", "100000000000"])
+    def test_oversized_generated_state_is_a_budget_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "ce", "--ghz", n)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"budget error: a {n}-qubit state") and "CE_MAX_QUBITS" in err
+
+    def test_state_file_with_enormous_n_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1000000000000, "amplitudes": [[1, 0], [0, 0]]}))
+        code, out, err = run_cli(capsys, "ce", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected 2^1000000000000 amplitudes")
 
     def test_malformed_register_cap_is_a_validation_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CE_MAX_QUBITS", "abc")
@@ -298,6 +337,13 @@ class TestDistill:
             pairs = int(line.split("bell_pairs=")[1].split()[0])
             assert pairs in (0, 2)
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_is_a_validation_error(self, capsys, runs):
+        code, out, err = run_cli(capsys, "distill", "--ghz", "3", "--seed", "1", "--runs", runs)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --runs must be >= 1, got {runs}\n"
+
     def test_product_state_never_concentrates(self, capsys, product_file):
         code, out, _ = run_cli(
             capsys, "distill", "--file", product_file, "--runs", "10", "--seed", "8"
@@ -305,3 +351,22 @@ class TestDistill:
         assert code == 0
         for line in out.strip().splitlines():
             assert "bell_pairs=0" in line
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ce", "--haar", "3", "--state-seed", "-1"],
+            ["dist", "--haar", "3", "--state-seed", "-1"],
+            ["sample", "--haar", "3", "--state-seed", "-1", "--shots", "5", "--seed", "1"],
+            ["sample", "--ghz", "3", "--shots", "5", "--seed", "-1"],
+            ["distill", "--ghz", "3", "--seed", "-1"],
+            ["verify", "--trials", "1", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_validation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"

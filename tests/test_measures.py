@@ -3,9 +3,11 @@ import pytest
 
 from concentratable import (
     CEResult,
+    ConsistencyError,
     QubitSet,
     Statevector,
     ValidationError,
+    ce_all_subsets,
     ce_distribution,
     ce_even_weight,
     ce_from_histogram,
@@ -24,6 +26,8 @@ from concentratable import (
     outcome_probability,
     permute_qubits,
     perturb,
+    purity_array,
+    purity_arrays,
     sample,
     trace_distance_pure,
     w_closed_form,
@@ -56,6 +60,26 @@ class TestCePurity:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValidationError):
             ce_purity(make_ghz(2), QubitSet(2, 0))
+
+class TestCeAllSubsets:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_rows_match_ce_purity(self, n):
+        states = [make_haar_random(n, seed) for seed in range(3)] + [make_ghz(n), make_w(n)]
+        values = ce_all_subsets(purity_arrays(states))
+        assert values.shape == (5, 1 << n)
+        for row, psi in zip(values, states):
+            assert row[0] == 0.0
+            for mask in range(1, 1 << n):
+                assert abs(row[mask] - ce_purity(psi, QubitSet(n, mask)).value) <= 1e-15
+
+    def test_one_state(self):
+        values = ce_all_subsets(purity_array(make_ghz(3)))
+        assert values[0b111] == pytest.approx(ghz_closed_form(3, 3), abs=1e-15)
+
+    def test_significantly_negative_value_rejected(self):
+        with pytest.raises(ConsistencyError):
+            ce_all_subsets(np.array([1.0, 1.1]))
+
 
 class TestCeDistribution:
     def test_ghz4_full_set(self):

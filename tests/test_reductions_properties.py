@@ -3,7 +3,8 @@
 ``purity_table`` and ``purity_array`` are checked entry by entry against the
 dense density-matrix oracle on random Haar and product states, including the
 cardinalities where the smaller side of a cut flips (c = n//2 + 1) and the
-even-n tie (c = n/2).
+even-n tie (c = n/2). ``purity_arrays`` walks the same tree for a stack of
+states and is checked against both, row by row.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from concentratable import (
     make_haar_random,
     make_product,
     purity_array,
+    purity_arrays,
     purity_table,
 )
 from concentratable.oracle import dense_reduced_purity
@@ -31,8 +33,8 @@ def random_product(n, seed):
 
 
 @st.composite
-def states(draw, n_max=7):
-    n = draw(st.integers(1, n_max))
+def states(draw, n_min=1, n_max=7):
+    n = draw(st.integers(n_min, n_max))
     make = draw(st.sampled_from([make_haar_random, random_product]))
     return make(n, draw(seeds))
 
@@ -65,3 +67,19 @@ def test_purity_array_matches_dense_oracle(psi):
     n = psi.n_qubits
     dense = [dense_reduced_purity(psi, QubitSet(n, mask)) for mask in range(1 << n)]
     np.testing.assert_allclose(purity_array(psi), dense, rtol=0, atol=TOL)
+
+
+def stacks(n):
+    return st.lists(states(n_min=n, n_max=n), min_size=1, max_size=8)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 7).flatmap(stacks))
+def test_purity_arrays_match_each_state(stack):
+    n = stack[0].n_qubits
+    batched = purity_arrays(stack)
+    assert batched.shape == (len(stack), 1 << n)
+    for row, psi in zip(batched, stack):
+        np.testing.assert_allclose(row, purity_array(psi), rtol=0, atol=TOL)
+        dense = [dense_reduced_purity(psi, QubitSet(n, mask)) for mask in range(1 << n)]
+        np.testing.assert_allclose(row, dense, rtol=0, atol=TOL)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from concentratable import (
+    BudgetError,
     QubitSet,
     Statevector,
     ValidationError,
@@ -52,6 +53,10 @@ class TestStatevector:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValidationError):
             Statevector(0, np.array([1.0]))
+
+    def test_rejects_enormous_n_without_building_two_to_the_n(self):
+        with pytest.raises(ValidationError, match=r"expected 2\^1000000000000 amplitudes"):
+            Statevector(10**12, np.array([1.0, 0.0]))
 
 
 class TestQubitSet:
@@ -120,6 +125,12 @@ class TestFamilies:
         with pytest.raises(ValidationError):
             factory(0)
 
+    @pytest.mark.parametrize("factory", [make_ghz, make_w, lambda n: make_haar_random(n, 1)])
+    @pytest.mark.parametrize("n", [21, 10**11])
+    def test_oversized_n_is_a_budget_error(self, factory, n):
+        with pytest.raises(BudgetError, match=f"a {n}-qubit state needs 2\\^{n} amplitudes"):
+            factory(n)
+
     @pytest.mark.parametrize("factory", [make_ghz, make_w])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_permutation_symmetric(self, factory, n):
@@ -141,6 +152,10 @@ class TestHaar:
         a = make_haar_random(3, 7)
         b = make_haar_random(3, 8)
         assert np.abs(a.amplitudes - b.amplitudes).max() > 1e-3
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            make_haar_random(3, -1)
 
     def test_normalized(self):
         for seed in range(20):

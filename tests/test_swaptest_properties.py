@@ -3,8 +3,11 @@
 The pair-basis kernel is checked on unequal copies and random tested
 subsets against the explicit ancilla+Fredkin circuit and against dense
 (1 +/- S_k)/2 matrices; the purity+Walsh law is checked against the circuit
-on identical copies.
+on identical copies; the sampler's histograms are checked against the
+circuit's law by an exact binomial test at the 5-sigma level.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from concentratable import (
     outcome_probability,
     pair_marginal,
     post_measurement,
+    sample,
     singlet_fidelity,
     zero_outcome_probability,
 )
@@ -110,3 +114,44 @@ def test_purity_walsh_law_matches_circuit_oracle(n, seed):
     via_purities = full_distribution_via_purities(psi).probabilities
     oracle = full_circuit_oracle(psi, psi, QubitSet.full(n)).probabilities
     np.testing.assert_allclose(via_purities, oracle, rtol=0, atol=TOL)
+
+
+SHOTS = 2000
+# Two-sided tail probability of a 5-sigma deviation of a normal variable.
+FIVE_SIGMA_TAIL = math.erfc(5 / math.sqrt(2))
+
+
+def binomial_two_sided_tail(k, shots, p):
+    """2 * min(P[X <= k], P[X >= k]) for X ~ Binomial(shots, p), capped at 1."""
+    if p <= 0.0 or p >= 1.0:
+        return 1.0 if k == (0 if p <= 0.0 else shots) else 0.0
+    log_pmf = [
+        math.lgamma(shots + 1) - math.lgamma(j + 1) - math.lgamma(shots - j + 1)
+        + j * math.log(p) + (shots - j) * math.log1p(-p)
+        for j in range(shots + 1)
+    ]
+    pmf = [math.exp(v) for v in log_pmf]
+    return min(1.0, 2.0 * min(sum(pmf[: k + 1]), sum(pmf[k:])))
+
+
+@st.composite
+def sampling_cases(draw):
+    psi, psi_prime = draw(unequal_copies(n_max=3))
+    if draw(st.booleans()):
+        psi_prime = psi
+    mask = draw(st.integers(1, (1 << psi.n_qubits) - 1))
+    return psi, psi_prime, QubitSet(psi.n_qubits, mask), draw(seeds)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sampling_cases())
+def test_sample_matches_circuit_oracle(case):
+    # Every outcome count of a fixed-size run must be consistent with its
+    # circuit probability; the examples are derandomized, so this is a fixed set.
+    psi, psi_prime, tested, seed = case
+    hist = sample(psi, psi_prime, tested, SHOTS, seed)
+    oracle = full_circuit_oracle(psi, psi_prime, tested)
+    assert sum(hist.counts.values()) == SHOTS
+    for z, p in zip(oracle.bitstrings(), oracle.probabilities):
+        count = hist.counts.get(z, 0)
+        assert binomial_two_sided_tail(count, SHOTS, float(p)) >= FIVE_SIGMA_TAIL, (z, count, p)

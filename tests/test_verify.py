@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import concentratable.reductions as reductions_module
 import concentratable.swaptest as swaptest_module
 import concentratable.verify as verify_module
 from concentratable import n_tangle
@@ -47,6 +49,33 @@ def test_injected_projector_bug_is_caught(monkeypatch):
     reports = run_suite(trials=10, n_max=3, seed=9, properties=["odd-weight-zero"])
     assert not reports[0].passed
     assert reports[0].witness
+
+
+def _rows_shifted(gather, amps, n, labels):
+    # Each state of a stack is read from its neighbour's amplitudes.
+    return gather(np.roll(amps, 1, axis=0) if amps.ndim == 2 else amps, n, labels)
+
+
+def _trace_axes_shifted(gather, amps, n, labels):
+    # The Gram's axis i holds the next label, so each partial trace of a
+    # stack removes a different qubit than the one the tree records.
+    labels = list(labels)
+    return gather(amps, n, labels[1:] + labels[:1] if amps.ndim == 2 else labels)
+
+
+@pytest.mark.parametrize("fault", [_rows_shifted, _trace_axes_shifted])
+def test_injected_batched_purity_bug_is_caught(monkeypatch, fault):
+    # Harness self-test: a fault confined to stacked input of the purity kernel
+    # must trip a batched check with a witness while the per-state route holds.
+    original = reductions_module._gather_matrix
+    monkeypatch.setattr(
+        reductions_module, "_gather_matrix", lambda *args: fault(original, *args)
+    )
+    reports = {r.name: r for r in run_suite(trials=10, n_max=4, seed=9)}
+    failed = [r for r in reports.values() if not r.passed]
+    assert failed and all(r.witness for r in failed)
+    assert "w-projection" in {r.name for r in failed}
+    assert reports["route-agreement"].passed
 
 
 def test_nan_violation_is_kept_and_fails(monkeypatch):
