@@ -450,7 +450,11 @@ def _projective_pair(qubit: int) -> LocalKrausPair:
 
 def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
     """Measuring one W-state qubit leaves a W state one size down (zero branch)
-    with the advertised residual entanglement; GHZ loses everything either way."""
+    with the advertised residual entanglement; GHZ loses everything either way.
+
+    The measured qubit is left in |0>, a product factor, so each tested s is
+    also tested with that qubit added: C(s) must not change.
+    """
     worst = _Worst()
     count = 0
     branches = {
@@ -461,13 +465,15 @@ def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
     ce = iter(_ce_rows([b.post_state for n in n_values for b in branches[n]]))
     for n in n_values:
         zero_branch, one_branch, *ghz_branches = (next(ce) for _ in branches[n])
+        measured = 1 << (n - 1)
         for cardinality in range(1, n - 1 + 1):
             expected, _quoted_prob = w_post_projection_ce(n, cardinality)
             s = QubitSet.from_labels(n, range(cardinality))
-            worst.update(
-                abs(float(zero_branch[s.mask]) - expected),
-                f"w n={n} c={cardinality} branch=0",
-            )
+            for mask, added in ((s.mask, ""), (s.mask | measured, " +measured")):
+                worst.update(
+                    abs(float(zero_branch[mask]) - expected),
+                    f"w n={n} c={cardinality} branch=0{added}",
+                )
             count += 1
         full = (1 << n) - 1
         worst.update(float(one_branch[full]), f"w n={n} branch=1")

@@ -10,6 +10,7 @@ import numpy as np
 from concentratable import (
     QubitSet,
     Statevector,
+    ce_all_subsets,
     ce_distribution,
     ce_even_weight,
     ce_purity,
@@ -26,6 +27,7 @@ from concentratable import (
     outcome_probability,
     perturb,
     purity,
+    purity_arrays,
     trace_distance_pure,
     w_closed_form,
 )
@@ -213,12 +215,13 @@ def test_criterion_09_continuity_and_robustness():
     worst_margin = np.inf  # smallest 4eps^2 - excess (should stay > 0)
     worst_continuity = 0.0
     for epsilon in (0.1, 0.001, 0.0001):
-        for _ in range(10_000):
-            psi = make_haar_random(3, int(rng.integers(2**32)))
-            phi = perturb(psi, epsilon)
+        psis = [make_haar_random(3, int(rng.integers(2**32))) for _ in range(10_000)]
+        phis = [perturb(psi, epsilon) for psi in psis]
+        # C(s) of every state of the block from one batched purity call per side.
+        c_psis = ce_all_subsets(purity_arrays(psis))[:, s.mask]
+        c_phis = ce_all_subsets(purity_arrays(phis))[:, s.mask]
+        for psi, phi, c_psi, c_phi in zip(psis, phis, c_psis, c_phis):
             cross = ce_two_state(psi, phi, s)
-            c_psi = ce_purity(psi, s).value
-            c_phi = ce_purity(phi, s).value
             excess = (cross - c_psi) + (cross - c_phi)
             worst_low = min(worst_low, excess)
             margin = 4.0 * epsilon * epsilon - excess

@@ -14,6 +14,8 @@ from concentratable import (
     make_product,
     make_w,
     purity,
+    purity_array,
+    purity_arrays,
     purity_table,
     subsets_of,
 )
@@ -161,6 +163,13 @@ class TestPurityTable:
                 dense_reduced_purity(psi, QubitSet(n, mask)), abs=1e-10
             )
 
+    def test_empty_set_is_exactly_one(self):
+        # As for ``purity``: the empty cut is 1.0 exactly, never a Gram product.
+        psi = make_ghz(3)
+        assert purity_table(psi, QubitSet(3, 0)).values == {0: 1.0}
+        assert purity_array(psi)[0] == 1.0
+        assert purity_arrays([psi, make_w(3)])[:, 0].tolist() == [1.0, 1.0]
+
     def test_budget_error_names_count(self, monkeypatch):
         monkeypatch.setattr(limits, "PURITY_TABLE_MAX_CARDINALITY", 3)
         psi = make_haar_random(4, 130)
@@ -174,3 +183,21 @@ class TestPurityTable:
         assert [e["mask"] for e in data["entries"]] == sorted(table.values)
         again = PurityTable.from_dict(data)
         assert again.values == table.values
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "entries": [{"mask": 1, "purity": "nan"}]},
+            {"n": 2, "entries": [{"mask": 1, "purity": float("inf")}]},
+            {"n": 2, "entries": [{"mask": 99, "purity": 0.5}]},
+            {"n": 2, "entries": [{"mask": -1, "purity": 0.5}]},
+            {"n": 0, "entries": []},
+            {"n": 2, "entries": [{"mask": "x", "purity": 0.5}]},
+            {"n": float("inf"), "entries": []},
+            {"n": 2, "entries": [{"mask": 1}]},
+            {"n": 2, "entries": None},
+        ],
+    )
+    def test_malformed_record_is_a_validation_error(self, data):
+        with pytest.raises(ValidationError, match="malformed purity table record"):
+            PurityTable.from_dict(data)

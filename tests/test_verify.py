@@ -58,12 +58,18 @@ def _rows_shifted(gather, amps, n, labels):
 
 def _trace_axes_shifted(gather, amps, n, labels):
     # The Gram's axis i holds the next label, so each partial trace of a
-    # stack removes a different qubit than the one the tree records.
+    # stack removes a different qubit than the one the plan records.
     labels = list(labels)
     return gather(amps, n, labels[1:] + labels[:1] if amps.ndim == 2 else labels)
 
 
-@pytest.mark.parametrize("fault", [_rows_shifted, _trace_axes_shifted])
+def _trace_axes_shifted_back(gather, amps, n, labels):
+    # As above, with the Gram's axis i holding the previous label.
+    labels = list(labels)
+    return gather(amps, n, labels[-1:] + labels[:-1] if amps.ndim == 2 else labels)
+
+
+@pytest.mark.parametrize("fault", [_rows_shifted, _trace_axes_shifted, _trace_axes_shifted_back])
 def test_injected_batched_purity_bug_is_caught(monkeypatch, fault):
     # Harness self-test: a fault confined to stacked input of the purity kernel
     # must trip a batched check with a witness while the per-state route holds.
