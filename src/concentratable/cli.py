@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -293,7 +294,9 @@ def cmd_distill(args) -> int:
     return 1 if violations else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="concentratable",
         description="Concentratable entanglement of n-qubit pure states, by purities and SWAP tests.",

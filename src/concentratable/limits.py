@@ -24,8 +24,9 @@ exhausting memory. The kinds, with the size each one is given:
   ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of complex128 amplitudes).
 - ``"circuit"``: 2n plus one ancilla per tested qubit, for the register of
   ``full_circuit_oracle``. Same cap as ``"two-copies"``.
-- ``"state"``: n, for the 2^n amplitudes ``make_ghz``, ``make_w`` and
-  ``make_haar_random`` allocate. Same cap as ``"two-copies"``: one n-qubit
+- ``"state"``: n, for the 2^n amplitudes ``make_ghz``, ``make_w``,
+  ``make_graph_state``, ``make_haar_random`` and each row of
+  ``make_haar_random_stack`` allocate. Same cap as ``"two-copies"``: one n-qubit
   state is n simulated qubits. (A state read from a file is already in
   memory; ``Statevector`` checks its amplitude count.)
 

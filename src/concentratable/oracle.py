@@ -1,8 +1,12 @@
 """Slow, obviously-correct references and random local-operation generators.
 
-Everything here materializes dense density matrices or expands full branch
-trees; size caps keep it at test scale. Nothing in this module is an
-optimization target.
+The references materialize dense density matrices or expand full branch
+trees; size caps keep them at test scale, and they are not optimization
+targets. The random local operations also come in stacks for ``verify``:
+``random_local_kraus_stack`` builds many seeds' Kraus pairs with batched
+``np.linalg`` calls, and ``apply_local_kraus_stack`` applies them to a
+``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are the
+same code on one pair and one state.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .states import QubitSet, Statevector, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, require_same_qubits
 from .swaptest import MeasurementOutcome
 
 
@@ -80,6 +84,13 @@ def dense_reduced_purity(psi: Statevector, alpha: QubitSet) -> float:
     return float(np.trace(reduced @ reduced).real)
 
 
+def _require_complete(ops: np.ndarray) -> None:
+    """Raise unless m0+ m0 + m1+ m1 = 1 to 1e-10 for each (..., 2, 2, 2) pair [m0, m1]."""
+    completeness = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+    if np.abs(completeness - np.eye(2)).max() > 1e-10:
+        raise ValidationError("m0+ m0 + m1+ m1 deviates from the identity")
+
+
 @dataclass(frozen=True)
 class LocalKrausPair:
     """Two-outcome generalized measurement {m0, m1} on one qubit."""
@@ -96,16 +107,25 @@ class LocalKrausPair:
             op = op.copy()
             op.setflags(write=False)
             object.__setattr__(self, name, op)
-        completeness = self.m0.conj().T @ self.m0 + self.m1.conj().T @ self.m1
-        if np.abs(completeness - np.eye(2)).max() > 1e-10:
-            raise ValidationError("m0+ m0 + m1+ m1 deviates from the identity")
+        _require_complete(np.stack([self.m0, self.m1]))
 
 
-def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))
+def _kraus_operators(seeds) -> np.ndarray:
+    """Unchecked (B, 2, 2, 2) pairs [m0, m1]; see ``random_local_kraus``."""
+    draws = np.empty((len(seeds), 4, 2, 2))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    gaussian = draws[:, 0] + 1j * draws[:, 1]
+    m0 = gaussian / np.linalg.svd(gaussian, compute_uv=False)[:, :1, None]
+    remainder = np.eye(2) - m0.conj().swapaxes(-1, -2) @ m0
+    eigenvalues, vectors = np.linalg.eigh(remainder)
+    roots = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    root = (vectors * roots[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    # Haar unitary: QR of a complex Gaussian, with R's diagonal phases moved into Q.
+    q, r = np.linalg.qr((draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    m1 = (q * (phases / np.abs(phases))[:, None, :]) @ root
+    return np.stack([m0, m1], axis=1)
 
 
 def random_local_kraus(seed: int, qubit: int) -> LocalKrausPair:
@@ -114,39 +134,108 @@ def random_local_kraus(seed: int, qubit: int) -> LocalKrausPair:
     m0 is a Gaussian matrix scaled by its largest singular value (so
     1 - m0+ m0 stays PSD); m1 is a Haar-random unitary times the PSD
     square root of the remainder, which makes the pair complete.
+
+    Stream contract: the pair reads the first 16 standard normals of
+    ``np.random.default_rng(seed)``, as four 2x2 blocks in row-major order:
+    the real and imaginary parts of m0's Gaussian, then those of the
+    unitary's Gaussian. ``random_local_kraus_stack`` builds the same pairs
+    for many seeds at once.
     """
-    rng = np.random.default_rng(seed)
-    gaussian = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    m0 = gaussian / np.linalg.svd(gaussian, compute_uv=False)[0]
-    remainder = np.eye(2) - m0.conj().T @ m0
-    eigenvalues, vectors = np.linalg.eigh(remainder)
-    root = vectors @ np.diag(np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.conj().T
-    m1 = _haar_unitary_2x2(rng) @ root
+    m0, m1 = _kraus_operators([seed])[0]
     return LocalKrausPair(qubit, m0, m1)
 
 
-def _apply_2x2(psi: Statevector, op: np.ndarray, qubit: int) -> np.ndarray:
-    tensor = np.tensordot(op, psi.tensor(), axes=([1], [qubit]))
-    return np.moveaxis(tensor, 0, qubit).reshape(-1)
+def random_local_kraus_stack(seeds) -> np.ndarray:
+    """Kraus pairs for many seeds: entry [b, j] is m_j of ``random_local_kraus(seeds[b], .)``.
+
+    Each seed gets its own ``default_rng`` and one draw of the 16 normals
+    that ``random_local_kraus`` reads (the same stream, so the pairs are
+    equal bit for bit); the SVD, eigh and QR then run batched over the
+    (B, 2, 2) stacks. Returns a read-only (B, 2, 2, 2) array whose pairs
+    are each complete to 1e-10, like ``LocalKrausPair``. The qubit is
+    chosen when the pairs are applied (``apply_local_kraus_stack``).
+    """
+    ops = _kraus_operators(seeds)
+    _require_complete(ops)
+    ops.setflags(write=False)
+    return ops
+
+
+def _branches(amps: np.ndarray, ops: np.ndarray, qubits: np.ndarray, n: int):
+    """Branch probabilities (B, 2) and normalized branches (B, 2, 2^n) of each row's pair.
+
+    Row b applies ops[b] to qubit qubits[b] of amps[b]; the rows on one
+    qubit take one ``einsum``. A branch below 1e-14 gets probability 0 and
+    the input row as its post-state, so every row of the result is a state.
+    """
+    branches = np.empty((len(amps), 2, 1 << n), dtype=np.complex128)
+    for qubit in sorted(set(qubits.tolist())):
+        rows = np.flatnonzero(qubits == qubit)
+        # Axis 2 of the view is the qubit's bit, n-1-qubit of the amplitude index.
+        view = amps[rows].reshape(len(rows), 1 << qubit, 2, -1)
+        out = np.einsum("bkij,bhjl->bkhil", ops[rows], view)
+        branches[rows] = out.reshape(len(rows), 2, -1)
+    probabilities = np.vecdot(branches, branches).real
+    totals = probabilities.sum(axis=1)
+    broken = np.abs(totals - 1.0) > 1e-10
+    if broken.any():
+        raise ConsistencyError(f"branch probabilities sum to {float(totals[broken][0])!r}")
+    dropped = probabilities < 1e-14
+    probabilities[dropped] = 0.0
+    branches /= np.sqrt(np.where(dropped, 1.0, probabilities))[..., None]
+    branches[dropped] = np.broadcast_to(amps[:, None], branches.shape)[dropped]
+    return probabilities, branches
+
+
+def _check_qubits(qubits, n: int, count: int) -> np.ndarray:
+    """``count`` qubit labels in range(n), from one label or one per row."""
+    qubits = np.asarray(qubits, dtype=np.int64)
+    if qubits.ndim == 0:
+        qubits = np.full(count, qubits)
+    if qubits.shape != (count,):
+        raise ValidationError(f"expected {count} qubits, got shape {qubits.shape}")
+    bad = (qubits < 0) | (qubits >= n)
+    if bad.any():
+        raise ValidationError(f"qubit {int(qubits[bad][0])} out of range for n={n}")
+    return qubits
 
 
 def apply_local_kraus(psi: Statevector, k: LocalKrausPair) -> list[MeasurementOutcome]:
     """Both branches (p_j, psi_j) of the measurement; zero branches omitted."""
-    if not 0 <= k.qubit < psi.n_qubits:
-        raise ValidationError(f"qubit {k.qubit} out of range for n={psi.n_qubits}")
-    outcomes = []
-    total = 0.0
-    for op in (k.m0, k.m1):
-        branch = _apply_2x2(psi, op, k.qubit)
-        probability = float(np.vdot(branch, branch).real)
-        total += probability
-        if probability < 1e-14:
-            continue
-        post = Statevector(psi.n_qubits, branch / np.sqrt(probability))
-        outcomes.append(MeasurementOutcome(probability, post))
-    if abs(total - 1.0) > 1e-10:
-        raise ConsistencyError(f"branch probabilities sum to {total!r}")
-    return outcomes
+    qubits = _check_qubits(k.qubit, psi.n_qubits, 1)
+    ops = np.stack([k.m0, k.m1])[None]
+    probabilities, branches = _branches(psi.amplitudes[None], ops, qubits, psi.n_qubits)
+    return [
+        MeasurementOutcome(float(p), Statevector(psi.n_qubits, branch))
+        for p, branch in zip(probabilities[0], branches[0])
+        if p > 0.0
+    ]
+
+
+def apply_local_kraus_stack(states: StateStack, ops: np.ndarray, qubits):
+    """Both branches of a local measurement on each state of a stack.
+
+    Row b applies the pair ops[b] = [m0, m1] (as from
+    ``random_local_kraus_stack``) to qubit qubits[b] of states[b] (one
+    ``qubits`` label serves every row); one numpy step serves each group
+    of rows on the same qubit. Returns
+    (probabilities, posts): a (B, 2) array, and a ``StateStack`` whose row
+    2b + j is the normalized branch j of state b. As in
+    ``apply_local_kraus``, a ``ConsistencyError`` names a state whose
+    branch probabilities do not sum to 1 within 1e-10, and a branch below
+    1e-14 is dropped: its probability reads 0 and its post-state row holds
+    the input state, so weighting by the probabilities ignores it.
+    """
+    n = states.n_qubits
+    ops = np.asarray(ops, dtype=np.complex128)
+    if ops.shape != (len(states), 2, 2, 2):
+        raise ValidationError(
+            f"expected {len(states)} Kraus pairs of shape (2, 2, 2), got {ops.shape}"
+        )
+    _require_complete(ops)
+    qubits = _check_qubits(qubits, n, len(states))
+    probabilities, branches = _branches(states.amplitudes, ops, qubits, n)
+    return probabilities, StateStack(n, branches.reshape(-1, 1 << n))
 
 
 def apply_separable_sequence(

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import limits
 from .errors import ValidationError
-from .states import QubitSet, Statevector, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, require_same_qubits
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -388,12 +388,10 @@ def purity_array(psi: Statevector) -> np.ndarray:
     return _all_purities(psi.amplitudes)
 
 
-def purity_arrays(states: Sequence[Statevector]) -> np.ndarray:
+def purity_arrays(states: StateStack | Sequence[Statevector]) -> np.ndarray:
     """All 2^n purities of each state as a (B, 2^n) array; row b is ``purity_array(states[b])``.
 
-    The states must share n; the plan runs once for all of them.
+    ``states`` is a ``StateStack`` or a nonempty sequence of states sharing
+    n; the plan runs once for all of them.
     """
-    if not states:
-        raise ValidationError("need at least one state")
-    require_same_qubits(*states)
-    return _all_purities(np.stack([psi.amplitudes for psi in states]))
+    return _all_purities(StateStack.of(states).amplitudes)

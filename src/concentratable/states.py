@@ -20,16 +20,23 @@ from .errors import ValidationError
 NORM_ATOL = 1e-10
 
 
-def _frozen_amplitudes(values, n: int) -> np.ndarray:
+def _frozen_amplitudes(values, n: int, stacked: bool = False) -> np.ndarray:
+    """Read-only copy of one state's amplitudes, or of a (B, 2^n) stack's rows, each checked."""
     amps = np.asarray(values, dtype=np.complex128)
+    size = amps.shape[-1] if amps.ndim else 0
     # The bit-length test comes first, so 1 << n is only built for a sane n.
-    if amps.ndim != 1 or amps.size.bit_length() != n + 1 or amps.size != 1 << n:
-        raise ValidationError(f"expected 2^{n} amplitudes, got shape {amps.shape}")
+    if amps.ndim != 1 + stacked or size.bit_length() != n + 1 or size != 1 << n or not amps.size:
+        rows = "a nonempty stack of rows of " if stacked else ""
+        raise ValidationError(f"expected {rows}2^{n} amplitudes, got shape {amps.shape}")
     if not np.isfinite(amps).all():
         raise ValidationError("amplitudes contain NaN or infinity")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
+    norms = np.linalg.norm(amps, axis=-1)
+    deviation = np.abs(norms - 1.0)
+    if (deviation > NORM_ATOL).any():
+        worst = int(np.argmax(deviation))
+        where = f"row {worst}: " if stacked else ""
+        norm = float(np.ravel(norms)[worst])
+        raise ValidationError(f"{where}state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
     amps = amps.copy()
     amps.setflags(write=False)
     return amps
@@ -54,6 +61,44 @@ class Statevector:
     def tensor(self) -> np.ndarray:
         """View of the amplitudes with shape (2,)*n; axis k is qubit k."""
         return self.amplitudes.reshape((2,) * self.n_qubits)
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """B normalized n-qubit states as one read-only (B, 2^n) array; row b is state b.
+
+    Every row passes the checks of ``Statevector``. The batched kernels
+    (``purity_arrays``, ``exact_distributions``, ``apply_local_kraus_stack``)
+    take a stack and run each numpy step once for all of its rows.
+    """
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        amps = _frozen_amplitudes(self.amplitudes, self.n_qubits, stacked=True)
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def of(cls, states: "StateStack | Sequence[Statevector]") -> "StateStack":
+        """The stack of one or more states over the same qubits, in the given order.
+
+        A ``StateStack`` is returned as it is.
+        """
+        if isinstance(states, StateStack):
+            return states
+        if not states:
+            raise ValidationError("need at least one state")
+        require_same_qubits(*states)
+        return cls(states[0].n_qubits, np.stack([psi.amplitudes for psi in states]))
+
+    def __len__(self) -> int:
+        return len(self.amplitudes)
+
+    def __getitem__(self, row: int) -> Statevector:
+        return Statevector(self.n_qubits, self.amplitudes[row])
 
 
 @dataclass(frozen=True)
@@ -147,16 +192,67 @@ def make_w(n: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def make_haar_random(n: int, seed: int) -> Statevector:
-    """Haar-random pure state: normalized i.i.d. complex Gaussian vector."""
+def _haar_amplitudes(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """Unchecked (B, 2^n) Haar rows; see ``make_haar_random_stack``."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     limits.require("state", n)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return Statevector(n, amps / np.linalg.norm(amps))
+    draws = np.empty((len(seeds), 2, 1 << n))
+    for row, seed in zip(draws, seeds):
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+        np.random.default_rng(seed).standard_normal(out=row)
+    amps = draws[:, 0] + 1j * draws[:, 1]
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def make_haar_random(n: int, seed: int) -> Statevector:
+    """Haar-random pure state: normalized i.i.d. complex Gaussian vector.
+
+    The real parts are the first 2^n standard normals of
+    ``np.random.default_rng(seed)`` and the imaginary parts the next 2^n.
+    """
+    return Statevector(n, _haar_amplitudes(n, [seed])[0])
+
+
+def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
+    """Haar-random states as a stack: row b is ``make_haar_random(n, seeds[b])``.
+
+    Each row keeps its own seed's stream, so a state does not depend on
+    which other seeds share its stack. Only the generator seeding and the
+    draw run once per row; the complex rows, the norms and the checks run
+    once for the stack.
+    """
+    return StateStack(n, _haar_amplitudes(n, seeds))
+
+
+def make_graph_state(adjacency) -> Statevector:
+    """Graph state of a simple undirected graph: a CZ on every edge of |+>^n.
+
+    ``adjacency`` is a symmetric n x n matrix of 0s and 1s with a zero
+    diagonal; entry (a, b) = 1 joins qubits a and b. The amplitude of basis
+    state x is (-1)^e(x) / 2^(n/2), e(x) being the number of edges with both
+    ends 1 in x. For a subset A, Tr rho_A^2 = 2^-rank(Gamma[A, complement])
+    with the rank over GF(2) (Hein, Eisert and Briegel, PRA 69, 062311, 2004).
+    """
+    gamma = np.asarray(adjacency)
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] < 1:
+        raise ValidationError(f"adjacency must be a nonempty square matrix, got shape {gamma.shape}")
+    n = gamma.shape[0]
+    limits.require("state", n)
+    if not np.isin(gamma, (0, 1)).all():
+        raise ValidationError("adjacency entries must be 0 or 1")
+    if (gamma != gamma.T).any():
+        raise ValidationError("adjacency is not symmetric")
+    if np.diagonal(gamma).any():
+        raise ValidationError("adjacency has a self-loop (nonzero diagonal)")
+    signs = np.ones(1)
+    for k in range(1, n + 1):
+        # Qubit k-1 joins as the new lowest index bit; qubit j < k-1 is bit k-2-j of the old index.
+        neighbours = sum(1 << (k - 2 - j) for j in range(k - 1) if gamma[k - 1, j])
+        flips = np.bitwise_count(np.arange(1 << (k - 1)) & neighbours) & 1
+        signs = np.stack([signs, signs * (1.0 - 2.0 * flips)], axis=-1).reshape(-1)
+    return Statevector(n, signs / 2.0 ** (n / 2))
 
 
 def inner_product(a: Statevector, b: Statevector) -> complex:

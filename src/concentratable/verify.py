@@ -6,15 +6,37 @@ violation stays within the property's tolerance. The CLI ``verify``
 command runs the whole registry; the acceptance tests reuse the same
 functions with their own trial counts.
 
-The purity-driven checks evaluate once per state, not once per subset:
-they draw every trial first (in the order the draws were always made),
-then get all 2^n purities, or C(s) for every s, of each same-n group of
-states from one batched ``purity_arrays`` call, and feed the violations to
-``_Worst`` in trial order. ``bi-separable-zero`` reads all its weight-2
-outcomes from one exact distribution per state. Checks that compare
-routes or sample stay per state. At 40 trials on a 2-vCPU x86 host this
-took ``purity-locc-monotonicity`` from 38 to 20 ms, ``bi-separable-zero``
-from 30 to 15 ms and ``subadditivity`` from 13 to 5 ms.
+Most checks draw their trials first (per n, where they loop over n), in
+the order the draws were always made, then evaluate each same-n group of
+trials with stacked calls and feed the violations to ``_Worst`` in trial
+order:
+
+- nested-monotonicity, subadditivity, continuity, error-bound,
+  closed-forms and w-projection take all 2^n purities, or C(s) for every
+  s, of each group from one ``purity_arrays`` call;
+- ce- and purity-locc-monotonicity build each group's states
+  (``make_haar_random_stack``), Kraus pairs (``random_local_kraus_stack``)
+  and branches (``apply_local_kraus_stack``) in one call each, and read
+  the purities of the states and of both branches from one
+  ``purity_arrays`` call;
+- odd-weight-zero and bi-separable-zero read each group's outcome laws from
+  one ``exact_distributions`` call (odd-weight-zero also takes its
+  purity+Walsh laws from one ``purity_arrays`` call);
+- route-agreement takes its SWAP-test route, 1 - p(all-zero on s), from
+  one ``exact_distributions`` call per n.
+
+Three stay per state. route-agreement's two purity routes (``ce_purity``
+and ``ce_even_weight`` on one state each) are the single-state witness
+that the stacked kernels are compared against; tangle-identity calls
+``n_tangle`` once per state; singlet-projection samples one shot per
+state, and the sampler draws for one state at a time.
+
+In the verify-suite benchmark (40 trials, n <= 6, host-normalized median
+per CLI op on a 2-vCPU x86 host, which also lost the CLI's per-call parser
+build), ce-locc-monotonicity went from 26.5 to 9.0 ms,
+purity-locc-monotonicity from 26.5 to 7.9 ms, odd-weight-zero from 23.0 to
+7.0 ms, bi-separable-zero from 21.4 to 9.3 ms and route-agreement, now the
+slowest check, from 24.1 to 19.2 ms.
 """
 
 from __future__ import annotations
@@ -27,7 +49,6 @@ import numpy as np
 from .errors import ValidationError
 from .measures import (
     ce_all_subsets,
-    ce_distribution,
     ce_even_weight,
     ce_purity,
     ce_two_state,
@@ -36,20 +57,27 @@ from .measures import (
     w_closed_form,
     w_post_projection_ce,
 )
-from .oracle import LocalKrausPair, apply_local_kraus, random_local_kraus
+from .oracle import (
+    LocalKrausPair,
+    apply_local_kraus,
+    apply_local_kraus_stack,
+    random_local_kraus_stack,
+)
 from .reductions import purity_arrays
 from .states import (
     QubitSet,
+    StateStack,
     Statevector,
     make_ghz,
     make_haar_random,
+    make_haar_random_stack,
     make_w,
     perturb,
     trace_distance_pure,
 )
 from .swaptest import (
-    exact_distribution,
-    distribution_via_purities,
+    _walsh_law,
+    exact_distributions,
     outcome_probability,
     pair_marginal,
     post_measurement,
@@ -118,39 +146,50 @@ def _nonempty_mask(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, 1 << n))
 
 
-def _per_qubit_count(states: list[Statevector], evaluate) -> list[np.ndarray]:
-    """Row b of ``evaluate`` on the stack of the states sharing states[b]'s n, for each b.
-
-    ``evaluate`` runs once per qubit count, on states in their given order.
-    """
+def _grouped(keys) -> list[tuple[int, list[int]]]:
+    """(key, indices of the entries equal to it) per distinct key, in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    for index, psi in enumerate(states):
-        groups.setdefault(psi.n_qubits, []).append(index)
-    rows = [None] * len(states)
-    for indices in groups.values():
-        for index, row in zip(indices, evaluate([states[i] for i in indices])):
-            rows[index] = row
-    return rows
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return list(groups.items())
 
 
 def _ce_rows(states: list[Statevector]) -> list[np.ndarray]:
     """C(s) of each state for every label mask s (the ``ce_purity`` values), batched by n."""
-    return _per_qubit_count(states, lambda group: ce_all_subsets(purity_arrays(group)))
+    rows = [None] * len(states)
+    for _, indices in _grouped(psi.n_qubits for psi in states):
+        group = ce_all_subsets(purity_arrays([states[i] for i in indices]))
+        for index, row in zip(indices, group):
+            rows[index] = row
+    return rows
+
+
+def _table_bits(n: int, mask: int) -> int:
+    """The label mask as an outcome-table index: qubit k is bit n-1-k."""
+    return sum(1 << (n - 1 - k) for k in range(n) if mask >> k & 1)
 
 
 def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolerance=1e-9):
-    """ce_purity, ce_distribution and ce_even_weight agree on random states."""
+    """The purity-sum, SWAP-test and even-weight routes to C(s) agree on random states.
+
+    The two purity routes (``ce_purity``, ``ce_even_weight``) run per state.
+    The SWAP-test route, 1 - p(all-zero on s) as in ``ce_distribution``, is
+    read off one full-register law per state, from one
+    ``exact_distributions`` call per n.
+    """
     rng = np.random.default_rng(seed)
     worst = _Worst()
     per_n = max(1, trials // len(n_values))
     count = 0
     for n in n_values:
-        for _ in range(per_n):
-            state_seed = _state_seed(rng)
-            psi = make_haar_random(n, state_seed)
-            s = QubitSet(n, _nonempty_mask(rng, n))
+        drawn = [(_state_seed(rng), _nonempty_mask(rng, n)) for _ in range(per_n)]
+        stack = make_haar_random_stack(n, [state_seed for state_seed, _ in drawn])
+        tables = exact_distributions(stack, stack, QubitSet.full(n))
+        index = np.arange(1 << n)
+        for psi, table, (state_seed, mask) in zip(stack, tables, drawn):
+            s = QubitSet(n, mask)
             a = ce_purity(psi, s).value
-            b = ce_distribution(psi, s).value
+            b = max(1.0 - float(table[(index & _table_bits(n, mask)) == 0].sum()), 0.0)
             c = ce_even_weight(psi, s).value
             worst.update(
                 max(abs(a - b), abs(a - c)),
@@ -161,28 +200,32 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
 
 
 def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, tolerance=1e-10):
-    """Odd-weight control bitstrings never occur for identical copies."""
+    """Odd-weight control bitstrings never occur for identical copies.
+
+    Per n, one ``exact_distributions`` call gives the pair-basis law of every
+    state and one ``purity_arrays`` call the purity+Walsh law; a negative
+    purity-route probability counts by its size.
+    """
     rng = np.random.default_rng(seed)
     worst = _Worst()
     per_n = max(1, trials // len(n_values))
     count = 0
     for n in n_values:
-        indices = np.arange(1 << n)
-        odd = np.array([bool(int(i).bit_count() & 1) for i in indices])
+        odd = np.bitwise_count(np.arange(1 << n)) % 2 == 1
+        drawn = []
         for _ in range(per_n):
             state_seed = _state_seed(rng)
-            psi = make_haar_random(n, state_seed)
-            dist = exact_distribution(psi, psi, QubitSet.full(n))
-            worst.update(
-                float(dist.probabilities[odd].max()),
-                f"n={n} state_seed={state_seed} route=projector",
-            )
             z_mask = _nonempty_mask(rng, n)
             if z_mask.bit_count() % 2 == 0:
                 z_mask ^= 1 << int(rng.integers(0, n))
-            z = "".join("1" if z_mask >> k & 1 else "0" for k in range(n))
+            drawn.append((state_seed, "".join("1" if z_mask >> k & 1 else "0" for k in range(n))))
+        stack = make_haar_random_stack(n, [state_seed for state_seed, _ in drawn])
+        projector = exact_distributions(stack, stack, QubitSet.full(n))[:, odd].max(axis=1)
+        walsh = _walsh_law(purity_arrays(stack))
+        for b, (state_seed, z) in enumerate(drawn):
+            worst.update(float(projector[b]), f"n={n} state_seed={state_seed} route=projector")
             worst.update(
-                distribution_via_purities(psi, z),
+                abs(float(walsh[b, int(z, 2)])),
                 f"n={n} state_seed={state_seed} z={z} route=purities",
             )
             count += 1
@@ -190,27 +233,38 @@ def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, toleran
 
 
 def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolerance=1e-10):
-    """Weight-2 outcomes straddling a product cut have zero probability."""
+    """Weight-2 outcomes straddling a product cut have zero probability.
+
+    Each same-n group of product states is built as stacks of its factors
+    and gets every outcome from one ``exact_distributions`` call.
+    """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    count = 0
+    drawn = []
     for _ in range(trials):
         n = int(rng.choice(n_values))
         cut = int(rng.integers(1, n)) if n > 1 else 1
-        seed_a, seed_b = _state_seed(rng), _state_seed(rng)
-        left = make_haar_random(cut, seed_a)
-        right = make_haar_random(n - cut, seed_b)
-        psi = Statevector(n, np.kron(left.amplitudes, right.amplitudes))
+        drawn.append((n, cut, _state_seed(rng), _state_seed(rng)))
+    tables = [None] * trials
+    for n, indices in _grouped(n for n, *_ in drawn):
+        amps = np.empty((len(indices), 1 << n), dtype=np.complex128)
+        for cut, rows in _grouped(drawn[i][1] for i in indices):
+            left = make_haar_random_stack(cut, [drawn[indices[r]][2] for r in rows])
+            right = make_haar_random_stack(n - cut, [drawn[indices[r]][3] for r in rows])
+            product = left.amplitudes[:, :, None] * right.amplitudes[:, None, :]
+            amps[rows] = product.reshape(len(rows), -1)
+        stack = StateStack(n, amps)
+        for index, table in zip(indices, exact_distributions(stack, stack, QubitSet.full(n))):
+            tables[index] = table
+    for (n, cut, seed_a, seed_b), table in zip(drawn, tables):
         # Every straddling outcome, read from one full-register table.
         pairs = [(k, k_prime) for k in range(cut) for k_prime in range(cut, n)]
         bits = ["".join("1" if j in pair else "0" for j in range(n)) for pair in pairs]
-        table = exact_distribution(psi, psi, QubitSet.full(n)).probabilities
         worst.update_first_max(
             table[[int(z, 2) for z in bits]],
             lambda i: f"n={n} cut={cut} seeds=({seed_a},{seed_b}) z={bits[i]}",
         )
-        count += 1
-    return worst.report("bi-separable-zero", count, tolerance)
+    return worst.report("bi-separable-zero", trials, tolerance)
 
 
 def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-9):
@@ -263,54 +317,68 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
     return worst.report("singlet-projection", count, tolerance)
 
 
+def _draw_locc(rng: np.random.Generator, trials: int, n_values, with_mask: bool) -> list[tuple]:
+    """(n, state_seed, kraus_seed, qubit[, mask]) of each trial, drawn in that order."""
+    drawn = []
+    for _ in range(trials):
+        n = int(rng.choice(n_values))
+        trial = (n, _state_seed(rng), _state_seed(rng), int(rng.integers(0, n)))
+        drawn.append(trial + (_nonempty_mask(rng, n),) if with_mask else trial)
+    return drawn
+
+
+def _locc_purities(drawn: list[tuple]):
+    """Yield, per n, (trials, before, weights, after) for random local measurements.
+
+    ``trials`` index ``drawn``; ``before`` holds each state's 2^n purities,
+    ``weights`` its two branch probabilities (0 for a dropped branch) and
+    ``after`` the purities of both post-states, shape (B, 2, 2^n). The
+    states, the Kraus pairs, their application and all purities are each
+    one stacked call per n.
+    """
+    for n, trials in _grouped(trial[0] for trial in drawn):
+        states = make_haar_random_stack(n, [drawn[t][1] for t in trials])
+        ops = random_local_kraus_stack([drawn[t][2] for t in trials])
+        weights, posts = apply_local_kraus_stack(states, ops, [drawn[t][3] for t in trials])
+        stack = StateStack(n, np.concatenate([states.amplitudes, posts.amplitudes]))
+        purities = purity_arrays(stack)
+        before, after = purities[: len(trials)], purities[len(trials) :]
+        yield trials, before, weights, after.reshape(len(trials), 2, -1)
+
+
+def _locc_witness(n, state_seed, kraus_seed, qubit, *mask) -> str:
+    witness = f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit}"
+    return witness + "".join(f" mask={m:#b}" for m in mask)
+
+
 def check_ce_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=606, tolerance=1e-9):
     """Average C(s) over the branches of a random local measurement never grows."""
     rng = np.random.default_rng(seed)
+    drawn = _draw_locc(rng, trials, n_values, with_mask=True)
+    violations = np.empty(trials)
+    for rows, before, weights, after in _locc_purities(drawn):
+        masks = np.array([drawn[t][4] for t in rows])
+        ce_before = np.take_along_axis(ce_all_subsets(before), masks[:, None], axis=1)[:, 0]
+        ce_after = np.take_along_axis(ce_all_subsets(after), masks[:, None, None], axis=2)[..., 0]
+        violations[rows] = (weights * ce_after).sum(axis=1) - ce_before
     worst = _Worst()
-    drawn = []
-    states = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        state_seed = _state_seed(rng)
-        kraus_seed = _state_seed(rng)
-        qubit = int(rng.integers(0, n))
-        psi = make_haar_random(n, state_seed)
-        mask = _nonempty_mask(rng, n)
-        branches = apply_local_kraus(psi, random_local_kraus(kraus_seed, qubit))
-        witness = (
-            f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit} mask={mask:#b}"
-        )
-        drawn.append((len(states), mask, [b.probability for b in branches], witness))
-        states += [psi] + [b.post_state for b in branches]
-    ce = _ce_rows(states)
-    for first, mask, probabilities, witness in drawn:
-        averaged = sum(p * ce[first + 1 + j][mask] for j, p in enumerate(probabilities))
-        worst.update(float(averaged - ce[first][mask]), witness)
+    worst.update_first_max(violations, lambda t: _locc_witness(*drawn[t]))
     return worst.report("ce-locc-monotonicity", trials, tolerance)
 
 
 def check_purity_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=707, tolerance=1e-9):
     """Average local purities never drop under a random local measurement."""
     rng = np.random.default_rng(seed)
+    drawn = _draw_locc(rng, trials, n_values, with_mask=False)
+    gaps = [None] * trials
+    for rows, before, weights, after in _locc_purities(drawn):
+        averaged = weights[:, 0, None] * after[:, 0] + weights[:, 1, None] * after[:, 1]
+        for t, gap in zip(rows, before - averaged):
+            gaps[t] = gap
     worst = _Worst()
-    drawn = []
-    states = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        state_seed = _state_seed(rng)
-        kraus_seed = _state_seed(rng)
-        qubit = int(rng.integers(0, n))
-        psi = make_haar_random(n, state_seed)
-        branches = apply_local_kraus(psi, random_local_kraus(kraus_seed, qubit))
-        witness = f"n={n} state_seed={state_seed} kraus_seed={kraus_seed} qubit={qubit}"
-        drawn.append((len(states), [b.probability for b in branches], witness))
-        states += [psi] + [b.post_state for b in branches]
-    purities = _per_qubit_count(states, purity_arrays)
-    for first, probabilities, witness in drawn:
-        averaged = sum(p * purities[first + 1 + j] for j, p in enumerate(probabilities))
-        worst.update_first_max(
-            purities[first] - averaged, lambda alpha: f"{witness} alpha={alpha:#b}"
-        )
+    for trial, gap in zip(drawn, gaps):
+        witness = _locc_witness(*trial)
+        worst.update_first_max(gap, lambda alpha: f"{witness} alpha={alpha:#b}")
     return worst.report("purity-locc-monotonicity", trials, tolerance)
 
 

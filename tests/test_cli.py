@@ -285,6 +285,36 @@ class TestVerify:
         assert "[FAIL]" in out
         assert "witness" in err and "state_seed" in err
 
+    def test_commands_back_to_back_in_one_process(self, capsys):
+        # The parser is built once per process; every call still parses its own
+        # arguments and keeps its documented output and exit code.
+        code, out, err = run_cli(capsys, "ce", "--ghz", "3", "--subset-mask", "0b111")
+        assert (code, err) == (0, "")
+        assert out == "C(mask=0b111, c=3) = 0.375  [purity_sum]\n"
+        code, out, err = run_cli(capsys, "dist", "--ghz", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["00  0.75", "01  0", "10  0", "11  0.25"]
+        code, out, err = run_cli(
+            capsys, "verify", "--trials", "5", "--n-max", "3", "--property", "closed-forms"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("[PASS] closed-forms: max violation")
+        with pytest.raises(SystemExit) as usage:
+            main(["ce", "--no-such-option"])
+        captured = capsys.readouterr()
+        assert usage.value.code == 2
+        assert captured.out == ""
+        assert "usage: concentratable" in captured.err
+        assert "unrecognized arguments: --no-such-option" in captured.err
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out == "concentratable 0.1.0\n"
+        code, out, _ = run_cli(capsys, "ce", "--w", "3", "--cardinality", "1")
+        assert code == 0
+        assert "0.222222222222" in out
+        assert cli_module._build_parser() is cli_module._build_parser()
+
     def test_zero_trials_is_a_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2

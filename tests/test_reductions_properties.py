@@ -11,16 +11,23 @@ graph state of adjacency matrix G, Tr rho_A^2 = 2^-rank(G[A, complement of A])
 with the rank over GF(2) (Hein, Eisert and Briegel, PRA 69, 062311, 2004).
 Local phases and a relabelling keep that form, so the tie cuts at n = 12,
 which the plan answers from (n/2 + 1)-qubit tops, are checked exactly.
+``make_graph_state`` builds the plain graph states, on which C(s) from the
+purity kernel and the subset-sum transform, and from the Walsh law, is
+checked against the same formula up to n = 14.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concentratable import (
     QubitSet,
     Statevector,
+    ce_all_subsets,
+    ce_even_weight,
     ce_purity,
+    make_graph_state,
     make_haar_random,
     make_product,
     permute_qubits,
@@ -29,6 +36,7 @@ from concentratable import (
     purity_table,
 )
 from concentratable.oracle import dense_reduced_purity
+from concentratable.reductions import submasks
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -159,3 +167,25 @@ def test_purities_match_graph_state_ranks(case):
         assert abs(value - exact[mask]) <= TOL
     total = sum(exact[mask] for mask in table.values)
     assert abs(ce_purity(psi, s).value - (1 - total / 2**s.cardinality)) <= TOL
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_graph_state_ce_matches_rank_formula(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1).astype(int)
+    adjacency = upper + upper.T
+    psi = make_graph_state(adjacency)
+    rows = [sum(1 << b for b in range(n) if adjacency[a, b]) for a in range(n)]
+    exact = np.array([graph_purity(rows, n, mask) for mask in range(1 << n)])
+    ce = ce_all_subsets(purity_array(psi))
+    np.testing.assert_allclose(ce, ce_all_subsets(exact), rtol=0, atol=TOL)
+    # C(s) = 1 - 2^-c(s) * (sum of 2^-rank over the subsets of s), summed directly.
+    masks = [(1 << n) - 1, (1 << (n // 2)) - 1] + rng.integers(1, 1 << n, 4).tolist()
+    expected = {
+        mask: 1.0 - sum(exact[sub] for sub in submasks(mask)) / 2 ** mask.bit_count()
+        for mask in masks
+    }
+    for mask in masks:
+        assert abs(ce[mask] - expected[mask]) <= TOL
+    # The Walsh route costs one 2^n purity array per call (0.7 s at n = 14): one s per n.
+    assert abs(ce_even_weight(psi, QubitSet(n, masks[-1])).value - expected[masks[-1]]) <= TOL

@@ -4,11 +4,14 @@ import pytest
 from concentratable import (
     BudgetError,
     QubitSet,
+    StateStack,
     Statevector,
     ValidationError,
     inner_product,
     make_ghz,
+    make_graph_state,
     make_haar_random,
+    make_haar_random_stack,
     make_product,
     make_w,
     permute_qubits,
@@ -170,6 +173,100 @@ class TestHaar:
         for seed in range(10_000):
             total += purity(make_haar_random(2, seed), alpha)
         assert abs(total / 10_000 - 0.8) < 0.01
+
+
+class TestStateStack:
+    def test_rows_are_states(self):
+        stack = StateStack(1, [[1, 0], [INV_SQRT2, INV_SQRT2]])
+        assert len(stack) == 2
+        assert isinstance(stack[1], Statevector)
+        np.testing.assert_array_equal(stack[1].amplitudes, [INV_SQRT2, INV_SQRT2])
+        with pytest.raises(ValueError):
+            stack.amplitudes[0, 0] = 0.0
+
+    def test_names_the_row_that_is_not_normalized(self):
+        with pytest.raises(ValidationError, match="row 1: state norm 2.0 deviates"):
+            StateStack(1, [[1, 0], [2, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            StateStack(1, [[1, 0], [bad, 0]])
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 2), (2, 3), (1, 2, 2)])
+    def test_rejects_malformed_shapes(self, shape):
+        values = np.zeros(shape)
+        if values.size:
+            values.reshape(-1, shape[-1])[:, 0] = 1.0
+        with pytest.raises(ValidationError, match="expected a nonempty stack"):
+            StateStack(1, values)
+
+    def test_of_stacks_states_of_one_size(self):
+        psi, phi = make_ghz(2), make_w(2)
+        stack = StateStack.of([psi, phi])
+        np.testing.assert_array_equal(stack.amplitudes, [psi.amplitudes, phi.amplitudes])
+        assert StateStack.of(stack) is stack
+        with pytest.raises(ValidationError, match="second state is over 3 qubits"):
+            StateStack.of([psi, make_ghz(3)])
+        with pytest.raises(ValidationError, match="need at least one state"):
+            StateStack.of([])
+
+
+class TestHaarStack:
+    def test_one_seed_is_make_haar_random(self):
+        (row,) = make_haar_random_stack(4, [11]).amplitudes
+        np.testing.assert_array_equal(row, make_haar_random(4, 11).amplitudes)
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        a = make_haar_random_stack(3, [5, 6, 7])
+        b = make_haar_random_stack(3, [9, 6])
+        np.testing.assert_array_equal(a.amplitudes[1], b.amplitudes[1])
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
+            make_haar_random_stack(3, [1, -2])
+
+    def test_oversized_n_is_a_budget_error(self):
+        with pytest.raises(BudgetError, match="a 21-qubit state"):
+            make_haar_random_stack(21, [1])
+
+
+class TestGraphState:
+    def test_path_signs(self):
+        # Path 0-1-2: basis state x picks up -1 once per edge with both ends 1.
+        psi = make_graph_state([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        np.testing.assert_allclose(
+            psi.amplitudes * 2**1.5, [1, 1, 1, -1, 1, 1, -1, 1], rtol=0, atol=1e-15
+        )
+
+    def test_edgeless_graph_is_plus_product(self):
+        psi = make_graph_state(np.zeros((3, 3), dtype=int))
+        np.testing.assert_allclose(psi.amplitudes, np.full(8, 2**-1.5), rtol=0, atol=1e-15)
+
+    def test_two_vertex_edge_is_maximally_entangled(self):
+        psi = make_graph_state([[0, 1], [1, 0]])
+        assert purity(psi, QubitSet(2, 1)) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            ([[0, 1], [0, 0]], "not symmetric"),
+            ([[0, 2], [2, 0]], "entries must be 0 or 1"),
+            ([[0, 0.5], [0.5, 0]], "entries must be 0 or 1"),
+            ([[0, np.nan], [np.nan, 0]], "entries must be 0 or 1"),
+            ([[1, 0], [0, 0]], "self-loop"),
+            ([[0, 1, 0], [1, 0, 1]], "square matrix"),
+            ([], "square matrix"),
+        ],
+    )
+    def test_rejects_malformed_adjacency(self, adjacency, message):
+        with pytest.raises(ValidationError, match=message):
+            make_graph_state(adjacency)
+
+    def test_oversized_graph_is_a_budget_error(self, monkeypatch):
+        monkeypatch.setenv("CE_MAX_QUBITS", "4")
+        with pytest.raises(BudgetError, match="a 5-qubit state"):
+            make_graph_state(np.zeros((5, 5), dtype=int))
 
 
 class TestInnerProduct:

@@ -6,7 +6,13 @@ import pytest
 import concentratable.reductions as reductions_module
 import concentratable.swaptest as swaptest_module
 import concentratable.verify as verify_module
-from concentratable import n_tangle
+from concentratable import (
+    QubitSet,
+    exact_distribution,
+    full_circuit_oracle,
+    make_haar_random,
+    n_tangle,
+)
 from concentratable.verify import CHECKS, PropertyReport, run_suite
 
 
@@ -49,6 +55,34 @@ def test_injected_projector_bug_is_caught(monkeypatch):
     reports = run_suite(trials=10, n_max=3, seed=9, properties=["odd-weight-zero"])
     assert not reports[0].passed
     assert reports[0].witness
+
+
+def test_injected_stacked_pair_kernel_bug_is_caught(monkeypatch):
+    # Harness self-test: a fault confined to stacked input of the pair-basis
+    # kernel (each joint vector of a stack is read from its neighbour's) must
+    # trip a batched SWAP-test check with a witness, while the single-state
+    # table still matches the explicit circuit.
+    original = swaptest_module._pair_hadamard
+
+    def rows_shifted(amps, m, labels):
+        if amps.ndim == 2 and len(amps) > 1:
+            amps[...] = np.roll(amps, 1, axis=0)
+        original(amps, m, labels)
+
+    monkeypatch.setattr(swaptest_module, "_pair_hadamard", rows_shifted)
+    reports = run_suite(
+        trials=10, n_max=4, seed=9, properties=["odd-weight-zero", "bi-separable-zero"]
+    )
+    failed = [r for r in reports if not r.passed]
+    assert failed and all(r.witness for r in failed)
+    psi, phi = make_haar_random(3, 1), make_haar_random(3, 2)
+    for tested in (QubitSet.full(3), QubitSet(3, 0b101)):
+        np.testing.assert_allclose(
+            exact_distribution(psi, phi, tested).probabilities,
+            full_circuit_oracle(psi, phi, tested).probabilities,
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def _rows_shifted(gather, amps, n, labels):
