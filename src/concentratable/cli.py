@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import limits
 from .errors import BudgetError, ValidationError
@@ -35,6 +37,7 @@ from .reductions import purity_array
 from .states import QubitSet, Statevector, make_ghz, make_haar_random, make_w, statevector_from_dict
 from .swaptest import (
     distribution_to_dict,
+    draw_outcomes,
     exact_distribution,
     histogram_to_dict,
     pair_marginal,
@@ -211,12 +214,10 @@ def cmd_sample(args) -> int:
     hist = sample(psi, psi, tested, args.shots, args.seed)
     for z, count in sorted(hist.counts.items()):
         print(f"{z}  {count}")
-    payload = histogram_to_dict(hist)
-    if tested.cardinality >= 1:
-        estimate = ce_from_histogram(hist)
-        stderr = estimate.detail["stderr"]
-        print(f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)")
-        payload["estimate"] = estimate.to_dict()
+    estimate = ce_from_histogram(hist)
+    stderr = estimate.detail["stderr"]
+    print(f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)")
+    payload = histogram_to_dict(hist) | {"estimate": estimate.to_dict()}
     if args.output:
         _write_json(args.output, payload)
     return 0
@@ -267,12 +268,15 @@ def cmd_distill(args) -> int:
     psi = _resolve_state(args)
     if args.runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     n = psi.n_qubits
-    tested = QubitSet.full(n)
+    law = exact_distribution(psi, psi, QubitSet.full(n)).probabilities
+    # One uniform per run, in run order, so --runs k prints the first k runs of any longer call.
+    rng = np.random.default_rng(args.seed)
     violations = 0
     for run in range(args.runs):
-        hist = sample(psi, psi, tested, 1, args.seed + run)
-        (z,) = hist.counts
+        z = format(int(draw_outcomes(law, rng.random())), f"0{n}b")
         pairs = z.count("1")
         if pairs == 0:
             print(f"run {run}: z={z} bell_pairs=0")
@@ -289,8 +293,7 @@ def cmd_distill(args) -> int:
             f"run {run}: z={z} bell_pairs={pairs} p={outcome.probability:.6g} "
             f"min_fidelity={min(fidelities):.12f} {verdict}"
         )
-        if not ok:
-            violations += 1
+        violations += not ok
     return 1 if violations else 0
 
 

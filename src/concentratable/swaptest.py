@@ -34,6 +34,8 @@ from .reductions import purity_array
 from .states import QubitSet, StateStack, Statevector, require_same_qubits
 
 PROB_CLAMP_FLOOR = -1e-12
+#: ``post_measurement`` refuses to condition on an outcome this likely or less.
+CONDITION_FLOOR = 1e-12
 
 #: The two-qubit singlet (|01> - |10>)/sqrt(2) produced on a |1> control.
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
@@ -426,6 +428,9 @@ def full_distribution_via_purities(psi: Statevector) -> OutcomeDistribution:
     return OutcomeDistribution(QubitSet.full(psi.n_qubits), _purity_walsh_law(psi))
 
 
+MAX_SHOTS = 2**63 - 1  # numpy draws the counts of ``sample`` as int64
+
+
 def sample(
     psi: Statevector,
     psi_prime: Statevector,
@@ -433,37 +438,33 @@ def sample(
     shots: int,
     seed: int,
 ) -> ShotHistogram:
-    """Sampled SWAP-test runs, one bit per tested qubit per shot.
-
-    Each shot walks the tested qubits in ascending label order, drawing the
-    control bit from the two projected-branch norms conditioned on the bits
-    already fixed. Branch norms are precomputed once (they are shot
-    independent); the per-shot randomness comes from a dedicated generator
-    seeded with (seed, shot index), so histograms do not depend on how
-    shots might be batched or threaded.
+    """Counts of ``shots`` SWAP-test runs: the nonzero entries of one
+    ``default_rng(seed).multinomial(shots, p)`` draw, p being the exact law
+    (over its sum: numpy refuses an entry rounded above 1). O(2^m) for any
+    shot count up to ``MAX_SHOTS``.
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    dist = exact_distribution(psi, psi_prime, tested)
+    law = exact_distribution(psi, psi_prime, tested).probabilities
+    counts = np.random.default_rng(seed).multinomial(shots, law / law.sum())
     m = tested.cardinality
-    # masses[d][i] is the joint norm^2 after fixing the first d control bits to i.
-    masses = [dist.probabilities]
-    while len(masses[-1]) > 1:
-        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
-    masses.reverse()
-    counts: dict[int, int] = {}
-    for shot in range(shots):
-        rng = np.random.default_rng((seed, shot))
-        uniforms = rng.random(m)
-        node = 0
-        for depth in range(m):
-            p_zero = masses[depth + 1][2 * node] / masses[depth][node]
-            node = 2 * node + (0 if uniforms[depth] < p_zero else 1)
-        counts[node] = counts.get(node, 0) + 1
-    labelled = {format(i, f"0{m}b"): c for i, c in sorted(counts.items())}
+    labelled = {format(i, f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)}
     return ShotHistogram(tested, shots, labelled, seed)
+
+
+def draw_outcomes(laws: np.ndarray, uniforms) -> np.ndarray:
+    """Inverse-CDF outcome index of each uniform u in [0, 1) under its law.
+
+    ``laws`` holds laws on the last axis; ``uniforms`` broadcasts against the
+    rest. Each CDF is divided by its last entry, so no u < 1 lands past the
+    last outcome with p > 0, and the index is the count of CDF entries <= u
+    (``searchsorted(side="right")``), so no outcome with p = 0 is drawn.
+    """
+    cdf = np.cumsum(laws, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.count_nonzero(cdf <= np.asarray(uniforms)[..., None], axis=-1)
 
 
 def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> MeasurementOutcome:
@@ -477,7 +478,7 @@ def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> Measur
     _check_bitstring(z, n)
     limits.require("two-copies", 2 * n)
     amps, probability = _conditioned(psi, psi_prime, range(n), [int(bit) for bit in z])
-    if probability <= 1e-12:
+    if probability <= CONDITION_FLOOR:
         raise ValidationError(f"outcome {z!r} has probability {probability}; cannot condition on it")
     _pair_hadamard(amps, n, range(n))
     amps /= np.sqrt(probability)

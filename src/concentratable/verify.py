@@ -22,21 +22,14 @@ order:
 - odd-weight-zero and bi-separable-zero read each group's outcome laws from
   one ``exact_distributions`` call (odd-weight-zero also takes its
   purity+Walsh laws from one ``purity_arrays`` call);
-- route-agreement takes its SWAP-test route, 1 - p(all-zero on s), from
-  one ``exact_distributions`` call per n.
+- route-agreement (its SWAP-test route, 1 - p(all-zero on s)) and
+  singlet-projection take their laws from one ``exact_distributions`` call
+  per n; singlet-projection draws its outcomes with one ``draw_outcomes``.
 
-Three stay per state. route-agreement's two purity routes (``ce_purity``
-and ``ce_even_weight`` on one state each) are the single-state witness
-that the stacked kernels are compared against; tangle-identity calls
-``n_tangle`` once per state; singlet-projection samples one shot per
-state, and the sampler draws for one state at a time.
-
-In the verify-suite benchmark (40 trials, n <= 6, host-normalized median
-per CLI op on a 2-vCPU x86 host, which also lost the CLI's per-call parser
-build), ce-locc-monotonicity went from 26.5 to 9.0 ms,
-purity-locc-monotonicity from 26.5 to 7.9 ms, odd-weight-zero from 23.0 to
-7.0 ms, bi-separable-zero from 21.4 to 9.3 ms and route-agreement, now the
-slowest check, from 24.1 to 19.2 ms.
+What stays per state is the single-state witness: route-agreement's two
+purity routes (``ce_purity``, ``ce_even_weight``), tangle-identity's
+``n_tangle`` and singlet-projection's ``post_measurement`` and
+``pair_marginal``.
 """
 
 from __future__ import annotations
@@ -76,12 +69,13 @@ from .states import (
     trace_distance_pure,
 )
 from .swaptest import (
+    CONDITION_FLOOR,
     _walsh_law,
+    draw_outcomes,
     exact_distributions,
     outcome_probability,
     pair_marginal,
     post_measurement,
-    sample,
     singlet_fidelity,
 )
 
@@ -146,6 +140,12 @@ def _nonempty_mask(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, 1 << n))
 
 
+def _split(trials: int, groups) -> list[tuple]:
+    """(group, count) of ``trials`` split evenly over ``groups``, the first taking the remainder."""
+    base, extra = divmod(trials, len(groups))
+    return [(g, base + (i < extra)) for i, g in enumerate(groups) if base + (i < extra)]
+
+
 def _grouped(keys) -> list[tuple[int, list[int]]]:
     """(key, indices of the entries equal to it) per distinct key, in order of first appearance."""
     groups: dict[int, list[int]] = {}
@@ -179,9 +179,7 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    per_n = max(1, trials // len(n_values))
-    count = 0
-    for n in n_values:
+    for n, per_n in _split(trials, n_values):
         drawn = [(_state_seed(rng), _nonempty_mask(rng, n)) for _ in range(per_n)]
         stack = make_haar_random_stack(n, [state_seed for state_seed, _ in drawn])
         tables = exact_distributions(stack, stack, QubitSet.full(n))
@@ -195,8 +193,7 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
                 max(abs(a - b), abs(a - c)),
                 f"n={n} state_seed={state_seed} mask={s.mask:#b}",
             )
-            count += 1
-    return worst.report("route-agreement", count, tolerance)
+    return worst.report("route-agreement", trials, tolerance)
 
 
 def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, tolerance=1e-10):
@@ -208,9 +205,7 @@ def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, toleran
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    per_n = max(1, trials // len(n_values))
-    count = 0
-    for n in n_values:
+    for n, per_n in _split(trials, n_values):
         odd = np.bitwise_count(np.arange(1 << n)) % 2 == 1
         drawn = []
         for _ in range(per_n):
@@ -228,8 +223,7 @@ def check_odd_weight_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=202, toleran
                 abs(float(walsh[b, int(z, 2)])),
                 f"n={n} state_seed={state_seed} z={z} route=purities",
             )
-            count += 1
-    return worst.report("odd-weight-zero", count, tolerance)
+    return worst.report("odd-weight-zero", trials, tolerance)
 
 
 def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolerance=1e-10):
@@ -271,9 +265,7 @@ def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-
     """For even n, the all-ones outcome carries the n-tangle: 2^n p(1...1) = tau."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    per_n = max(1, trials // len(n_values))
-    count = 0
-    for n in n_values:
+    for n, per_n in _split(trials, n_values):
         for _ in range(per_n):
             state_seed = _state_seed(rng)
             psi = make_haar_random(n, state_seed)
@@ -282,39 +274,42 @@ def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-
                 abs((1 << n) * p_ones - n_tangle(psi)),
                 f"n={n} state_seed={state_seed}",
             )
-            count += 1
-    return worst.report("tangle-identity", count, tolerance)
+    return worst.report("tangle-identity", trials, tolerance)
 
 
 def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance=1e-9):
-    """Every |1> control leaves its copy-qubit pair in the singlet state."""
+    """Every |1> control leaves its copy-qubit pair in the singlet state.
+
+    Each trial's outcome is drawn from its state's exact law less the
+    all-zero outcome (and any ``post_measurement`` cannot condition on), so
+    every trial tests at least one pair.
+    """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    count = 0
+    drawn = [
+        (int(rng.choice(n_values)), _state_seed(rng), float(rng.random())) for _ in range(trials)
+    ]
     pairs_seen = 0
-    while count < trials:
-        n = int(rng.choice(n_values))
-        state_seed = _state_seed(rng)
-        shot_seed = _state_seed(rng)
-        psi = make_haar_random(n, state_seed)
-        hist = sample(psi, psi, QubitSet.full(n), 1, shot_seed)
-        (z,) = hist.counts
-        count += 1
-        if "1" not in z:
-            continue
-        outcome = post_measurement(psi, psi, z)
-        for k, bit in enumerate(z):
-            if bit != "1":
-                continue
-            fidelity = singlet_fidelity(pair_marginal(outcome.post_state, k))
-            pairs_seen += 1
-            worst.update(
-                1.0 - fidelity,
-                f"n={n} state_seed={state_seed} shot_seed={shot_seed} z={z} k={k}",
-            )
+    for n, indices in _grouped(n for n, *_ in drawn):
+        stack = make_haar_random_stack(n, [drawn[i][1] for i in indices])
+        laws = np.array(exact_distributions(stack, stack, QubitSet.full(n)))
+        # Rounding leaves the odd-weight outcomes of identical copies near 1e-33.
+        laws[(laws <= CONDITION_FLOOR) | (np.arange(1 << n) == 0)] = 0.0
+        outcomes = draw_outcomes(laws, [drawn[i][2] for i in indices])
+        for psi, index, outcome_index in zip(stack, indices, outcomes):
+            _, state_seed, u = drawn[index]
+            z = format(int(outcome_index), f"0{n}b")
+            post_state = post_measurement(psi, psi, z).post_state
+            ones = [k for k, bit in enumerate(z) if bit == "1"]
+            pairs_seen += len(ones)
+            for k in ones:
+                worst.update(
+                    1.0 - singlet_fidelity(pair_marginal(post_state, k)),
+                    f"n={n} state_seed={state_seed} u={u!r} z={z} k={k}",
+                )
     if pairs_seen == 0:
-        worst.update(np.inf, "no |1> outcomes sampled")
-    return worst.report("singlet-projection", count, tolerance)
+        worst.update(np.inf, "no |1> outcomes drawn")
+    return worst.report("singlet-projection", trials, tolerance)
 
 
 def _draw_locc(rng: np.random.Generator, trials: int, n_values, with_mask: bool) -> list[tuple]:
@@ -464,10 +459,9 @@ def check_error_bound(
     rng = np.random.default_rng(seed)
     worst = _Worst()
     s = QubitSet.full(n)
-    per_eps = max(1, trials // len(epsilons))
     drawn = []
     states = []
-    for epsilon in epsilons:
+    for epsilon, per_eps in _split(trials, epsilons):
         for _ in range(per_eps):
             state_seed = _state_seed(rng)
             psi = make_haar_random(n, state_seed)
@@ -482,7 +476,7 @@ def check_error_bound(
         if excess >= 4.0 * epsilon * epsilon:
             worst.failed = True
             worst.update(excess - 4.0 * epsilon * epsilon + tolerance, witness)
-    return worst.report("error-bound", len(drawn), tolerance)
+    return worst.report("error-bound", trials, tolerance)
 
 
 def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):

@@ -236,6 +236,25 @@ class TestSample:
         assert abs(data["estimate"]["value"] - 7 / 16) < 0.05
 
 
+    def test_shot_count_past_int64_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--ghz", "4", "--shots", "100000000000000000000", "--seed", "7"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: shots must be in 1..9223372036854775807")
+        assert "Traceback" not in err
+
+    def test_trillion_shots(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--ghz", "4", "--shots", "1000000000000", "--seed", "7"
+        )
+        assert code == 0
+        *counts, estimate = out.strip().splitlines()
+        assert sum(int(line.split()[1]) for line in counts) == 10**12
+        assert "(1000000000000 shots)" in estimate
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "20", "--n-max", "4", "--seed", "3")
@@ -366,6 +385,18 @@ class TestDistill:
         for line in out.strip().splitlines():
             pairs = int(line.split("bell_pairs=")[1].split()[0])
             assert pairs in (0, 2)
+
+    def test_same_seed_same_output(self, capsys):
+        argv = ["distill", "--haar", "5", "--state-seed", "3", "--runs", "20", "--seed", "11"]
+        first, second = (run_cli(capsys, *argv) for _ in range(2))
+        assert first[0] == 0
+        assert first[1].encode() == second[1].encode()
+
+    def test_fewer_runs_print_the_first_lines(self, capsys):
+        state = ["--haar", "4", "--state-seed", "5"]
+        _, short, _ = run_cli(capsys, "distill", *state, "--runs", "5", "--seed", "2")
+        _, long, _ = run_cli(capsys, "distill", *state, "--runs", "20", "--seed", "2")
+        assert short.splitlines() == long.splitlines()[:5]
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_runs_below_one_is_a_validation_error(self, capsys, runs):

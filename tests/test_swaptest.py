@@ -20,6 +20,7 @@ from concentratable import (
     inner_product,
     make_ghz,
     make_haar_random,
+    make_haar_random_stack,
     make_product,
     make_w,
     outcome_probability,
@@ -31,8 +32,11 @@ from concentratable import (
     zero_outcome_probability,
 )
 from concentratable.swaptest import (
+    MAX_SHOTS,
     SINGLET,
     distribution_from_dict,
+    draw_outcomes,
+    exact_distributions,
     distribution_to_dict,
     histogram_from_dict,
     histogram_to_dict,
@@ -344,6 +348,53 @@ class TestSample:
         psi = make_ghz(2)
         with pytest.raises(ValidationError):
             sample(psi, psi, QubitSet.full(2), 0, 1)
+
+    def test_counts_are_one_multinomial_draw(self):
+        psi = make_haar_random(3, 14)
+        law = exact_distribution(psi, psi, QubitSet.full(3)).probabilities
+        counts = np.random.default_rng(42).multinomial(500, law / law.sum())
+        hist = sample(psi, psi, QubitSet.full(3), 500, 42)
+        assert hist.counts == {format(i, "03b"): int(c) for i, c in enumerate(counts) if c}
+        assert all(type(c) is int for c in hist.counts.values())
+
+    def test_shot_counts_up_to_int64_max(self):
+        psi = make_ghz(4)
+        hist = sample(psi, psi, QubitSet.full(4), MAX_SHOTS, 7)
+        assert sum(hist.counts.values()) == MAX_SHOTS == 2**63 - 1
+        with pytest.raises(ValidationError):
+            sample(psi, psi, QubitSet.full(4), MAX_SHOTS + 1, 7)
+
+
+class TestDrawOutcomes:
+    def test_is_searchsorted_on_the_normalized_cdf(self):
+        law = exact_distribution(make_w(3), make_w(3), QubitSet.full(3)).probabilities
+        uniforms = np.random.default_rng(0).random(1000)
+        cdf = np.cumsum(law)
+        expected = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
+        np.testing.assert_array_equal(draw_outcomes(law, uniforms), expected)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_never_draws_zero_probability_outcomes(self, n):
+        # Odd n: the last outcome, all ones, has odd weight. Odd-weight and
+        # (as in singlet-projection) all-zero entries are set to exactly 0.
+        stack = make_haar_random_stack(n, range(40))
+        laws = np.array(exact_distributions(stack, stack, QubitSet.full(n)))
+        laws[:, np.bitwise_count(np.arange(1 << n)) % 2 == 1] = 0.0
+        laws[:, 0] = 0.0
+        uniforms = np.random.default_rng(n).random((40, 5000))
+        uniforms[:, :2] = [0.0, np.nextafter(1.0, 0.0)]
+        drawn = draw_outcomes(laws[:, None, :], uniforms)
+        assert drawn.shape == uniforms.shape
+        assert (np.take_along_axis(laws, drawn, axis=1) > 0.0).all()
+
+    def test_frequencies_follow_the_law(self):
+        law = exact_distribution(make_ghz(4), make_ghz(4), QubitSet.full(4)).probabilities
+        draws = 100_000
+        drawn = draw_outcomes(law, np.random.default_rng(1).random(draws))
+        observed = np.bincount(drawn, minlength=len(law))
+        support = law > 0.0
+        assert observed[~support].sum() == 0
+        assert stats.chisquare(observed[support], law[support] * draws).pvalue >= 1e-3
 
 
 class TestPostMeasurement:

@@ -13,7 +13,12 @@ from concentratable import (
     make_haar_random,
     n_tangle,
 )
-from concentratable.verify import CHECKS, PropertyReport, run_suite
+from concentratable.verify import (
+    CHECKS,
+    PropertyReport,
+    check_singlet_projection,
+    run_suite,
+)
 
 
 def test_suite_passes_at_small_scale():
@@ -21,6 +26,47 @@ def test_suite_passes_at_small_scale():
     assert [r.name for r in reports] == list(CHECKS)
     for report in reports:
         assert report.passed, f"{report.name}: {report.max_violation} ({report.witness})"
+
+
+@pytest.mark.parametrize("trials, n_max", [(40, 6), (1, 6), (1, 2)])
+def test_reports_count_exactly_the_requested_trials(trials, n_max):
+    reports = run_suite(trials=trials, n_max=n_max, seed=2024)
+    fixed = {"closed-forms", "w-projection"}  # these take no trial count
+    counts = {r.name: r.trials for r in reports if r.name not in fixed}
+    assert counts == {name: trials for name in CHECKS if name not in fixed}
+    for report in reports:
+        assert report.passed, f"{report.name}: {report.max_violation} ({report.witness})"
+
+
+def test_trials_split_over_groups_sum_to_the_request():
+    for groups in range(1, 6):
+        for trials in range(1, 50):
+            counts = [count for _, count in verify_module._split(trials, range(groups))]
+            assert sum(counts) == trials
+            assert counts == sorted(counts, reverse=True)
+            assert counts[0] - counts[-1] <= 1 and counts[-1] >= 1
+
+
+def test_singlet_projection_tests_a_pair_on_every_trial():
+    # The all-zero outcome is removed from each law before the draw, so even
+    # one trial has a |1> control to check.
+    for seed in range(20):
+        report = check_singlet_projection(trials=1, seed=seed)
+        assert report.passed, f"seed {seed}: {report.witness}"
+        assert report.trials == 1
+
+
+def test_singlet_projection_draws_only_outcomes_it_can_condition_on(monkeypatch):
+    # A uniform of 0.0 picks the first entry of a law above 0; rounding leaves
+    # odd-weight entries near 1e-33, on which post_measurement cannot condition.
+    original = verify_module.draw_outcomes
+
+    def at_zero(laws, uniforms):
+        return original(laws, np.zeros(np.shape(uniforms)))
+
+    monkeypatch.setattr(verify_module, "draw_outcomes", at_zero)
+    report = check_singlet_projection(trials=20, seed=1)
+    assert report.passed, report.witness
 
 
 def test_reports_serialize():
