@@ -23,8 +23,8 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .reductions import cross_purity, purity_table, submasks
-from .states import QubitSet, Statevector, require_same_qubits
+from .reductions import cross_purities, purity_table, submasks
+from .states import QubitSet, Statevector, paired_stacks, require_same_qubits
 from .swaptest import (
     ShotHistogram,
     _purity_walsh_law,
@@ -77,14 +77,6 @@ class CEResult:
         )
 
 
-def _parity(masks: np.ndarray) -> np.ndarray:
-    """Popcount parity (0 or 1) of each entry of an integer array."""
-    x = masks.copy()
-    for shift in (16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return x & 1
-
-
 def _require_nonempty(psi: Statevector, s: QubitSet) -> None:
     require_same_qubits(psi, s)
     if s.cardinality == 0:
@@ -95,6 +87,28 @@ def _clamp(value: float) -> float:
     if value < -1e-9:
         raise ConsistencyError(f"entanglement value {value} is significantly negative")
     return max(value, 0.0)
+
+
+def _clamp_all(values: np.ndarray) -> np.ndarray:
+    """``_clamp`` of every entry."""
+    _clamp(float(values.min()))
+    return np.maximum(values, 0.0)
+
+
+def _table_masks(n: int, masks) -> np.ndarray:
+    """Label masks (bit k = qubit k) as outcome-table index masks (qubit k is bit n-1-k)."""
+    k = np.arange(n)
+    return ((np.asarray(masks)[..., None] >> k) & 1) @ (1 << (n - 1 - k))
+
+
+def _even_touching(n: int, masks) -> np.ndarray:
+    """Outcomes of even weight with a 1 on some qubit of s, for each label mask s.
+
+    Boolean, by outcome-table index on the last axis; leading axes follow ``masks``.
+    """
+    index = np.arange(1 << n)
+    touching = (index & _table_masks(n, masks)[..., None]) != 0
+    return touching & (np.bitwise_count(index) & 1 == 0)
 
 
 def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
@@ -118,9 +132,7 @@ def ce_all_subsets(purities: np.ndarray) -> np.ndarray:
     for k in range(size.bit_length() - 1):
         pairs = sums.reshape(sums.shape[:-1] + (-1, 2, 1 << k))
         pairs[..., 1, :] += pairs[..., 0, :]
-    values = 1.0 - sums / 2.0 ** np.bitwise_count(np.arange(size))
-    _clamp(float(values.min()))
-    return np.maximum(values, 0.0)
+    return _clamp_all(1.0 - sums / 2.0 ** np.bitwise_count(np.arange(size)))
 
 
 def ce_distribution(psi: Statevector, s: QubitSet) -> CEResult:
@@ -144,13 +156,8 @@ def ce_even_weight(psi: Statevector, s: QubitSet) -> CEResult:
     the n <= 14 budget is set by the 2^n purity terms.
     """
     _require_nonempty(psi, s)
-    n = psi.n_qubits
-    law = _purity_walsh_law(psi)
-    # Table index bit n-1-k is qubit k.
-    touched = sum(1 << (n - 1 - k) for k in s.labels())
-    index = np.arange(1 << n)
-    selected = (_parity(index) == 0) & ((index & touched) != 0)
-    value = _clamp(float(law[selected].sum()))
+    selected = _even_touching(psi.n_qubits, s.mask)
+    value = _clamp(float(np.vecdot(_purity_walsh_law(psi), selected)))
     return CEResult(value, s, "even_weight_sum", {"terms": int(selected.sum())})
 
 
@@ -204,13 +211,21 @@ def ce_two_state(psi: Statevector, psi_prime: Statevector, s: QubitSet) -> float
 
     Reduces to the single-state value when the copies are equal; for
     nearby copies the symmetrized excess over the single-state values is
-    bounded by 4 * (trace distance)^2.
+    bounded by 4 * (trace distance)^2. This is ``ce_two_states`` on one
+    pair of states.
     """
-    _require_nonempty(psi, s)
-    require_same_qubits(psi, psi_prime)
+    return float(ce_two_states([psi], [psi_prime], s)[0])
+
+
+def ce_two_states(states, states_prime, s: QubitSet) -> np.ndarray:
+    """``ce_two_state`` of each pair of rows of two stacks (or sequences of
+    states), from one ``cross_purities`` call per subset of s.
+    """
+    states, states_prime = paired_stacks(states, states_prime, s)
+    _require_nonempty(states, s)
     limits.require("cross-purity", s.cardinality)
     total = sum(
-        cross_purity(psi, psi_prime, QubitSet(psi.n_qubits, mask))
+        cross_purities(states, states_prime, QubitSet(s.n_qubits, mask))
         for mask in submasks(s.mask)
     )
     return 1.0 - total / (1 << s.cardinality)
@@ -219,7 +234,7 @@ def ce_two_state(psi: Statevector, psi_prime: Statevector, s: QubitSet) -> float
 def n_tangle(psi: Statevector) -> float:
     """|<psi| Y^(x)n |psi*>|^2; equals 2^n p(all-ones) for even n."""
     amps = psi.amplitudes
-    signs = 1.0 - 2.0 * _parity(np.arange(psi.dim))
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(psi.dim)) & 1)
     overlap = np.sum(signs * amps * amps[::-1])
     return float(min(abs(overlap) ** 2, 1.0))
 

@@ -42,6 +42,10 @@ first-call excess.
 Gram products, partial traces and purities keep a leading batch axis, so
 each is one numpy call for all B states. One state keeps the 2-D BLAS
 product and ``np.vdot``, so the single-state functions pay no batch cost.
+
+``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs of states
+with one gather, Gram product and overlap for the whole stack;
+``cross_purity`` is the same code on one pair.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import limits
 from .errors import ValidationError
-from .states import QubitSet, StateStack, Statevector, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, paired_stacks, require_same_qubits
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -108,22 +112,43 @@ def purity(psi: Statevector, alpha: QubitSet) -> float:
 def cross_purity(psi: Statevector, psi_prime: Statevector, alpha: QubitSet) -> float:
     """Tr[rho_alpha rho'_alpha] for reduced states of two (possibly different) states.
 
-    No complement shortcut here: for distinct states the two sides of a cut
-    carry different overlaps.
+    This is ``cross_purities`` on one pair of states.
     """
     require_same_qubits(psi, psi_prime, alpha)
+    values = _cross_purities(psi.amplitudes[None], psi_prime.amplitudes[None], psi.n_qubits, alpha)
+    return float(values[0])
+
+
+def cross_purities(states, states_prime, alpha: QubitSet) -> np.ndarray:
+    """Tr[rho_alpha rho'_alpha] of each pair: entry b is
+    ``cross_purity(states[b], states_prime[b], alpha)``, bit for bit.
+
+    ``states`` and ``states_prime`` are ``StateStack``s (or sequences of
+    states) of equal length over the same qubits; each gather, Gram product
+    and overlap is one numpy call for all the pairs.
+    """
+    states, states_prime = paired_stacks(states, states_prime, alpha)
+    return _cross_purities(states.amplitudes, states_prime.amplitudes, states.n_qubits, alpha)
+
+
+def _cross_purities(amps: np.ndarray, amps_prime: np.ndarray, n: int, alpha: QubitSet):
+    """Unchecked cross purities of the rows of two (B, 2^n) stacks.
+
+    No complement shortcut here: for distinct states the two sides of a cut
+    carry different overlaps. alpha = empty set gives exactly 1.0.
+    """
     if alpha.mask == 0:
-        return 1.0
+        return np.ones(len(amps))
     labels = alpha.labels()
-    m1 = _gather_matrix(psi.amplitudes, psi.n_qubits, labels)
-    m2 = _gather_matrix(psi_prime.amplitudes, psi.n_qubits, labels)
-    if 2 * len(labels) <= psi.n_qubits:
-        r1 = m1 @ m1.conj().T
-        r2 = m2 @ m2.conj().T
-        return float(np.vdot(r2, r1).real)
+    m1 = _gather_matrix(amps, n, labels)
+    m2 = _gather_matrix(amps_prime, n, labels)
+    if 2 * len(labels) <= n:
+        r1 = m1 @ m1.conj().swapaxes(-1, -2)
+        r2 = m2 @ m2.conj().swapaxes(-1, -2)
+        return np.vecdot(r2.reshape(len(amps), -1), r1.reshape(len(amps), -1)).real
     # Tr[M1 M1+ M2 M2+] = ||M1+ M2||_F^2, cheaper on the complement side.
-    overlap = m1.conj().T @ m2
-    return float(np.vdot(overlap, overlap).real)
+    overlap = (m1.conj().swapaxes(-1, -2) @ m2).reshape(len(amps), -1)
+    return np.vecdot(overlap, overlap).real
 
 
 @dataclass(frozen=True)

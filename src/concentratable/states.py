@@ -157,6 +157,17 @@ def require_same_qubits(psi: Statevector, *others) -> None:
             )
 
 
+def paired_stacks(states, states_prime, *others) -> tuple[StateStack, StateStack]:
+    """Two stacks (or sequences of states) as ``StateStack``s of equal length
+    over the same qubits, which every qubit set in ``others`` must also be over.
+    """
+    states, states_prime = StateStack.of(states), StateStack.of(states_prime)
+    require_same_qubits(states, states_prime, *others)
+    if len(states) != len(states_prime):
+        raise ValidationError(f"{len(states)} states against {len(states_prime)} second copies")
+    return states, states_prime
+
+
 def make_product(single_qubit_states: Sequence[tuple[complex, complex]]) -> Statevector:
     """Tensor product of single-qubit states, each given as (amp0, amp1)."""
     if not single_qubit_states:
@@ -311,6 +322,6 @@ def statevector_from_dict(data: dict) -> Statevector:
     try:
         n = int(data["n"])
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state record: {exc}") from exc
     return Statevector(n, amps)

@@ -9,13 +9,19 @@ gives the singlet a slot of its own, so the control-register law is a
 marginal of |amplitude|^2, found in one O(m * 4^m) pass without ancillas.
 The explicit ancilla+Fredkin circuit is kept as a cross-checking oracle.
 
-The kernel also runs on stacks: ``exact_distributions`` and
-``zero_outcome_probabilities`` take B pairs of copies as (B, 2^m)
-``StateStack``s and hold their joint vectors as one contiguous (B, 4^m)
-array, whose rows fold into the high axis of each pair view. Every
-pair-basis step and one ``bincount`` (with each row's outcomes offset by
-one table) then serve a whole chunk of rows. ``exact_distribution`` and
-``zero_outcome_probability`` are the same code on one pair of copies.
+The kernel also runs on stacks: ``exact_distributions``,
+``zero_outcome_probabilities``, ``outcome_probabilities`` and
+``post_measurements`` take B pairs of copies as (B, 2^m) ``StateStack``s
+and hold their joint vectors as one contiguous (B, 4^m) array, whose rows
+fold into the high axis of each pair view. Every pair-basis step and one
+``bincount`` (with each row's outcomes offset by one table) then serve a
+whole chunk of rows. A single outcome is kept by zeroing every joint entry
+whose singlet pattern differs from it, one pattern per row, so any outcome
+probability and any post-measurement state come from one helper,
+``_kept_chunks``. The single-state functions (``exact_distribution``,
+``zero_outcome_probability``, ``outcome_probability``,
+``post_measurement``, and ``pair_marginal`` and ``singlet_fidelity`` on
+the post-states) are the same code on one pair of copies.
 
 Outcome bitstrings are written with the lowest tested qubit label
 leftmost, matching the package-wide "qubit 0 is the most significant bit"
@@ -24,6 +30,7 @@ convention; a bitstring and its table index are related by int(z, 2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +38,7 @@ import numpy as np
 from . import limits
 from .errors import ConsistencyError, ValidationError
 from .reductions import purity_array
-from .states import QubitSet, StateStack, Statevector, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, paired_stacks, require_same_qubits
 
 PROB_CLAMP_FLOOR = -1e-12
 #: ``post_measurement`` refuses to condition on an outcome this likely or less.
@@ -196,20 +203,6 @@ def _pair_hadamard(amps: np.ndarray, m: int, labels) -> None:
         del up_scaled, down_scaled
 
 
-def _keep_outcome(amps: np.ndarray, m: int, labels, bits) -> None:
-    """In the pair basis, zero every entry whose singlet pattern on ``labels`` is not ``bits``.
-
-    ``amps`` is one joint vector or a contiguous (B, 4^m) stack of them.
-    """
-    for k, bit in zip(labels, bits):
-        view = _pair_view(amps, m, k)
-        if bit:
-            view[:, 0] = 0.0
-            view[:, 1, :, 1] = 0.0
-        else:
-            view[:, 1, :, 0] = 0.0
-
-
 def _pair_basis(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) -> np.ndarray:
     """Joint vector A (x) B of the copies in the pair basis of ``labels``.
 
@@ -228,17 +221,37 @@ def _pair_basis_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels)
         yield rows, _pair_basis(amps[rows], amps_prime[rows], m, labels)
 
 
+# Each entry holds 2^m ints (8 KiB at the 10-qubit copies the default cap
+# allows), so the cache stays under 1 MB; the 4^m outcome index built from it
+# is not kept.
+@functools.lru_cache(maxsize=64)
+def _packed(m: int, labels) -> np.ndarray:
+    """Read-only bits of each copy index on ``labels`` (hashable), packed in label order."""
+    labels = np.array(labels, dtype=int)
+    tested_bits = (np.arange(1 << m)[:, None] >> (m - 1 - labels)) & 1
+    packed = tested_bits @ (1 << np.arange(len(labels))[::-1])
+    packed.setflags(write=False)
+    return packed
+
+
+def _outcome_index(m: int, labels) -> np.ndarray:
+    """Control outcome of each joint index in the pair basis, as a table index.
+
+    Slot (a_k=1, b_k=0) holds the singlet, so the outcome of joint index
+    (A, B) is the pattern A & ~B on ``labels``, packed in label order.
+    """
+    packed = _packed(m, labels)
+    # Packing commutes with bitwise logic, so pack(A & ~B) = pack(A) & ~pack(B).
+    return (packed[:, None] & ~packed[None, :]).reshape(-1)
+
+
 def _outcome_tables(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) -> np.ndarray:
     """Unchecked (B, 2^m') control-register laws of (B, 2^m) copy stacks.
 
     See ``exact_distribution``; m' is the number of tested labels.
     """
     size = 1 << len(labels)
-    # Outcome index of each copy index: its tested bits, packed in label order.
-    tested_bits = (np.arange(1 << m)[:, None] >> (m - 1 - np.array(labels, dtype=int))) & 1
-    packed = tested_bits @ (1 << np.arange(len(labels))[::-1])
-    # Packing commutes with bitwise logic, so pack(A & ~B) = pack(A) & ~pack(B).
-    index = (packed[:, None] & ~packed[None, :]).reshape(-1)
+    index = _outcome_index(m, labels)
     step = min(len(amps), max(1, JOINT_CHUNK_AMPLITUDES >> (2 * m)))
     if step > 1:
         # One bincount per chunk: row r's outcomes are offset by r tables.
@@ -255,20 +268,28 @@ def _outcome_tables(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) ->
     return tables
 
 
-def _zero_outcome_rows(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) -> np.ndarray:
-    """Unchecked all-zero outcome probability of each row of (B, 2^m) copy stacks."""
-    zeros = np.empty(len(amps))
+def _kept_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes):
+    """Yield (rows, joint, probabilities) per chunk of rows of (B, 2^m) copy stacks.
+
+    ``joint`` is the chunk's pair-basis joint stack with every entry off row
+    b's control outcome ``outcomes[b]`` (a table index over ``labels``; one
+    index serves every row) set to 0, and ``probabilities`` the norm^2 of
+    each kept row, the probability of its outcome.
+    """
+    index = _outcome_index(m, labels)
+    column = np.empty((len(amps), 1), dtype=np.intp)
+    column[:, 0] = outcomes
     for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
-        _keep_outcome(joint, m, labels, [0] * len(labels))
-        zeros[rows] = [np.vdot(row, row).real for row in joint]
-    return zeros
+        joint[index != column[rows]] = 0.0
+        yield rows, joint, np.array([np.vdot(row, row).real for row in joint])
 
 
-def _conditioned(psi: Statevector, psi_prime: Statevector, labels, bits):
-    """Pair-basis joint vector kept to control outcome ``bits`` on ``labels``, and its norm^2."""
-    amps = _pair_basis(psi.amplitudes, psi_prime.amplitudes, psi.n_qubits, labels)
-    _keep_outcome(amps, psi.n_qubits, labels, bits)
-    return amps, float(np.vdot(amps, amps).real)
+def _outcome_rows(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes) -> np.ndarray:
+    """Unchecked probability of each row's control outcome on ``labels``; see ``_kept_chunks``."""
+    probabilities = np.empty(len(amps))
+    for rows, _, kept in _kept_chunks(amps, amps_prime, m, labels, outcomes):
+        probabilities[rows] = kept
+    return probabilities
 
 
 def apply_controlled_projector(joint: JointState, qubit: int, z_bit: int) -> JointState:
@@ -280,7 +301,7 @@ def apply_controlled_projector(joint: JointState, qubit: int, z_bit: int) -> Joi
         raise ValidationError(f"z_bit must be 0 or 1, got {z_bit}")
     amps = joint.amplitudes.copy()
     _pair_hadamard(amps, m, (qubit,))
-    _keep_outcome(amps, m, (qubit,), (z_bit,))
+    amps[_outcome_index(m, (qubit,)) != z_bit] = 0.0
     _pair_hadamard(amps, m, (qubit,))
     return JointState(m, amps)
 
@@ -291,10 +312,7 @@ def _require_tested_nonempty(tested: QubitSet) -> None:
 
 
 def _copy_stacks(states, states_prime, tested: QubitSet) -> tuple[StateStack, StateStack]:
-    states, states_prime = StateStack.of(states), StateStack.of(states_prime)
-    require_same_qubits(states, states_prime, tested)
-    if len(states) != len(states_prime):
-        raise ValidationError(f"{len(states)} states against {len(states_prime)} second copies")
+    states, states_prime = paired_stacks(states, states_prime, tested)
     limits.require("two-copies", 2 * states.n_qubits)
     return states, states_prime
 
@@ -342,11 +360,30 @@ def exact_distributions(states, states_prime, tested: QubitSet) -> np.ndarray:
 
 
 def outcome_probability(psi: Statevector, psi_prime: Statevector, z: str) -> float:
-    """Probability of one full-register control bitstring."""
+    """Probability of one full-register control bitstring.
+
+    This is ``outcome_probabilities`` on one pair of copies.
+    """
     require_same_qubits(psi, psi_prime)
     _check_bitstring(z, psi.n_qubits)
     limits.require("two-copies", 2 * psi.n_qubits)
-    return _conditioned(psi, psi_prime, range(psi.n_qubits), [int(bit) for bit in z])[1]
+    n = psi.n_qubits
+    values = _outcome_rows(psi.amplitudes[None], psi_prime.amplitudes[None], n, range(n), int(z, 2))
+    return float(values[0])
+
+
+def outcome_probabilities(states, states_prime, z: str) -> np.ndarray:
+    """Probability of the full-register control bitstring ``z`` for each pair of copies.
+
+    Entry b is ``outcome_probability(states[b], states_prime[b], z)``, bit for
+    bit; the pair-basis steps run once per chunk of rows, as in
+    ``exact_distributions``.
+    """
+    states = StateStack.of(states)
+    n = states.n_qubits
+    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(n))
+    _check_bitstring(z, n)
+    return _outcome_rows(states.amplitudes, states_prime.amplitudes, n, range(n), int(z, 2))
 
 
 def zero_outcome_probability(
@@ -358,8 +395,8 @@ def zero_outcome_probability(
     """
     require_same_qubits(psi, psi_prime, tested)
     limits.require("two-copies", 2 * psi.n_qubits)
-    zeros = _zero_outcome_rows(
-        psi.amplitudes[None], psi_prime.amplitudes[None], psi.n_qubits, tested.labels()
+    zeros = _outcome_rows(
+        psi.amplitudes[None], psi_prime.amplitudes[None], psi.n_qubits, tested.labels(), 0
     )
     return float(zeros[0])
 
@@ -372,8 +409,8 @@ def zero_outcome_probabilities(states, states_prime, tested: QubitSet) -> np.nda
     ``exact_distributions``.
     """
     states, states_prime = _copy_stacks(states, states_prime, tested)
-    return _zero_outcome_rows(
-        states.amplitudes, states_prime.amplitudes, states.n_qubits, tested.labels()
+    return _outcome_rows(
+        states.amplitudes, states_prime.amplitudes, states.n_qubits, tested.labels(), 0
     )
 
 
@@ -471,37 +508,126 @@ def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> Measur
     """Normalized joint state after observing control bitstring ``z``, plus p(z).
 
     Wherever z has a 1, the corresponding pair of copy qubits lands in the
-    singlet (|01> - |10>)/sqrt(2).
+    singlet (|01> - |10>)/sqrt(2). This is ``post_measurements`` on one pair
+    of copies.
     """
     n = psi.n_qubits
     require_same_qubits(psi, psi_prime)
     _check_bitstring(z, n)
     limits.require("two-copies", 2 * n)
-    amps, probability = _conditioned(psi, psi_prime, range(n), [int(bit) for bit in z])
-    if probability <= CONDITION_FLOOR:
-        raise ValidationError(f"outcome {z!r} has probability {probability}; cannot condition on it")
-    _pair_hadamard(amps, n, range(n))
-    amps /= np.sqrt(probability)
-    return MeasurementOutcome(probability, JointState(n, amps))
+    probabilities, posts = _post_states(
+        psi.amplitudes[None], psi_prime.amplitudes[None], n, np.array([int(z, 2)])
+    )
+    return MeasurementOutcome(float(probabilities[0]), JointState(n, posts[0]))
+
+
+def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """``post_measurement`` of each pair of copies, row b conditioned on the
+    full-register outcome with table index ``outcomes[b]`` (int(z, 2)).
+
+    Returns the outcome probabilities, shape (B,), and the normalized joint
+    post-states as a (B, 4^m) array; row b equals ``post_measurement(states[b],
+    states_prime[b], z_b)`` bit for bit. A row whose outcome has probability
+    ``CONDITION_FLOOR`` or less is a ``ValidationError`` that names the row,
+    and so is a post-state whose norm is off 1 by more than 1e-10, as a
+    ``MeasurementOutcome`` would reject it.
+    """
+    states = StateStack.of(states)
+    m = states.n_qubits
+    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(m))
+    outcomes = np.asarray(outcomes)
+    if (
+        outcomes.shape != (len(states),)
+        or outcomes.dtype.kind not in "iu"
+        or ((outcomes < 0) | (outcomes >= 1 << m)).any()
+    ):
+        raise ValidationError(
+            f"expected {len(states)} outcome indices in [0, {1 << m}), got {outcomes!r}"
+        )
+    probabilities, posts = _post_states(states.amplitudes, states_prime.amplitudes, m, outcomes)
+    off = np.abs(np.sqrt(np.vecdot(posts, posts).real) - 1.0) > 1e-10
+    if off.any():
+        b = int(np.argmax(off))
+        raise ValidationError(f"row {b}: post state norm is off 1 by more than 1e-10")
+    return probabilities, posts
+
+
+def _post_states(amps, amps_prime, m: int, outcomes: np.ndarray):
+    """(probabilities, normalized joint post-states) of ``post_measurements``.
+
+    A probability out of (``CONDITION_FLOOR``, 1] is a ``ValidationError``
+    that names its row when there is more than one; the post-states' norms
+    are left to the callers to check.
+    """
+    labels = range(m)
+    probabilities = np.empty(len(amps))
+    posts = np.empty((len(amps), 1 << (2 * m)), dtype=np.complex128)
+    for rows, joint, kept in _kept_chunks(amps, amps_prime, m, labels, outcomes):
+        probabilities[rows], posts[rows] = kept, joint
+    out_of_range = (probabilities <= CONDITION_FLOOR) | (probabilities > 1.0 + 1e-10)
+    if out_of_range.any():
+        b = int(np.argmax(out_of_range))
+        row = f"row {b}: " if len(amps) > 1 else ""
+        z = format(int(outcomes[b]), f"0{m}b")
+        raise ValidationError(
+            f"{row}outcome {z!r} has probability {probabilities[b]}; cannot condition on it"
+        )
+    _pair_hadamard(posts, m, labels)
+    posts /= np.sqrt(probabilities)[:, None]
+    return probabilities, posts
 
 
 def pair_marginal(joint: JointState, qubit: int) -> np.ndarray:
-    """4x4 reduced density matrix of (copy-A qubit k, copy-B qubit k)."""
-    m = joint.n_qubits_per_copy
-    if not 0 <= qubit < m:
-        raise ValidationError(f"qubit {qubit} out of range for {m} qubits per copy")
-    norm = np.sqrt(joint.norm_squared)
-    if norm <= 0.0:
-        raise ValidationError("cannot take marginals of a zero vector")
-    tensor = (joint.amplitudes / norm).reshape((2,) * (2 * m))
-    tensor = np.moveaxis(tensor, (qubit, m + qubit), (0, 1))
-    matrix = tensor.reshape(4, -1)
-    return matrix @ matrix.conj().T
+    """4x4 reduced density matrix of (copy-A qubit k, copy-B qubit k).
+
+    This is ``pair_marginals`` on one joint vector and one qubit.
+    """
+    return pair_marginals(joint.amplitudes[None], joint.n_qubits_per_copy, [qubit])[0, 0]
+
+
+def pair_marginals(joints: np.ndarray, m: int, qubits) -> np.ndarray:
+    """Reduced density matrices of (copy-A qubit k, copy-B qubit k) for each
+    row of a (B, 4^m) stack of joint vectors and each k in ``qubits``.
+
+    Each row is normalized first. Returns a (B, len(qubits), 4, 4) array;
+    entry [b, j] is ``pair_marginal(JointState(m, joints[b]), qubits[j])``
+    bit for bit. An error names the row when there is more than one.
+    """
+    joints = np.asarray(joints, dtype=np.complex128)
+    if joints.ndim != 2 or joints.shape[1] != 1 << (2 * m):
+        raise ValidationError(
+            f"expected rows of {1 << (2 * m)} joint amplitudes, got shape {joints.shape}"
+        )
+    for qubit in qubits:
+        if not 0 <= qubit < m:
+            raise ValidationError(f"qubit {qubit} out of range for {m} qubits per copy")
+    norms = np.sqrt(np.vecdot(joints, joints).real)
+    if (norms <= 0.0).any():
+        b = int(np.argmax(norms <= 0.0))
+        where = f"row {b}: " if len(joints) > 1 else ""
+        raise ValidationError(f"{where}cannot take marginals of a zero vector")
+    normalized = joints / norms[:, None]
+    marginals = np.empty((len(joints), len(qubits), 4, 4), dtype=np.complex128)
+    for j, k in enumerate(qubits):
+        # Axes: (row, high, copy-A qubit k, middle, copy-B qubit k, low); the
+        # pair's two axes go first, the rest keep their order.
+        tensor = normalized.reshape(len(joints), 1 << k, 2, 1 << (m - 1), 2, 1 << (m - 1 - k))
+        matrix = tensor.transpose(0, 2, 4, 1, 3, 5).reshape(len(joints), 4, -1)
+        marginals[:, j] = matrix @ matrix.conj().swapaxes(-1, -2)
+    return marginals
 
 
 def singlet_fidelity(pair_density: np.ndarray) -> float:
-    """Overlap of a two-qubit density matrix with the singlet state."""
-    return float(np.vdot(SINGLET, pair_density @ SINGLET).real)
+    """Overlap of a two-qubit density matrix with the singlet state.
+
+    This is ``singlet_fidelities`` on one matrix.
+    """
+    return float(singlet_fidelities(pair_density))
+
+
+def singlet_fidelities(pair_densities: np.ndarray) -> np.ndarray:
+    """Overlap with the singlet of each 4x4 density matrix on the last two axes."""
+    return np.vecdot(SINGLET, pair_densities @ SINGLET).real
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +700,7 @@ def distribution_from_dict(data: dict, n_qubits: int) -> OutcomeDistribution:
     try:
         tested = QubitSet(n_qubits, int(data["tested_mask"]))
         entries = {e["z"]: float(e["p_or_count"]) for e in data["entries"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed distribution record: {exc}") from exc
     m = tested.cardinality
     probs = np.zeros(1 << m)
@@ -601,6 +727,6 @@ def histogram_from_dict(data: dict, n_qubits: int) -> ShotHistogram:
         counts = {e["z"]: int(e["p_or_count"]) for e in data["entries"]}
         shots = int(data["shots"])
         seed = int(data["seed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed histogram record: {exc}") from exc
     return ShotHistogram(tested, shots, counts, seed)

@@ -6,14 +6,16 @@ violation stays within the property's tolerance. The CLI ``verify``
 command runs the whole registry; the acceptance tests reuse the same
 functions with their own trial counts.
 
-Most checks draw their trials first (per n, where they loop over n), in
-the order the draws were always made, then evaluate each same-n group of
-trials with stacked calls and feed the violations to ``_Worst`` in trial
-order:
+Every check that draws trials draws them first (per n, where it loops over
+n), in the order the draws were always made, then evaluates each same-n
+group of trials with stacked calls and feeds the violations to ``_Worst``
+in trial order:
 
 - nested-monotonicity, subadditivity, continuity, error-bound,
   closed-forms and w-projection take all 2^n purities, or C(s) for every
-  s, of each group from one ``purity_arrays`` call;
+  s, of each group from one ``purity_arrays`` call; error-bound also takes
+  the two-state values of each epsilon group from ``ce_two_states``, one
+  ``cross_purities`` call per subset of s;
 - ce- and purity-locc-monotonicity build each group's states
   (``make_haar_random_stack``), Kraus pairs (``random_local_kraus_stack``)
   and branches (``apply_local_kraus_stack``) in one call each, and read
@@ -22,14 +24,21 @@ order:
 - odd-weight-zero and bi-separable-zero read each group's outcome laws from
   one ``exact_distributions`` call (odd-weight-zero also takes its
   purity+Walsh laws from one ``purity_arrays`` call);
-- route-agreement (its SWAP-test route, 1 - p(all-zero on s)) and
-  singlet-projection take their laws from one ``exact_distributions`` call
-  per n; singlet-projection draws its outcomes with one ``draw_outcomes``.
+- route-agreement reads its SWAP-test route, 1 - p(all-zero on s), from one
+  ``exact_distributions`` call per n and its even-weight route from the
+  purity+Walsh laws of one ``purity_arrays`` call;
+- tangle-identity takes p(1...1) of each group from one
+  ``outcome_probabilities`` call;
+- singlet-projection takes its laws from one ``exact_distributions`` call
+  per n, draws its outcomes with one ``draw_outcomes``, and conditions on
+  them and takes every pair marginal with one ``post_measurements`` and one
+  ``pair_marginals`` call.
 
-What stays per state is the single-state witness: route-agreement's two
-purity routes (``ce_purity``, ``ce_even_weight``), tangle-identity's
-``n_tangle`` and singlet-projection's ``post_measurement`` and
-``pair_marginal``.
+What stays per state: route-agreement's purity sum (``ce_purity``), the
+one single-state route, which the stacked routes are held against;
+tangle-identity's ``n_tangle``; and the state constructions that have no
+stacked form (``perturb``, and ``make_haar_random`` in the checks that
+interleave state draws with other draws).
 """
 
 from __future__ import annotations
@@ -41,10 +50,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import (
+    _clamp_all,
+    _even_touching,
+    _table_masks,
     ce_all_subsets,
-    ce_even_weight,
     ce_purity,
-    ce_two_state,
+    ce_two_states,
     ghz_closed_form,
     n_tangle,
     w_closed_form,
@@ -73,10 +84,10 @@ from .swaptest import (
     _walsh_law,
     draw_outcomes,
     exact_distributions,
-    outcome_probability,
-    pair_marginal,
-    post_measurement,
-    singlet_fidelity,
+    outcome_probabilities,
+    pair_marginals,
+    post_measurements,
+    singlet_fidelities,
 )
 
 
@@ -164,35 +175,34 @@ def _ce_rows(states: list[Statevector]) -> list[np.ndarray]:
     return rows
 
 
-def _table_bits(n: int, mask: int) -> int:
-    """The label mask as an outcome-table index: qubit k is bit n-1-k."""
-    return sum(1 << (n - 1 - k) for k in range(n) if mask >> k & 1)
-
-
 def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolerance=1e-9):
     """The purity-sum, SWAP-test and even-weight routes to C(s) agree on random states.
 
-    The two purity routes (``ce_purity``, ``ce_even_weight``) run per state.
-    The SWAP-test route, 1 - p(all-zero on s) as in ``ce_distribution``, is
-    read off one full-register law per state, from one
-    ``exact_distributions`` call per n.
+    Per n, the SWAP-test route, 1 - p(all-zero on s) as in ``ce_distribution``,
+    is read off the full-register laws of one ``exact_distributions`` call,
+    and the even-weight route off the purity+Walsh laws of one
+    ``purity_arrays`` call, with the selection ``ce_even_weight`` makes. The
+    purity sum, ``ce_purity``, runs per state: the one single-state route,
+    the reference the stacked ones are held to.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for n, per_n in _split(trials, n_values):
         drawn = [(_state_seed(rng), _nonempty_mask(rng, n)) for _ in range(per_n)]
+        masks = np.array([mask for _, mask in drawn])
         stack = make_haar_random_stack(n, [state_seed for state_seed, _ in drawn])
         tables = exact_distributions(stack, stack, QubitSet.full(n))
-        index = np.arange(1 << n)
-        for psi, table, (state_seed, mask) in zip(stack, tables, drawn):
-            s = QubitSet(n, mask)
-            a = ce_purity(psi, s).value
-            b = max(1.0 - float(table[(index & _table_bits(n, mask)) == 0].sum()), 0.0)
-            c = ce_even_weight(psi, s).value
-            worst.update(
-                max(abs(a - b), abs(a - c)),
-                f"n={n} state_seed={state_seed} mask={s.mask:#b}",
-            )
+        off_s = (np.arange(1 << n) & _table_masks(n, masks)[:, None]) == 0
+        swap_test = np.maximum(1.0 - np.vecdot(tables, off_s), 0.0)
+        walsh = _walsh_law(purity_arrays(stack))
+        even_weight = _clamp_all(np.vecdot(walsh, _even_touching(n, masks)))
+        purity_sum = np.array(
+            [ce_purity(psi, QubitSet(n, mask)).value for psi, mask in zip(stack, masks.tolist())]
+        )
+        worst.update_first_max(
+            np.maximum(np.abs(purity_sum - swap_test), np.abs(purity_sum - even_weight)),
+            lambda b: f"n={n} state_seed={drawn[b][0]} mask={drawn[b][1]:#b}",
+        )
     return worst.report("route-agreement", trials, tolerance)
 
 
@@ -262,18 +272,21 @@ def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolera
 
 
 def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-9):
-    """For even n, the all-ones outcome carries the n-tangle: 2^n p(1...1) = tau."""
+    """For even n, the all-ones outcome carries the n-tangle: 2^n p(1...1) = tau.
+
+    Per n, p(1...1) of every state comes from one ``outcome_probabilities``
+    call; ``n_tangle`` runs per state.
+    """
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for n, per_n in _split(trials, n_values):
-        for _ in range(per_n):
-            state_seed = _state_seed(rng)
-            psi = make_haar_random(n, state_seed)
-            p_ones = outcome_probability(psi, psi, "1" * n)
-            worst.update(
-                abs((1 << n) * p_ones - n_tangle(psi)),
-                f"n={n} state_seed={state_seed}",
-            )
+        seeds = [_state_seed(rng) for _ in range(per_n)]
+        stack = make_haar_random_stack(n, seeds)
+        p_ones = outcome_probabilities(stack, stack, "1" * n)
+        tangles = np.array([n_tangle(psi) for psi in stack])
+        worst.update_first_max(
+            np.abs((1 << n) * p_ones - tangles), lambda b: f"n={n} state_seed={seeds[b]}"
+        )
     return worst.report("tangle-identity", trials, tolerance)
 
 
@@ -282,7 +295,8 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
 
     Each trial's outcome is drawn from its state's exact law less the
     all-zero outcome (and any ``post_measurement`` cannot condition on), so
-    every trial tests at least one pair.
+    every trial tests at least one pair. Per n, the laws, the post-states
+    and the pair marginals are one stacked call each.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -296,17 +310,20 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
         # Rounding leaves the odd-weight outcomes of identical copies near 1e-33.
         laws[(laws <= CONDITION_FLOOR) | (np.arange(1 << n) == 0)] = 0.0
         outcomes = draw_outcomes(laws, [drawn[i][2] for i in indices])
-        for psi, index, outcome_index in zip(stack, indices, outcomes):
-            _, state_seed, u = drawn[index]
-            z = format(int(outcome_index), f"0{n}b")
-            post_state = post_measurement(psi, psi, z).post_state
-            ones = [k for k, bit in enumerate(z) if bit == "1"]
-            pairs_seen += len(ones)
-            for k in ones:
-                worst.update(
-                    1.0 - singlet_fidelity(pair_marginal(post_state, k)),
-                    f"n={n} state_seed={state_seed} u={u!r} z={z} k={k}",
-                )
+        _, posts = post_measurements(stack, stack, outcomes)
+        infidelities = 1.0 - singlet_fidelities(pair_marginals(posts, n, range(n)))
+        # Qubit k reads 1 where table bit n-1-k of the outcome is set.
+        rows, qubits = np.nonzero((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+        if not len(rows):
+            continue
+        pairs_seen += len(rows)
+
+        def witness(j):
+            _, state_seed, u = drawn[indices[rows[j]]]
+            z = format(int(outcomes[rows[j]]), f"0{n}b")
+            return f"n={n} state_seed={state_seed} u={u!r} z={z} k={qubits[j]}"
+
+        worst.update_first_max(infidelities[rows, qubits], witness)
     if pairs_seen == 0:
         worst.update(np.inf, "no |1> outcomes drawn")
     return worst.report("singlet-projection", trials, tolerance)
@@ -459,23 +476,22 @@ def check_error_bound(
     rng = np.random.default_rng(seed)
     worst = _Worst()
     s = QubitSet.full(n)
-    drawn = []
-    states = []
     for epsilon, per_eps in _split(trials, epsilons):
-        for _ in range(per_eps):
-            state_seed = _state_seed(rng)
-            psi = make_haar_random(n, state_seed)
-            psi_prime = perturb(psi, epsilon)
-            cross = ce_two_state(psi, psi_prime, s)
-            states += [psi, psi_prime]
-            drawn.append((epsilon, cross, f"n={n} state_seed={state_seed} eps={epsilon}"))
-    ce = _ce_rows(states)
-    for trial, (epsilon, cross, witness) in enumerate(drawn):
-        excess = (cross - float(ce[2 * trial][s.mask])) + (cross - float(ce[2 * trial + 1][s.mask]))
-        worst.update(-excess, witness)
-        if excess >= 4.0 * epsilon * epsilon:
-            worst.failed = True
-            worst.update(excess - 4.0 * epsilon * epsilon + tolerance, witness)
+        seeds = [_state_seed(rng) for _ in range(per_eps)]
+        states = make_haar_random_stack(n, seeds)
+        primes = StateStack.of([perturb(psi, epsilon) for psi in states])
+        cross = ce_two_states(states, primes, s)
+        both = StateStack(n, np.concatenate([states.amplitudes, primes.amplitudes]))
+        singles = ce_all_subsets(purity_arrays(both))
+        excess = (cross - singles[:per_eps, s.mask]) + (cross - singles[per_eps:, s.mask])
+        bound = 4.0 * epsilon * epsilon
+        # Excess at the bound fails outright and counts by how far it went.
+        over = excess >= bound
+        worst.failed |= bool(over.any())
+        worst.update_first_max(
+            np.where(over, excess - bound + tolerance, -excess),
+            lambda b: f"n={n} state_seed={seeds[b]} eps={epsilon}",
+        )
     return worst.report("error-bound", trials, tolerance)
 
 

@@ -137,6 +137,16 @@ class TestCe:
         assert out == ""
         assert err.startswith("error: expected 2^1000000000000 amplitudes")
 
+    @pytest.mark.parametrize("n", ["1e400", '"two"', "null"])
+    def test_state_file_with_non_integer_n_is_a_validation_error(self, capsys, tmp_path, n):
+        # 1e400 parses as an infinite float, which int() refuses with OverflowError.
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %s, "amplitudes": [[1, 0], [0, 0]]}' % n)
+        code, out, err = run_cli(capsys, "ce", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed state record") and "Traceback" not in err
+
     def test_malformed_register_cap_is_a_validation_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CE_MAX_QUBITS", "abc")
         code, _, err = run_cli(capsys, "dist", "--ghz", "3")

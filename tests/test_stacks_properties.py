@@ -3,8 +3,10 @@
 Each stacked function is checked row by row against its single-state
 counterpart and against an independent reference: the per-seed Kraus
 construction written out below, the per-seed Haar draw, dense Kronecker
-products for local operations, and the explicit ancilla+Fredkin circuit
-for SWAP-test laws.
+products for local operations, the explicit ancilla+Fredkin circuit for
+SWAP-test laws, and dense reduced density matrices for cross purities.
+Where the single-state function is the stacked one on one row, the rows
+must match it bit for bit.
 """
 
 import numpy as np
@@ -16,14 +18,27 @@ import concentratable.oracle as oracle_module
 import concentratable.swaptest as swaptest_module
 from concentratable import (
     ConsistencyError,
+    JointState,
     QubitSet,
     StateStack,
     ValidationError,
+    ce_two_state,
+    ce_two_states,
+    cross_purities,
+    cross_purity,
     exact_distribution,
     exact_distributions,
     full_circuit_oracle,
     make_haar_random,
     make_haar_random_stack,
+    outcome_probabilities,
+    outcome_probability,
+    pair_marginal,
+    pair_marginals,
+    post_measurement,
+    post_measurements,
+    singlet_fidelities,
+    singlet_fidelity,
     zero_outcome_probabilities,
     zero_outcome_probability,
 )
@@ -33,7 +48,9 @@ from concentratable.oracle import (
     apply_local_kraus_stack,
     random_local_kraus,
     random_local_kraus_stack,
+    reduced_density_matrix,
 )
+from concentratable.swaptest import CONDITION_FLOOR
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -204,3 +221,112 @@ def test_stacked_law_validation():
         exact_distributions(states, states, QubitSet(2, 0))
     tables = exact_distributions(states, states, QubitSet.full(2))
     assert not tables.flags.writeable
+
+
+@PROPERTY_SETTINGS
+@given(copy_stacks(n_max=5), st.data())
+def test_cross_purity_rows_match_single_calls_and_dense_traces(case, data):
+    states, primes, s = case
+    n = states.n_qubits
+    alpha = QubitSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+    values = cross_purities(states, primes, alpha)
+    two_state = ce_two_states(states, primes, s)
+    for b, (psi, psi_prime) in enumerate(zip(states, primes)):
+        assert values[b] == cross_purity(psi, psi_prime, alpha)
+        assert two_state[b] == ce_two_state(psi, psi_prime, s)
+        if alpha.mask:
+            rho = reduced_density_matrix(psi, alpha).entries
+            rho_prime = reduced_density_matrix(psi_prime, alpha).entries
+            assert abs(values[b] - np.trace(rho @ rho_prime).real) <= 1e-12
+        else:
+            assert values[b] == 1.0
+
+
+@st.composite
+def conditioned_cases(draw, n_max=4):
+    """Identical-copy stacks with one outcome per row that has probability above the floor."""
+    n = draw(st.integers(1, n_max))
+    size = draw(st.integers(1, 5))
+    states = make_haar_random_stack(n, draw(st.lists(seeds, min_size=size, max_size=size)))
+    laws = exact_distributions(states, states, QubitSet.full(n))
+    outcomes = [draw(st.sampled_from(np.flatnonzero(law > 1e-6).tolist())) for law in laws]
+    return states, np.array(outcomes), laws
+
+
+def _check_conditioned_rows(states, outcomes, laws):
+    n = states.n_qubits
+    z = [format(int(outcome), f"0{n}b") for outcome in outcomes]
+    probabilities, posts = post_measurements(states, states, outcomes)
+    marginals = pair_marginals(posts, n, range(n))
+    fidelities = singlet_fidelities(marginals)
+    ones = outcome_probabilities(states, states, "1" * n)
+    for b, psi in enumerate(states):
+        # The stacked forms are the single-state code on more rows: bit for bit.
+        single = post_measurement(psi, psi, z[b])
+        assert probabilities[b] == single.probability
+        np.testing.assert_array_equal(posts[b], single.post_state.amplitudes)
+        assert probabilities[b] == outcome_probability(psi, psi, z[b])
+        assert ones[b] == outcome_probability(psi, psi, "1" * n)
+        for k in range(n):
+            marginal = pair_marginal(single.post_state, k)
+            np.testing.assert_array_equal(marginals[b, k], marginal)
+            assert fidelities[b, k] == singlet_fidelity(marginal)
+            if z[b][k] == "1":
+                assert abs(fidelities[b, k] - 1.0) <= 1e-12
+        # The table route adds the same weights in another order.
+        assert abs(probabilities[b] - laws[b][outcomes[b]]) <= 1e-15
+        assert abs(ones[b] - laws[b][-1]) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(conditioned_cases())
+def test_conditioned_rows_match_single_calls(case):
+    _check_conditioned_rows(*case)
+
+
+@PROPERTY_SETTINGS
+@given(copy_stacks())
+def test_outcome_probability_rows_match_single_calls_and_circuit(case):
+    states, primes, _ = case
+    n = states.n_qubits
+    circuits = [
+        full_circuit_oracle(psi, phi, QubitSet.full(n)).probabilities
+        for psi, phi in zip(states, primes)
+    ]
+    for z in ("0" * n, "1" * n, "1" + "0" * (n - 1)):
+        values = outcome_probabilities(states, primes, z)
+        for b, (psi, psi_prime) in enumerate(zip(states, primes)):
+            assert values[b] == outcome_probability(psi, psi_prime, z)
+            assert abs(values[b] - circuits[b][int(z, 2)]) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 64, 1 << 16])
+def test_chunked_conditioned_rows_equal_single_calls(monkeypatch, chunk):
+    monkeypatch.setattr(swaptest_module, "JOINT_CHUNK_AMPLITUDES", chunk)
+    for n in (1, 2, 3):
+        states = make_haar_random_stack(n, range(7))
+        laws = exact_distributions(states, states, QubitSet.full(n))
+        # Each row's most likely outcome that is not all-zero (n = 1 has only that one).
+        outcomes = np.array([int(np.argmax(law[1:])) + 1 if n > 1 else 0 for law in laws])
+        _check_conditioned_rows(states, outcomes, laws)
+        primes = make_haar_random_stack(n, range(100, 107))
+        values = outcome_probabilities(states, primes, "1" * n)
+        for b in range(7):
+            assert values[b] == outcome_probability(states[b], primes[b], "1" * n)
+
+
+def test_stacked_row_below_the_condition_floor_is_named():
+    # Odd-weight outcomes of identical copies have probability 0 (up to rounding).
+    states = make_haar_random_stack(3, [1, 2, 3])
+    laws = exact_distributions(states, states, QubitSet.full(3))
+    assert laws[2][0b100] <= CONDITION_FLOOR
+    with pytest.raises(ValidationError, match=r"row 2: outcome '100' has probability .*condition"):
+        post_measurements(states, states, [0b000, 0b110, 0b100])
+    with pytest.raises(ValidationError, match=r"^outcome '100' has probability"):
+        post_measurement(states[2], states[2], "100")
+    with pytest.raises(ValidationError, match="outcome indices"):
+        post_measurements(states, states, [0, 1, 8])
+    with pytest.raises(ValidationError, match="row 1: cannot take marginals of a zero vector"):
+        pair_marginals(np.stack([np.eye(64)[0], np.zeros(64)]), 3, [0])
+    with pytest.raises(ValidationError, match="qubit 3 out of range"):
+        pair_marginal(JointState(3, np.eye(64)[0]), 3)

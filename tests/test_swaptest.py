@@ -510,3 +510,35 @@ class TestSerialization:
         hist = sample(psi, psi, QubitSet.full(2), 250, 9)
         again = histogram_from_dict(histogram_to_dict(hist), 2)
         assert again == hist
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tested_mask", "abc"),
+            ("tested_mask", float("inf")),
+            ("p_or_count", "x"),
+            ("p_or_count", 1e400),
+        ],
+    )
+    def test_malformed_distribution_record_is_a_validation_error(self, field, value):
+        psi = make_haar_random(2, 27)
+        data = distribution_to_dict(exact_distribution(psi, psi, QubitSet.full(2)))
+        if field == "tested_mask":
+            data[field] = value
+        else:
+            data["entries"][0][field] = value
+        # An infinite probability parses and is then refused as a law.
+        with pytest.raises(ValidationError, match="malformed distribution record|NaN or infinity"):
+            distribution_from_dict(data, 2)
+
+    @pytest.mark.parametrize("field", ["tested_mask", "shots", "seed", "p_or_count"])
+    @pytest.mark.parametrize("value", ["abc", float("inf"), float("nan")])
+    def test_malformed_histogram_record_is_a_validation_error(self, field, value):
+        psi = make_haar_random(2, 28)
+        data = histogram_to_dict(sample(psi, psi, QubitSet.full(2), 100, 3))
+        if field == "p_or_count":
+            data["entries"][0][field] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValidationError, match="malformed histogram record"):
+            histogram_from_dict(data, 2)

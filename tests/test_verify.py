@@ -8,11 +8,14 @@ import concentratable.swaptest as swaptest_module
 import concentratable.verify as verify_module
 from concentratable import (
     QubitSet,
+    ce_purity,
     exact_distribution,
     full_circuit_oracle,
     make_haar_random,
     n_tangle,
+    purity_array,
 )
+from concentratable.oracle import dense_reduced_purity
 from concentratable.verify import (
     CHECKS,
     PropertyReport,
@@ -152,16 +155,28 @@ def _trace_axes_shifted_back(gather, amps, n, labels):
 @pytest.mark.parametrize("fault", [_rows_shifted, _trace_axes_shifted, _trace_axes_shifted_back])
 def test_injected_batched_purity_bug_is_caught(monkeypatch, fault):
     # Harness self-test: a fault confined to stacked input of the purity kernel
-    # must trip a batched check with a witness while the per-state route holds.
+    # must trip the batched checks with a witness, route-agreement among them
+    # (its single-state purity sum is held against stacked routes), while the
+    # single-state purities still match the dense oracle.
     original = reductions_module._gather_matrix
     monkeypatch.setattr(
         reductions_module, "_gather_matrix", lambda *args: fault(original, *args)
     )
     reports = {r.name: r for r in run_suite(trials=10, n_max=4, seed=9)}
-    failed = [r for r in reports.values() if not r.passed]
-    assert failed and all(r.witness for r in failed)
-    assert "w-projection" in {r.name for r in failed}
-    assert reports["route-agreement"].passed
+    failed = {r.name: r for r in reports.values() if not r.passed}
+    assert failed and all(r.witness for r in failed.values())
+    assert "w-projection" in failed
+    assert "route-agreement" in failed
+    psi = make_haar_random(4, 1)
+    purities = purity_array(psi)
+    for mask in range(1 << 4):
+        alpha = QubitSet(4, mask)
+        assert abs(purities[mask] - dense_reduced_purity(psi, alpha)) <= 1e-12
+        if mask:
+            subsets = [sub for sub in range(1 << 4) if sub & ~mask == 0]
+            total = sum(dense_reduced_purity(psi, QubitSet(4, sub)) for sub in subsets)
+            expected = 1.0 - total / (1 << alpha.cardinality)
+            assert abs(ce_purity(psi, alpha).value - expected) <= 1e-12
 
 
 def test_nan_violation_is_kept_and_fails(monkeypatch):
