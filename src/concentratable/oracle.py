@@ -2,11 +2,11 @@
 
 The references materialize dense density matrices or expand full branch
 trees; size caps keep them at test scale, and they are not optimization
-targets. The random local operations also come in stacks for ``verify``:
+targets. The random local operations come in stacks for ``verify``:
 ``random_local_kraus_stack`` builds many seeds' Kraus pairs with batched
 ``np.linalg`` calls, and ``apply_local_kraus_stack`` applies them to a
-``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are the
-same code on one pair and one state.
+``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are their
+row 0, as elsewhere (bar the purity executor, see ``reductions``).
 """
 
 from __future__ import annotations
@@ -110,8 +110,32 @@ class LocalKrausPair:
         _require_complete(np.stack([self.m0, self.m1]))
 
 
-def _kraus_operators(seeds) -> np.ndarray:
-    """Unchecked (B, 2, 2, 2) pairs [m0, m1]; see ``random_local_kraus``."""
+def random_local_kraus(seed: int, qubit: int) -> LocalKrausPair:
+    """Random two-outcome Kraus pair, deterministic in the seed.
+
+    m0 is a Gaussian matrix scaled by its largest singular value (so
+    1 - m0+ m0 stays PSD); m1 is a Haar-random unitary times the PSD
+    square root of the remainder, which makes the pair complete.
+
+    Stream contract: the pair reads the first 16 standard normals of
+    ``np.random.default_rng(seed)``, as four 2x2 blocks in row-major order:
+    the real and imaginary parts of m0's Gaussian, then those of the
+    unitary's Gaussian. This is entry 0 of ``random_local_kraus_stack``.
+    """
+    m0, m1 = random_local_kraus_stack([seed])[0]
+    return LocalKrausPair(qubit, m0, m1)
+
+
+def random_local_kraus_stack(seeds) -> np.ndarray:
+    """Kraus pairs for many seeds: entry [b, j] is m_j of ``random_local_kraus(seeds[b], .)``.
+
+    Each seed gets its own ``default_rng`` and one draw of the 16 normals
+    that ``random_local_kraus`` reads; the SVD, eigh and QR then run
+    batched over the (B, 2, 2) stacks. Returns a read-only (B, 2, 2, 2)
+    array whose pairs are each complete to 1e-10, like ``LocalKrausPair``.
+    The qubit is chosen when the pairs are applied
+    (``apply_local_kraus_stack``).
+    """
     draws = np.empty((len(seeds), 4, 2, 2))
     for row, seed in zip(draws, seeds):
         np.random.default_rng(seed).standard_normal(out=row)
@@ -125,37 +149,7 @@ def _kraus_operators(seeds) -> np.ndarray:
     q, r = np.linalg.qr((draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2.0))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     m1 = (q * (phases / np.abs(phases))[:, None, :]) @ root
-    return np.stack([m0, m1], axis=1)
-
-
-def random_local_kraus(seed: int, qubit: int) -> LocalKrausPair:
-    """Random two-outcome Kraus pair, deterministic in the seed.
-
-    m0 is a Gaussian matrix scaled by its largest singular value (so
-    1 - m0+ m0 stays PSD); m1 is a Haar-random unitary times the PSD
-    square root of the remainder, which makes the pair complete.
-
-    Stream contract: the pair reads the first 16 standard normals of
-    ``np.random.default_rng(seed)``, as four 2x2 blocks in row-major order:
-    the real and imaginary parts of m0's Gaussian, then those of the
-    unitary's Gaussian. ``random_local_kraus_stack`` builds the same pairs
-    for many seeds at once.
-    """
-    m0, m1 = _kraus_operators([seed])[0]
-    return LocalKrausPair(qubit, m0, m1)
-
-
-def random_local_kraus_stack(seeds) -> np.ndarray:
-    """Kraus pairs for many seeds: entry [b, j] is m_j of ``random_local_kraus(seeds[b], .)``.
-
-    Each seed gets its own ``default_rng`` and one draw of the 16 normals
-    that ``random_local_kraus`` reads (the same stream, so the pairs are
-    equal bit for bit); the SVD, eigh and QR then run batched over the
-    (B, 2, 2) stacks. Returns a read-only (B, 2, 2, 2) array whose pairs
-    are each complete to 1e-10, like ``LocalKrausPair``. The qubit is
-    chosen when the pairs are applied (``apply_local_kraus_stack``).
-    """
-    ops = _kraus_operators(seeds)
+    ops = np.stack([m0, m1], axis=1)
     _require_complete(ops)
     ops.setflags(write=False)
     return ops
@@ -201,14 +195,14 @@ def _check_qubits(qubits, n: int, count: int) -> np.ndarray:
 
 
 def apply_local_kraus(psi: Statevector, k: LocalKrausPair) -> list[MeasurementOutcome]:
-    """Both branches (p_j, psi_j) of the measurement; zero branches omitted."""
-    qubits = _check_qubits(k.qubit, psi.n_qubits, 1)
+    """Both branches (p_j, psi_j) of the measurement; zero branches omitted.
+
+    This is row 0 of ``apply_local_kraus_stack``.
+    """
     ops = np.stack([k.m0, k.m1])[None]
-    probabilities, branches = _branches(psi.amplitudes[None], ops, qubits, psi.n_qubits)
+    probabilities, posts = apply_local_kraus_stack(StateStack.of([psi]), ops, k.qubit)
     return [
-        MeasurementOutcome(float(p), Statevector(psi.n_qubits, branch))
-        for p, branch in zip(probabilities[0], branches[0])
-        if p > 0.0
+        MeasurementOutcome(float(p), posts[j]) for j, p in enumerate(probabilities[0]) if p > 0.0
     ]
 
 
@@ -220,11 +214,11 @@ def apply_local_kraus_stack(states: StateStack, ops: np.ndarray, qubits):
     ``qubits`` label serves every row); one numpy step serves each group
     of rows on the same qubit. Returns
     (probabilities, posts): a (B, 2) array, and a ``StateStack`` whose row
-    2b + j is the normalized branch j of state b. As in
-    ``apply_local_kraus``, a ``ConsistencyError`` names a state whose
-    branch probabilities do not sum to 1 within 1e-10, and a branch below
-    1e-14 is dropped: its probability reads 0 and its post-state row holds
-    the input state, so weighting by the probabilities ignores it.
+    2b + j is the normalized branch j of state b. A ``ConsistencyError``
+    names a state whose branch probabilities do not sum to 1 within 1e-10,
+    and a branch below 1e-14 is dropped: its probability reads 0 and its
+    post-state row holds the input state, so weighting by the probabilities
+    ignores it (``apply_local_kraus`` omits it).
     """
     n = states.n_qubits
     ops = np.asarray(ops, dtype=np.complex128)

@@ -5,6 +5,8 @@ occupies bit (n - 1 - k) of the amplitude index, so qubit 0 is the most
 significant bit and basis state |q0 q1 ... q_{n-1}> sits at index
 int("q0 q1 ... q_{n-1}", 2). Reshaping amplitudes to shape (2,)*n puts
 qubit k on axis k.
+``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere
+(bar the purity executor, see ``reductions``), one body per object.
 """
 
 from __future__ import annotations
@@ -203,27 +205,14 @@ def make_w(n: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def _haar_amplitudes(n: int, seeds: Sequence[int]) -> np.ndarray:
-    """Unchecked (B, 2^n) Haar rows; see ``make_haar_random_stack``."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    limits.require("state", n)
-    draws = np.empty((len(seeds), 2, 1 << n))
-    for row, seed in zip(draws, seeds):
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
-        np.random.default_rng(seed).standard_normal(out=row)
-    amps = draws[:, 0] + 1j * draws[:, 1]
-    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
-
-
 def make_haar_random(n: int, seed: int) -> Statevector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian vector.
 
     The real parts are the first 2^n standard normals of
     ``np.random.default_rng(seed)`` and the imaginary parts the next 2^n.
+    This is row 0 of ``make_haar_random_stack``.
     """
-    return Statevector(n, _haar_amplitudes(n, [seed])[0])
+    return make_haar_random_stack(n, [seed])[0]
 
 
 def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
@@ -234,7 +223,16 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
     draw run once per row; the complex rows, the norms and the checks run
     once for the stack.
     """
-    return StateStack(n, _haar_amplitudes(n, seeds))
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    limits.require("state", n)
+    draws = np.empty((len(seeds), 2, 1 << n))
+    for row, seed in zip(draws, seeds):
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+        np.random.default_rng(seed).standard_normal(out=row)
+    amps = draws[:, 0] + 1j * draws[:, 1]
+    return StateStack(n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
 
 
 def make_graph_state(adjacency) -> Statevector:

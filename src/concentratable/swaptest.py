@@ -9,7 +9,7 @@ gives the singlet a slot of its own, so the control-register law is a
 marginal of |amplitude|^2, found in one O(m * 4^m) pass without ancillas.
 The explicit ancilla+Fredkin circuit is kept as a cross-checking oracle.
 
-The kernel also runs on stacks: ``exact_distributions``,
+The kernel runs on stacks: ``exact_distributions``,
 ``zero_outcome_probabilities``, ``outcome_probabilities`` and
 ``post_measurements`` take B pairs of copies as (B, 2^m) ``StateStack``s
 and hold their joint vectors as one contiguous (B, 4^m) array, whose rows
@@ -18,10 +18,8 @@ fold into the high axis of each pair view. Every pair-basis step and one
 whole chunk of rows. A single outcome is kept by zeroing every joint entry
 whose singlet pattern differs from it, one pattern per row, so any outcome
 probability and any post-measurement state come from one helper,
-``_kept_chunks``. The single-state functions (``exact_distribution``,
-``zero_outcome_probability``, ``outcome_probability``,
-``post_measurement``, and ``pair_marginal`` and ``singlet_fidelity`` on
-the post-states) are the same code on one pair of copies.
+``_kept``. Each single-state function is row 0 of its stacked form,
+so checks and budgets run only in the stacked forms, validation first.
 
 Outcome bitstrings are written with the lowest tested qubit label
 leftmost, matching the package-wide "qubit 0 is the most significant bit"
@@ -122,8 +120,10 @@ class ShotHistogram:
         if self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         m = self.tested.cardinality
-        for z in self.counts:
+        for z, count in self.counts.items():
             _check_bitstring(z, m)
+            if count < 0:
+                raise ValidationError(f"count of {z!r} is {count}, expected >= 0")
         total = sum(self.counts.values())
         if total != self.shots:
             raise ValidationError(f"counts sum to {total}, expected {self.shots}")
@@ -167,6 +167,11 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _row(b: int, rows: int) -> str:
+    """Error-message prefix naming row ``b`` of ``rows`` rows; empty for one row."""
+    return f"row {b}: " if rows > 1 else ""
+
+
 def _check_bitstring(z: str, length: int) -> None:
     if not isinstance(z, str) or len(z) != length or set(z) - {"0", "1"}:
         raise ValidationError(f"expected a {length}-bit string of 0/1, got {z!r}")
@@ -203,22 +208,16 @@ def _pair_hadamard(amps: np.ndarray, m: int, labels) -> None:
         del up_scaled, down_scaled
 
 
-def _pair_basis(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) -> np.ndarray:
-    """Joint vector A (x) B of the copies in the pair basis of ``labels``.
-
-    One state per copy gives a 4^m vector; (B, 2^m) stacks give (B, 4^m).
-    """
-    joint = (amps[..., :, None] * amps_prime[..., None, :]).reshape(amps.shape[:-1] + (-1,))
-    _pair_hadamard(joint, m, labels)
-    return joint
-
-
 def _pair_basis_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels):
-    """Yield (rows, joint): the (b, 4^m) pair-basis joint stack of each chunk of rows."""
+    """Yield (rows, joint) per chunk of rows of (B, 2^m) copy stacks: ``joint``
+    holds the chunk's joint vectors A (x) B in the pair basis of ``labels``.
+    """
     step = max(1, JOINT_CHUNK_AMPLITUDES >> (2 * m))
     for start in range(0, len(amps), step):
         rows = slice(start, start + step)
-        yield rows, _pair_basis(amps[rows], amps_prime[rows], m, labels)
+        joint = (amps[rows, :, None] * amps_prime[rows, None, :]).reshape(-1, 1 << (2 * m))
+        _pair_hadamard(joint, m, labels)
+        yield rows, joint
 
 
 # Each entry holds 2^m ints (8 KiB at the 10-qubit copies the default cap
@@ -245,50 +244,23 @@ def _outcome_index(m: int, labels) -> np.ndarray:
     return (packed[:, None] & ~packed[None, :]).reshape(-1)
 
 
-def _outcome_tables(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels) -> np.ndarray:
-    """Unchecked (B, 2^m') control-register laws of (B, 2^m) copy stacks.
+def _kept(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes, posts=None):
+    """Unchecked probability of each row's control outcome, for (B, 2^m) copy stacks.
 
-    See ``exact_distribution``; m' is the number of tested labels.
-    """
-    size = 1 << len(labels)
-    index = _outcome_index(m, labels)
-    step = min(len(amps), max(1, JOINT_CHUNK_AMPLITUDES >> (2 * m)))
-    if step > 1:
-        # One bincount per chunk: row r's outcomes are offset by r tables.
-        index = (index + (np.arange(step) * size)[:, None]).reshape(-1)
-    tables = np.empty((len(amps), size))
-    for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
-        weights = np.abs(joint)
-        weights *= weights
-        count = len(weights)
-        probs = np.bincount(
-            index[: weights.size], weights=weights.reshape(-1), minlength=count * size
-        )
-        tables[rows] = probs.reshape(count, size)
-    return tables
-
-
-def _kept_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes):
-    """Yield (rows, joint, probabilities) per chunk of rows of (B, 2^m) copy stacks.
-
-    ``joint`` is the chunk's pair-basis joint stack with every entry off row
-    b's control outcome ``outcomes[b]`` (a table index over ``labels``; one
-    index serves every row) set to 0, and ``probabilities`` the norm^2 of
-    each kept row, the probability of its outcome.
+    Row b keeps the entries of its pair-basis joint vector on control
+    outcome ``outcomes[b]`` (a table index over ``labels``; one index serves
+    every row) and zeroes the rest; its probability is the kept norm^2. A
+    (B, 4^m) ``posts`` array receives the kept joint rows.
     """
     index = _outcome_index(m, labels)
     column = np.empty((len(amps), 1), dtype=np.intp)
     column[:, 0] = outcomes
+    probabilities = np.empty(len(amps))
     for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
         joint[index != column[rows]] = 0.0
-        yield rows, joint, np.array([np.vdot(row, row).real for row in joint])
-
-
-def _outcome_rows(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes) -> np.ndarray:
-    """Unchecked probability of each row's control outcome on ``labels``; see ``_kept_chunks``."""
-    probabilities = np.empty(len(amps))
-    for rows, _, kept in _kept_chunks(amps, amps_prime, m, labels, outcomes):
-        probabilities[rows] = kept
+        probabilities[rows] = np.vecdot(joint, joint).real
+        if posts is not None:
+            posts[rows] = joint
     return probabilities
 
 
@@ -312,6 +284,9 @@ def _require_tested_nonempty(tested: QubitSet) -> None:
 
 
 def _copy_stacks(states, states_prime, tested: QubitSet) -> tuple[StateStack, StateStack]:
+    """``paired_stacks`` over ``tested``'s qubits, then the two-copy budget;
+    callers check their other arguments first.
+    """
     states, states_prime = paired_stacks(states, states_prime, tested)
     limits.require("two-copies", 2 * states.n_qubits)
     return states, states_prime
@@ -320,21 +295,10 @@ def _copy_stacks(states, states_prime, tested: QubitSet) -> tuple[StateStack, St
 def exact_distribution(
     psi: Statevector, psi_prime: Statevector, tested: QubitSet
 ) -> OutcomeDistribution:
-    """Exact control-register distribution of the parallelized SWAP test.
-
-    In the pair basis of the tested pairs, the table is one ``bincount`` of
-    |amplitude|^2 over the singlet pattern A & ~B of the copy indices:
-    O(n * 4^n) time and O(4^n) memory, whatever the number of outcomes.
-    This is ``exact_distributions`` on one pair of copies.
+    """Exact control-register distribution of the parallelized SWAP test:
+    row 0 of ``exact_distributions``.
     """
-    require_same_qubits(psi, psi_prime, tested)
-    _require_tested_nonempty(tested)
-    limits.require("outcomes", tested.cardinality)
-    limits.require("two-copies", 2 * psi.n_qubits)
-    table = _outcome_tables(
-        psi.amplitudes[None], psi_prime.amplitudes[None], psi.n_qubits, tested.labels()
-    )
-    return OutcomeDistribution(tested, table[0])
+    return OutcomeDistribution(tested, exact_distributions([psi], [psi_prime], tested)[0])
 
 
 def exact_distributions(states, states_prime, tested: QubitSet) -> np.ndarray:
@@ -342,34 +306,44 @@ def exact_distributions(states, states_prime, tested: QubitSet) -> np.ndarray:
     ``exact_distribution(states[b], states_prime[b], tested).probabilities``.
 
     ``states`` and ``states_prime`` are ``StateStack``s (or sequences of
-    states) of equal length over the same qubits. Every pair-basis step and
-    one ``bincount`` per chunk of rows serve all the pairs of copies, and
-    each row is added up in the same order as alone, so the rows equal the
-    single-state tables bit for bit. Chunks hold at most
+    states) of equal length over the same qubits. In the pair basis of the
+    tested pairs, a law is one ``bincount`` of |amplitude|^2 over the
+    singlet pattern A & ~B of the copy indices: O(n * 4^n) time and O(4^n)
+    memory, whatever the number of outcomes. Every pair-basis step and one
+    ``bincount`` per chunk of rows serve all the pairs of copies, and each
+    row is added up in the same order as alone, so a row equals the row of a
+    one-row stack bit for bit. Chunks hold at most
     ``JOINT_CHUNK_AMPLITUDES`` joint amplitudes (one pair of copies at
-    least). Returns a read-only (B, 2^m) array with each row checked like an
-    ``OutcomeDistribution``.
+    least). Returns a read-only (B, 2^m') array, m' the number of tested
+    qubits, with each row checked like an ``OutcomeDistribution``.
     """
-    states, states_prime = _copy_stacks(states, states_prime, tested)
+    states, states_prime = paired_stacks(states, states_prime, tested)
     _require_tested_nonempty(tested)
     limits.require("outcomes", tested.cardinality)
-    tables = _outcome_tables(
-        states.amplitudes, states_prime.amplitudes, states.n_qubits, tested.labels()
-    )
+    m, labels = states.n_qubits, tested.labels()
+    limits.require("two-copies", 2 * m)
+    amps, amps_prime = states.amplitudes, states_prime.amplitudes
+    size = 1 << len(labels)
+    index = _outcome_index(m, labels)
+    step = min(len(amps), max(1, JOINT_CHUNK_AMPLITUDES >> (2 * m)))
+    if step > 1:
+        # One bincount per chunk: row r's outcomes are offset by r tables.
+        index = (index + (np.arange(step) * size)[:, None]).reshape(-1)
+    tables = np.empty((len(amps), size))
+    for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
+        weights = np.abs(joint)
+        weights *= weights
+        count = len(weights)
+        probs = np.bincount(
+            index[: weights.size], weights=weights.reshape(-1), minlength=count * size
+        )
+        tables[rows] = probs.reshape(count, size)
     return _checked_probabilities(tables)
 
 
 def outcome_probability(psi: Statevector, psi_prime: Statevector, z: str) -> float:
-    """Probability of one full-register control bitstring.
-
-    This is ``outcome_probabilities`` on one pair of copies.
-    """
-    require_same_qubits(psi, psi_prime)
-    _check_bitstring(z, psi.n_qubits)
-    limits.require("two-copies", 2 * psi.n_qubits)
-    n = psi.n_qubits
-    values = _outcome_rows(psi.amplitudes[None], psi_prime.amplitudes[None], n, range(n), int(z, 2))
-    return float(values[0])
+    """Probability of one full-register control bitstring: entry 0 of ``outcome_probabilities``."""
+    return float(outcome_probabilities([psi], [psi_prime], z)[0])
 
 
 def outcome_probabilities(states, states_prime, z: str) -> np.ndarray:
@@ -381,24 +355,18 @@ def outcome_probabilities(states, states_prime, z: str) -> np.ndarray:
     """
     states = StateStack.of(states)
     n = states.n_qubits
-    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(n))
     _check_bitstring(z, n)
-    return _outcome_rows(states.amplitudes, states_prime.amplitudes, n, range(n), int(z, 2))
+    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(n))
+    return _kept(states.amplitudes, states_prime.amplitudes, n, range(n), int(z, 2))
 
 
 def zero_outcome_probability(
     psi: Statevector, psi_prime: Statevector, tested: QubitSet
 ) -> float:
-    """Probability of the all-zero outcome of a SWAP test on ``tested`` only.
-
-    This is ``zero_outcome_probabilities`` on one pair of copies.
+    """Probability of the all-zero outcome of a SWAP test on ``tested`` only:
+    entry 0 of ``zero_outcome_probabilities``.
     """
-    require_same_qubits(psi, psi_prime, tested)
-    limits.require("two-copies", 2 * psi.n_qubits)
-    zeros = _outcome_rows(
-        psi.amplitudes[None], psi_prime.amplitudes[None], psi.n_qubits, tested.labels(), 0
-    )
-    return float(zeros[0])
+    return float(zero_outcome_probabilities([psi], [psi_prime], tested)[0])
 
 
 def zero_outcome_probabilities(states, states_prime, tested: QubitSet) -> np.ndarray:
@@ -409,9 +377,7 @@ def zero_outcome_probabilities(states, states_prime, tested: QubitSet) -> np.nda
     ``exact_distributions``.
     """
     states, states_prime = _copy_stacks(states, states_prime, tested)
-    return _outcome_rows(
-        states.amplitudes, states_prime.amplitudes, states.n_qubits, tested.labels(), 0
-    )
+    return _kept(states.amplitudes, states_prime.amplitudes, states.n_qubits, tested.labels(), 0)
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
@@ -497,27 +463,34 @@ def draw_outcomes(laws: np.ndarray, uniforms) -> np.ndarray:
     ``laws`` holds laws on the last axis; ``uniforms`` broadcasts against the
     rest. Each CDF is divided by its last entry, so no u < 1 lands past the
     last outcome with p > 0, and the index is the count of CDF entries <= u
-    (``searchsorted(side="right")``), so no outcome with p = 0 is drawn.
+    (``searchsorted(side="right")``), so no outcome with p = 0 is drawn. A
+    law whose total is not positive, and a u that is NaN or outside [0, 1),
+    is a ``ValidationError`` that names its row (its flat index).
     """
     cdf = np.cumsum(laws, axis=-1)
+    uniforms = np.asarray(uniforms, dtype=float)
+    totals = cdf[..., -1]
+    for values, bad, what in (
+        (totals, ~(totals > 0.0), "outcome law sums to"),
+        (uniforms, ~((uniforms >= 0.0) & (uniforms < 1.0)), "uniform outside [0, 1):"),
+    ):
+        if bad.any():
+            b = int(np.argmax(bad))
+            value = float(values.flat[b])
+            raise ValidationError(f"{_row(b, bad.size)}{what} {value!r}; cannot draw an outcome")
     cdf /= cdf[..., -1:]
-    return np.count_nonzero(cdf <= np.asarray(uniforms)[..., None], axis=-1)
+    return np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
 
 
 def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> MeasurementOutcome:
     """Normalized joint state after observing control bitstring ``z``, plus p(z).
 
     Wherever z has a 1, the corresponding pair of copy qubits lands in the
-    singlet (|01> - |10>)/sqrt(2). This is ``post_measurements`` on one pair
-    of copies.
+    singlet (|01> - |10>)/sqrt(2). This is row 0 of ``post_measurements``.
     """
     n = psi.n_qubits
-    require_same_qubits(psi, psi_prime)
     _check_bitstring(z, n)
-    limits.require("two-copies", 2 * n)
-    probabilities, posts = _post_states(
-        psi.amplitudes[None], psi_prime.amplitudes[None], n, np.array([int(z, 2)])
-    )
+    probabilities, posts = post_measurements([psi], [psi_prime], [int(z, 2)])
     return MeasurementOutcome(float(probabilities[0]), JointState(n, posts[0]))
 
 
@@ -527,14 +500,13 @@ def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.nd
 
     Returns the outcome probabilities, shape (B,), and the normalized joint
     post-states as a (B, 4^m) array; row b equals ``post_measurement(states[b],
-    states_prime[b], z_b)`` bit for bit. A row whose outcome has probability
-    ``CONDITION_FLOOR`` or less is a ``ValidationError`` that names the row,
-    and so is a post-state whose norm is off 1 by more than 1e-10, as a
-    ``MeasurementOutcome`` would reject it.
+    states_prime[b], z_b)`` bit for bit. A probability out of
+    (``CONDITION_FLOOR``, 1] is a ``ValidationError``, and so is a post-state
+    whose norm is off 1 by more than 1e-10, as a ``MeasurementOutcome`` would
+    reject it; either names its row when there is more than one.
     """
     states = StateStack.of(states)
     m = states.n_qubits
-    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(m))
     outcomes = np.asarray(outcomes)
     if (
         outcomes.shape != (len(states),)
@@ -544,36 +516,24 @@ def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.nd
         raise ValidationError(
             f"expected {len(states)} outcome indices in [0, {1 << m}), got {outcomes!r}"
         )
-    probabilities, posts = _post_states(states.amplitudes, states_prime.amplitudes, m, outcomes)
-    off = np.abs(np.sqrt(np.vecdot(posts, posts).real) - 1.0) > 1e-10
-    if off.any():
-        b = int(np.argmax(off))
-        raise ValidationError(f"row {b}: post state norm is off 1 by more than 1e-10")
-    return probabilities, posts
-
-
-def _post_states(amps, amps_prime, m: int, outcomes: np.ndarray):
-    """(probabilities, normalized joint post-states) of ``post_measurements``.
-
-    A probability out of (``CONDITION_FLOOR``, 1] is a ``ValidationError``
-    that names its row when there is more than one; the post-states' norms
-    are left to the callers to check.
-    """
+    states, states_prime = _copy_stacks(states, states_prime, QubitSet.full(m))
     labels = range(m)
-    probabilities = np.empty(len(amps))
-    posts = np.empty((len(amps), 1 << (2 * m)), dtype=np.complex128)
-    for rows, joint, kept in _kept_chunks(amps, amps_prime, m, labels, outcomes):
-        probabilities[rows], posts[rows] = kept, joint
+    posts = np.empty((len(states), 1 << (2 * m)), dtype=np.complex128)
+    probabilities = _kept(states.amplitudes, states_prime.amplitudes, m, labels, outcomes, posts)
     out_of_range = (probabilities <= CONDITION_FLOOR) | (probabilities > 1.0 + 1e-10)
     if out_of_range.any():
         b = int(np.argmax(out_of_range))
-        row = f"row {b}: " if len(amps) > 1 else ""
         z = format(int(outcomes[b]), f"0{m}b")
         raise ValidationError(
-            f"{row}outcome {z!r} has probability {probabilities[b]}; cannot condition on it"
+            f"{_row(b, len(states))}outcome {z!r} has probability {probabilities[b]}; "
+            "cannot condition on it"
         )
     _pair_hadamard(posts, m, labels)
     posts /= np.sqrt(probabilities)[:, None]
+    off = np.abs(np.sqrt(np.vecdot(posts, posts).real) - 1.0) > 1e-10
+    if off.any():
+        b = int(np.argmax(off))
+        raise ValidationError(f"{_row(b, len(states))}post state norm is off 1 by more than 1e-10")
     return probabilities, posts
 
 
@@ -604,8 +564,7 @@ def pair_marginals(joints: np.ndarray, m: int, qubits) -> np.ndarray:
     norms = np.sqrt(np.vecdot(joints, joints).real)
     if (norms <= 0.0).any():
         b = int(np.argmax(norms <= 0.0))
-        where = f"row {b}: " if len(joints) > 1 else ""
-        raise ValidationError(f"{where}cannot take marginals of a zero vector")
+        raise ValidationError(f"{_row(b, len(joints))}cannot take marginals of a zero vector")
     normalized = joints / norms[:, None]
     marginals = np.empty((len(joints), len(qubits), 4, 4), dtype=np.complex128)
     for j, k in enumerate(qubits):

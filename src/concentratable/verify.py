@@ -11,7 +11,8 @@ n), in the order the draws were always made, then evaluates each same-n
 group of trials with stacked calls and feeds the violations to ``_Worst``
 in trial order:
 
-- nested-monotonicity, subadditivity, continuity, error-bound,
+- nested-monotonicity, subadditivity and continuity build each group's
+  states with one ``make_haar_random_stack``; they, error-bound,
   closed-forms and w-projection take all 2^n purities, or C(s) for every
   s, of each group from one ``purity_arrays`` call; error-bound also takes
   the two-state values of each epsilon group from ``ce_two_states``, one
@@ -34,11 +35,12 @@ in trial order:
   them and takes every pair marginal with one ``post_measurements`` and one
   ``pair_marginals`` call.
 
-What stays per state: route-agreement's purity sum (``ce_purity``), the
-one single-state route, which the stacked routes are held against;
-tangle-identity's ``n_tangle``; and the state constructions that have no
-stacked form (``perturb``, and ``make_haar_random`` in the checks that
-interleave state draws with other draws).
+The package's single-state functions are row 0 of these stacked forms
+(bar the purity executor, see ``reductions``). What stays per state:
+route-agreement's purity sum (``ce_purity``), the one single-state route,
+which the stacked routes are held against; tangle-identity's ``n_tangle``;
+and ``perturb``. A state reads only ``default_rng(state_seed)``, never a
+check's generator, so trials are drawn before their states are built.
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ from .reductions import purity_arrays
 from .states import (
     QubitSet,
     StateStack,
-    Statevector,
     make_ghz,
-    make_haar_random,
     make_haar_random_stack,
     make_w,
     perturb,
@@ -165,12 +165,16 @@ def _grouped(keys) -> list[tuple[int, list[int]]]:
     return list(groups.items())
 
 
-def _ce_rows(states: list[Statevector]) -> list[np.ndarray]:
-    """C(s) of each state for every label mask s (the ``ce_purity`` values), batched by n."""
-    rows = [None] * len(states)
-    for _, indices in _grouped(psi.n_qubits for psi in states):
-        group = ce_all_subsets(purity_arrays([states[i] for i in indices]))
-        for index, row in zip(indices, group):
+def _haar_ce_rows(drawn: list[tuple]) -> list[np.ndarray]:
+    """C(s) for every label mask s (the ``ce_purity`` values) of
+    ``make_haar_random(n, state_seed)``, for each trial (n, state_seed, ...)
+    in ``drawn``: one ``make_haar_random_stack`` and one ``purity_arrays``
+    call per n.
+    """
+    rows = [None] * len(drawn)
+    for n, indices in _grouped(trial[0] for trial in drawn):
+        stack = make_haar_random_stack(n, [drawn[i][1] for i in indices])
+        for index, row in zip(indices, ce_all_subsets(purity_arrays(stack))):
             rows[index] = row
     return rows
 
@@ -295,8 +299,9 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
 
     Each trial's outcome is drawn from its state's exact law less the
     all-zero outcome (and any ``post_measurement`` cannot condition on), so
-    every trial tests at least one pair. Per n, the laws, the post-states
-    and the pair marginals are one stacked call each.
+    every trial at n >= 2 tests at least one pair; n = 1 has none to test.
+    Per n, the laws, the post-states and the pair marginals are one stacked
+    call each.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -309,6 +314,8 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
         laws = np.array(exact_distributions(stack, stack, QubitSet.full(n)))
         # Rounding leaves the odd-weight outcomes of identical copies near 1e-33.
         laws[(laws <= CONDITION_FLOOR) | (np.arange(1 << n) == 0)] = 0.0
+        if not laws.any():
+            continue
         outcomes = draw_outcomes(laws, [drawn[i][2] for i in indices])
         _, posts = post_measurements(stack, stack, outcomes)
         infidelities = 1.0 - singlet_fidelities(pair_marginals(posts, n, range(n)))
@@ -399,21 +406,18 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
     rng = np.random.default_rng(seed)
     worst = _Worst()
     drawn = []
-    states = []
     for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
-        psi = make_haar_random(n, state_seed)
         outer_mask = _nonempty_mask(rng, n)
         labels = [k for k in range(n) if outer_mask >> k & 1]
         keep = rng.random(len(labels)) < 0.5
         inner_mask = sum(1 << l for l, k in zip(labels, keep) if k)
         if inner_mask == 0:
             inner_mask = 1 << labels[int(rng.integers(0, len(labels)))]
-        states.append(psi)
         witness = f"n={n} state_seed={state_seed} inner={inner_mask:#b} outer={outer_mask:#b}"
-        drawn.append((inner_mask, outer_mask, witness))
-    for ce, (inner_mask, outer_mask, witness) in zip(_ce_rows(states), drawn):
+        drawn.append((n, state_seed, inner_mask, outer_mask, witness))
+    for ce, (*_, inner_mask, outer_mask, witness) in zip(_haar_ce_rows(drawn), drawn):
         worst.update(float(ce[inner_mask] - ce[outer_mask]), witness)
     return worst.report("nested-monotonicity", trials, tolerance)
 
@@ -423,11 +427,9 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
     rng = np.random.default_rng(seed)
     worst = _Worst()
     drawn = []
-    states = []
     for _ in range(trials):
         n = int(rng.choice([v for v in n_values if v >= 2]))
         state_seed = _state_seed(rng)
-        psi = make_haar_random(n, state_seed)
         first = _nonempty_mask(rng, n)
         while first == (1 << n) - 1:
             first = _nonempty_mask(rng, n)
@@ -436,9 +438,9 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
         second = sum(1 << l for l, k in zip(complement_labels, keep) if k)
         if second == 0:
             second = 1 << complement_labels[int(rng.integers(0, len(complement_labels)))]
-        states.append(psi)
-        drawn.append((first, second, f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"))
-    for ce, (first, second, witness) in zip(_ce_rows(states), drawn):
+        witness = f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"
+        drawn.append((n, state_seed, first, second, witness))
+    for ce, (*_, first, second, witness) in zip(_haar_ce_rows(drawn), drawn):
         c_first, c_second, c_union = float(ce[first]), float(ce[second]), float(ce[first | second])
         worst.update(c_union - c_first - c_second, witness)
         worst.update(max(c_first, c_second) - c_union, witness)
@@ -450,22 +452,23 @@ def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-
     rng = np.random.default_rng(seed)
     worst = _Worst()
     drawn = []
-    states = []
     for _ in range(trials):
         n = int(rng.choice(n_values))
         state_seed = _state_seed(rng)
         epsilon = float(rng.uniform(1e-4, 0.9))
-        psi = make_haar_random(n, state_seed)
-        phi = perturb(psi, epsilon)
-        mask = _nonempty_mask(rng, n)
-        one_norm = 2.0 * trace_distance_pure(psi, phi)
-        states += [psi, phi]
-        witness = f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={mask:#b}"
-        drawn.append((mask, one_norm, witness))
-    ce = _ce_rows(states)
-    for trial, (mask, one_norm, witness) in enumerate(drawn):
-        gap = abs(float(ce[2 * trial][mask]) - float(ce[2 * trial + 1][mask]))
-        worst.update(gap - 2.0 * one_norm, witness)
+        drawn.append((n, state_seed, epsilon, _nonempty_mask(rng, n)))
+    violations = [None] * trials
+    for n, indices in _grouped(trial[0] for trial in drawn):
+        states = list(make_haar_random_stack(n, [drawn[i][1] for i in indices]))
+        perturbed = [perturb(psi, drawn[i][2]) for i, psi in zip(indices, states)]
+        ce = ce_all_subsets(purity_arrays(states + perturbed))
+        for row, i in enumerate(indices):
+            mask = drawn[i][3]
+            one_norm = 2.0 * trace_distance_pure(states[row], perturbed[row])
+            gap = abs(float(ce[row, mask]) - float(ce[len(indices) + row, mask]))
+            violations[i] = gap - 2.0 * one_norm
+    for (n, state_seed, epsilon, mask), violation in zip(drawn, violations):
+        worst.update(violation, f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={mask:#b}")
     return worst.report("continuity", trials, tolerance)
 
 
@@ -499,10 +502,9 @@ def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
     """GHZ and W values match their closed forms for every cardinality."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    sizes = range(2, n_max + 1)
-    ce = _ce_rows([make(n) for n in sizes for make in (make_ghz, make_w)])
     count = 0
-    for ghz, w, n in zip(ce[::2], ce[1::2], sizes):
+    for n in range(2, n_max + 1):
+        ghz, w = ce_all_subsets(purity_arrays([make_ghz(n), make_w(n)]))
         for cardinality in range(1, n + 1):
             labels = rng.permutation(n)[:cardinality]
             s = QubitSet.from_labels(n, (int(l) for l in labels))
@@ -535,14 +537,12 @@ def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
     """
     worst = _Worst()
     count = 0
-    branches = {
-        n: apply_local_kraus(make_w(n), _projective_pair(n - 1))
-        + apply_local_kraus(make_ghz(n), _projective_pair(n - 1))
-        for n in n_values
-    }
-    ce = iter(_ce_rows([b.post_state for n in n_values for b in branches[n]]))
     for n in n_values:
-        zero_branch, one_branch, *ghz_branches = (next(ce) for _ in branches[n])
+        measure = _projective_pair(n - 1)
+        branches = apply_local_kraus(make_w(n), measure) + apply_local_kraus(make_ghz(n), measure)
+        zero_branch, one_branch, *ghz_branches = ce_all_subsets(
+            purity_arrays([b.post_state for b in branches])
+        )
         measured = 1 << (n - 1)
         for cardinality in range(1, n - 1 + 1):
             expected, _quoted_prob = w_post_projection_ce(n, cardinality)

@@ -13,6 +13,7 @@ from concentratable import (
     Statevector,
     ValidationError,
     apply_controlled_projector,
+    ce_from_histogram,
     distribution_via_purities,
     exact_distribution,
     full_circuit_oracle,
@@ -396,6 +397,22 @@ class TestDrawOutcomes:
         assert observed[~support].sum() == 0
         assert stats.chisquare(observed[support], law[support] * draws).pvalue >= 1e-3
 
+    @pytest.mark.parametrize("u", [1.0, -0.25, float("nan"), float("inf")])
+    def test_a_uniform_outside_the_unit_interval_is_refused(self, u):
+        # u = 1.0 used to return index 4 of 4 outcomes, and NaN index 0 even where p(0) = 0.
+        law = np.array([0.0, 0.5, 0.5, 0.0])
+        with pytest.raises(ValidationError, match=r"^uniform outside \[0, 1\)"):
+            draw_outcomes(law, u)
+        with pytest.raises(ValidationError, match=r"^row 2: uniform outside"):
+            draw_outcomes(law, [0.0, 0.5, u])
+
+    def test_a_law_without_positive_total_is_refused(self):
+        laws = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"^row 1: outcome law sums to 0\.0"):
+            draw_outcomes(laws, [0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match=r"^outcome law sums to nan"):
+            draw_outcomes(np.array([np.nan, 1.0]), 0.5)
+
 
 class TestPostMeasurement:
     def test_zero_one_pair_becomes_singlet(self):
@@ -542,3 +559,15 @@ class TestSerialization:
             data[field] = value
         with pytest.raises(ValidationError, match="malformed histogram record"):
             histogram_from_dict(data, 2)
+
+    def test_negative_count_is_a_validation_error(self):
+        # The counts still sum to the shots; the estimate used to take the
+        # square root of a negative variance.
+        data = {
+            "tested_mask": 0b11,
+            "shots": 100,
+            "seed": 0,
+            "entries": [{"z": "00", "p_or_count": -5}, {"z": "11", "p_or_count": 105}],
+        }
+        with pytest.raises(ValidationError, match="count of '00' is -5"):
+            ce_from_histogram(histogram_from_dict(data, 2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_singlet_projection_tests_a_pair_on_every_trial():
         report = check_singlet_projection(trials=1, seed=seed)
         assert report.passed, f"seed {seed}: {report.witness}"
         assert report.trials == 1
+
+
+def test_singlet_projection_on_one_qubit_has_no_pair_to_test():
+    # At n = 1 the all-zero outcome is the only one; dropping it leaves an
+    # all-zero law, which is skipped rather than divided by its total.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_singlet_projection(trials=5, n_values=(1,), seed=3)
+    assert not report.passed
+    assert report.witness == "no |1> outcomes drawn"
 
 
 def test_singlet_projection_draws_only_outcomes_it_can_condition_on(monkeypatch):
