@@ -38,8 +38,8 @@ from .states import QubitSet, Statevector, make_ghz, make_haar_random, make_w, s
 from .swaptest import (
     distribution_to_dict,
     draw_outcomes,
-    exact_distribution,
     histogram_to_dict,
+    outcome_distribution,
     pair_marginal,
     post_measurement,
     sample,
@@ -191,16 +191,14 @@ def cmd_ce(args) -> int:
 def cmd_dist(args) -> int:
     psi = _resolve_state(args)
     tested = _single_subset(args, psi.n_qubits)
-    dist = exact_distribution(psi, psi, tested)
-    for z, p in zip(dist.bitstrings(), dist.probabilities):
-        print(f"{z}  {p:.12g}")
+    dist = outcome_distribution(psi, psi, tested)
+    probabilities = dist.probabilities.tolist()
+    print("\n".join(f"{z}  {p:.12g}" for z, p in zip(dist.bitstrings(), probabilities)))
     if args.output:
         _write_json(args.output, distribution_to_dict(dist))
     if args.check_odd_zero:
-        worst = max(
-            (p for z, p in zip(dist.bitstrings(), dist.probabilities) if z.count("1") % 2),
-            default=0.0,
-        )
+        odd = np.bitwise_count(np.arange(len(probabilities))) % 2 == 1
+        worst = float(dist.probabilities[odd].max())
         if worst > 1e-10:
             print(f"odd-weight outcome probability {worst:.3e} exceeds 1e-10", file=sys.stderr)
             return 1
@@ -271,7 +269,9 @@ def cmd_distill(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
     n = psi.n_qubits
-    law = exact_distribution(psi, psi, QubitSet.full(n)).probabilities
+    # Each run with a 1 conditions the 4^n two-copy vector: refuse before printing any.
+    limits.require("two-copies", 2 * n)
+    law = outcome_distribution(psi, psi, QubitSet.full(n)).probabilities
     # One uniform per run, in run order, so --runs k prints the first k runs of any longer call.
     rng = np.random.default_rng(args.seed)
     violations = 0

@@ -6,22 +6,34 @@ exhausting memory. The kinds, with the size each one is given:
 
 - ``"subsets"``: n, for the 2^n - 1 subsets ``ce --all-subsets``
   enumerates. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
-- ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``.
-  Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
+- ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``
+  and the 2^c(s) purities ``ce_purity`` sums. Cap
+  ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
 - ``"cross-purity"``: c(s), for the 2^c(s) cross-purity terms of
   ``ce_two_state``. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
 - ``"outcomes"``: the tested qubit count m, for the 2^m-entry table of
-  ``exact_distribution``. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
-- ``"purity-terms"``: n, for the 2^n purities behind the purity+Walsh
-  outcome law (``distribution_via_purities``, ``ce_even_weight``). Cap
-  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14.
+  ``exact_distribution`` and ``identical_copy_distribution``. Cap
+  ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
+- ``"purity-terms"``: n, for the state whose purities the purity+Walsh
+  outcome law ``identical_copy_distribution`` transforms. Its users are
+  ``distribution_via_purities``, ``full_distribution_via_purities``,
+  ``ce_even_weight`` and, through ``outcome_distribution``, ``sample`` and
+  the CLI's ``dist``, ``sample`` and ``distill`` on identical copies. Cap
+  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked before
+  ``"outcomes"``.
 - ``"dense"``: n, for the 4^n-entry density matrix of the dense oracles
   in ``oracle``. Cap ``DENSE_ORACLE_MAX_QUBITS`` = 10.
 - ``"branches"``: the branch count of ``apply_separable_sequence``. Cap
   ``SEPARABLE_BRANCH_MAX`` = 2^20.
 - ``"two-copies"``: 2n simulated qubits, for the 4^n two-copy vector of
-  the SWAP-test routines. Cap ``max_sim_qubits()``: CE_MAX_QUBITS, default
-  ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of complex128 amplitudes).
+  the pair-basis SWAP-test routines (``exact_distribution``,
+  ``zero_outcome_probability``, ``outcome_probability``,
+  ``post_measurement`` and their stacked forms; ``ce_distribution``;
+  ``outcome_distribution`` and ``sample`` on unequal copies). The CLI's
+  ``distill`` checks it before its first draw, since every run that sees
+  a 1 conditions the two-copy vector. Cap ``max_sim_qubits()``:
+  CE_MAX_QUBITS, default ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of
+  complex128 amplitudes).
 - ``"circuit"``: 2n plus one ancilla per tested qubit, for the register of
   ``full_circuit_oracle``. Same cap as ``"two-copies"``.
 - ``"state"``: n, for the 2^n amplitudes ``make_ghz``, ``make_w``,

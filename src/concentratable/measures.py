@@ -10,8 +10,10 @@ routes are implemented separately so they can cross-check each other:
 ``ce_purity`` sums the 2^{c(s)} subset purities from the purity plan of
 ``reductions``, ``ce_distribution`` takes the all-zero outcome of
 the pair-basis SWAP test on two copies (O(c * 4^n) time and a 4^n-entry
-joint vector), and ``ce_even_weight`` Walsh-transforms all 2^n purities.
-"auto" always takes the purity sum; see ``concentratable_entanglement``.
+joint vector), and ``ce_even_weight`` sums the full-register law of
+``swaptest.identical_copy_distribution``, a Walsh transform of all 2^n
+purities from the full-register plan. "auto" always takes the purity
+sum; see ``concentratable_entanglement``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .reductions import cross_purities, purity_table, submasks
+from .reductions import _plan, _subset_purities, cross_purities, submasks
 from .states import QubitSet, Statevector, paired_stacks, require_same_qubits
 from .swaptest import (
     ShotHistogram,
-    _purity_walsh_law,
+    identical_copy_distribution,
     sample,
     zero_outcome_probability,
 )
@@ -114,7 +116,8 @@ def _even_touching(n: int, masks) -> np.ndarray:
 def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) from the purity sum over all 2^{c(s)} subsets of s."""
     _require_nonempty(psi, s)
-    total = sum(purity_table(psi, s).values.values())
+    limits.require("purity-table", s.cardinality)
+    total = float(_subset_purities(psi.amplitudes, _plan(psi.n_qubits, s.mask)).sum())
     value = _clamp(1.0 - total / (1 << s.cardinality))
     return CEResult(value, s, "purity_sum", {"terms": 1 << s.cardinality})
 
@@ -152,12 +155,13 @@ def ce_distribution(psi: Statevector, s: QubitSet) -> CEResult:
 def ce_even_weight(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) as the summed probability of even-weight outcomes touching s.
 
-    Uses the purity route for the full-register outcome probabilities, so
-    the n <= 14 budget is set by the 2^n purity terms.
+    Reads the full-register law of ``identical_copy_distribution``, so the
+    n <= 14 budget is set by its 2^n purity terms.
     """
     _require_nonempty(psi, s)
     selected = _even_touching(psi.n_qubits, s.mask)
-    value = _clamp(float(np.vecdot(_purity_walsh_law(psi), selected)))
+    law = identical_copy_distribution(psi, QubitSet.full(psi.n_qubits)).probabilities
+    value = _clamp(float(np.vecdot(law, selected)))
     return CEResult(value, s, "even_weight_sum", {"terms": int(selected.sum())})
 
 

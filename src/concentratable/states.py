@@ -225,11 +225,12 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    for seed in seeds:
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
     limits.require("state", n)
     draws = np.empty((len(seeds), 2, 1 << n))
     for row, seed in zip(draws, seeds):
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
         np.random.default_rng(seed).standard_normal(out=row)
     amps = draws[:, 0] + 1j * draws[:, 1]
     return StateStack(n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))

@@ -213,6 +213,24 @@ class TestDist:
         assert list(tmp_path.rglob("*.tmp")) == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_identical_copies_answer_past_the_two_copy_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dist", "--haar", "12", "--state-seed", "3", "--check-odd-zero"
+        )
+        assert code == 0
+        *lines, verdict = out.splitlines()
+        assert len(lines) == 1 << 12
+        assert verdict == "odd-weight outcomes all vanish (<= 1e-10)"
+        z, p = lines[0].split()
+        ce = ce_purity(make_haar_random(12, 3), QubitSet.full(12)).value
+        assert z == "0" * 12 and float(p) == pytest.approx(1.0 - ce, abs=1e-11)
+
+    def test_past_the_purity_term_cap_is_a_budget_error(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "--haar", "15", "--state-seed", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "budget error: 32768 purity terms for n=15 (cap 14)\n"
+
 
 class TestSample:
     def test_seed_reproducibility_byte_identical(self, capsys, tmp_path):
@@ -263,6 +281,17 @@ class TestSample:
         *counts, estimate = out.strip().splitlines()
         assert sum(int(line.split()[1]) for line in counts) == 10**12
         assert "(1000000000000 shots)" in estimate
+
+    def test_identical_copies_answer_past_the_two_copy_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--haar", "13", "--state-seed", "3",
+            "--shots", "1000", "--seed", "7",
+        )
+        assert code == 0
+        *counts, estimate = out.splitlines()
+        assert sum(int(line.split()[1]) for line in counts) == 1000
+        assert all(len(line.split()[0]) == 13 for line in counts)
+        assert estimate.endswith("(1000 shots)")
 
 
 class TestVerify:
@@ -415,6 +444,21 @@ class TestDistill:
         assert out == ""
         assert err == f"error: --runs must be >= 1, got {runs}\n"
 
+    @pytest.mark.parametrize("state", ["haar", "product"])
+    def test_two_copy_cap_refuses_before_any_run(self, capsys, tmp_path, state):
+        # The law of 11-qubit copies is within reach; conditioning on an outcome
+        # is not. A product state draws only all-zero runs, which need no conditioning.
+        if state == "haar":
+            source = ["--haar", "11", "--state-seed", "1"]
+        else:
+            path = tmp_path / "product11.json"
+            path.write_text(json.dumps(statevector_to_dict(make_product([(1, 0)] * 11))))
+            source = ["--file", str(path)]
+        code, out, err = run_cli(capsys, "distill", *source, "--runs", "20", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget error: two 11-qubit copies need 22 simulated qubits")
+
     def test_product_state_never_concentrates(self, capsys, product_file):
         code, out, _ = run_cli(
             capsys, "distill", "--file", product_file, "--runs", "10", "--seed", "8"
@@ -434,6 +478,8 @@ class TestSeeds:
             ["sample", "--ghz", "3", "--shots", "5", "--seed", "-1"],
             ["distill", "--ghz", "3", "--seed", "-1"],
             ["verify", "--trials", "1", "--seed", "-1"],
+            # The seed is checked before the 21-qubit state is refused by its cap.
+            ["ce", "--haar", "21", "--state-seed", "-1"],
         ],
     )
     def test_negative_seed_is_a_validation_error(self, capsys, argv):

@@ -18,6 +18,7 @@ from concentratable import (
     exact_distribution,
     full_circuit_oracle,
     full_distribution_via_purities,
+    identical_copy_distribution,
     inner_product,
     make_ghz,
     make_haar_random,
@@ -351,12 +352,16 @@ class TestSample:
             sample(psi, psi, QubitSet.full(2), 0, 1)
 
     def test_counts_are_one_multinomial_draw(self):
-        psi = make_haar_random(3, 14)
-        law = exact_distribution(psi, psi, QubitSet.full(3)).probabilities
-        counts = np.random.default_rng(42).multinomial(500, law / law.sum())
-        hist = sample(psi, psi, QubitSet.full(3), 500, 42)
-        assert hist.counts == {format(i, "03b"): int(c) for i, c in enumerate(counts) if c}
-        assert all(type(c) is int for c in hist.counts.values())
+        # Identical copies draw from the purity law, unequal ones from the pair basis.
+        psi, phi = make_haar_random(3, 14), make_haar_random(3, 18)
+        for copy, law in (
+            (psi, identical_copy_distribution(psi, QubitSet.full(3)).probabilities),
+            (phi, exact_distribution(psi, phi, QubitSet.full(3)).probabilities),
+        ):
+            counts = np.random.default_rng(42).multinomial(500, law / law.sum())
+            hist = sample(psi, copy, QubitSet.full(3), 500, 42)
+            assert hist.counts == {format(i, "03b"): int(c) for i, c in enumerate(counts) if c}
+            assert all(type(c) is int for c in hist.counts.values())
 
     def test_shot_counts_up_to_int64_max(self):
         psi = make_ghz(4)

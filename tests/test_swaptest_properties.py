@@ -1,10 +1,11 @@
-"""Property tests of the SWAP-test routes on random Haar states.
+"""Property tests of the SWAP-test routes on random states.
 
-The pair-basis kernel is checked on unequal copies and random tested
+The pair-basis kernel is checked on unequal Haar copies and random tested
 subsets against the explicit ancilla+Fredkin circuit and against dense
-(1 +/- S_k)/2 matrices; the purity+Walsh law is checked against the circuit
-on identical copies; the sampler's histograms are checked against the
-circuit's law by an exact binomial test at the 5-sigma level.
+(1 +/- S_k)/2 matrices; the purity+Walsh law of identical copies is checked
+on random tested subsets of Haar, GHZ, W, product and graph states against
+the pair basis and the circuit; the sampler's histograms are checked against
+the circuit's law by an exact binomial test at the 5-sigma level.
 """
 
 import math
@@ -20,7 +21,12 @@ from concentratable import (
     exact_distribution,
     full_circuit_oracle,
     full_distribution_via_purities,
+    identical_copy_distribution,
+    make_ghz,
+    make_graph_state,
     make_haar_random,
+    make_product,
+    make_w,
     outcome_probability,
     pair_marginal,
     post_measurement,
@@ -114,6 +120,42 @@ def test_purity_walsh_law_matches_circuit_oracle(n, seed):
     via_purities = full_distribution_via_purities(psi).probabilities
     oracle = full_circuit_oracle(psi, psi, QubitSet.full(n)).probabilities
     np.testing.assert_allclose(via_purities, oracle, rtol=0, atol=TOL)
+
+
+@st.composite
+def identical_copy_cases(draw, n_max=8):
+    n = draw(st.integers(1, n_max))
+    kind = draw(st.sampled_from(["haar", "ghz", "w", "product", "graph"]))
+    if kind == "haar":
+        psi = make_haar_random(n, draw(seeds))
+    elif kind == "ghz":
+        psi = make_ghz(n)
+    elif kind == "w":
+        psi = make_w(n)
+    elif kind == "product":
+        angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=2 * n, max_size=2 * n))
+        psi = make_product(
+            [(math.cos(t / 2), math.sin(t / 2) * complex(math.cos(f), math.sin(f)))
+             for t, f in zip(angles[::2], angles[1::2])]
+        )
+    else:
+        edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        upper = np.triu(np.array(edges, dtype=int).reshape(n, n), 1)
+        psi = make_graph_state(upper + upper.T)
+    mask = draw(st.integers(1, (1 << n) - 1))
+    return psi, QubitSet(n, mask)
+
+
+@PROPERTY_SETTINGS
+@given(identical_copy_cases())
+def test_identical_copy_law_matches_pair_basis_and_circuit(case):
+    psi, tested = case
+    law = identical_copy_distribution(psi, tested).probabilities
+    pair_basis = exact_distribution(psi, psi, tested).probabilities
+    np.testing.assert_allclose(law, pair_basis, rtol=0, atol=TOL)
+    if psi.n_qubits <= 4:
+        oracle = full_circuit_oracle(psi, psi, tested).probabilities
+        np.testing.assert_allclose(law, oracle, rtol=0, atol=TOL)
 
 
 SHOTS = 2000
