@@ -67,7 +67,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:

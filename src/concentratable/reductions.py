@@ -58,14 +58,12 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import limits
-from .errors import ValidationError
 from .states import QubitSet, StateStack, Statevector, paired_stacks, require_same_qubits
 
 
@@ -77,12 +75,6 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def subsets_of(s: QubitSet) -> Iterator[QubitSet]:
-    """All 2^c(s) subsets of s, each exactly once (descending-mask order)."""
-    for sub in submasks(s.mask):
-        yield QubitSet(s.n_qubits, sub)
 
 
 def _gather_matrix(amps: np.ndarray, n: int, labels) -> np.ndarray:
@@ -157,34 +149,6 @@ class PurityTable:
 
     def __getitem__(self, mask: int) -> float:
         return self.values[mask]
-
-    def to_dict(self) -> dict:
-        """JSON form, entries sorted by mask."""
-        return {
-            "n": self.n_qubits,
-            "entries": [
-                {"mask": mask, "purity": self.values[mask]}
-                for mask in sorted(self.values)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PurityTable":
-        """Inverse of ``to_dict``; a malformed record raises ValidationError."""
-        try:
-            n = int(data["n"])
-            values = {int(e["mask"]): float(e["purity"]) for e in data["entries"]}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed purity table record: {exc}") from exc
-        if n < 1:
-            raise ValidationError(f"malformed purity table record: n = {n} < 1")
-        for mask, value in values.items():
-            # bit_length, not 1 << n: a huge n must not allocate a huge int.
-            if mask < 0 or mask.bit_length() > n:
-                raise ValidationError(f"malformed purity table record: mask {mask} outside [0, 2^{n})")
-            if not math.isfinite(value):
-                raise ValidationError(f"malformed purity table record: purity {value} for mask {mask}")
-        return cls(n, values)
 
 
 # Plans are kept for a process's later calls. A verify run at n_max 6 looks up

@@ -11,8 +11,9 @@ qubit k on axis k.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +45,20 @@ def _frozen_amplitudes(values, n: int, stacked: bool = False) -> np.ndarray:
     return amps
 
 
+def _wrap_checked(cls, n: int, amplitudes: np.ndarray):
+    """``cls(n, amplitudes)`` for a frozen state class, without its ``__post_init__``.
+
+    Only for amplitudes that already passed that class's checks: rows of a
+    checked stack, checked states stacked, and post-states whose norms
+    ``post_measurements`` bounded. They are made read-only here.
+    """
+    amplitudes.setflags(write=False)
+    wrapped = object.__new__(cls)
+    for field, value in zip(fields(cls), (n, amplitudes)):
+        object.__setattr__(wrapped, field.name, value)
+    return wrapped
+
+
 @dataclass(frozen=True)
 class Statevector:
     """Normalized amplitude vector of an n-qubit pure state. Immutable."""
@@ -69,7 +84,9 @@ class Statevector:
 class StateStack:
     """B normalized n-qubit states as one read-only (B, 2^n) array; row b is state b.
 
-    Every row passes the checks of ``Statevector``. The batched kernels
+    Every row passes the checks of ``Statevector``, once: a row is a
+    read-only view of the stack, and a stack of ``Statevector``s is not
+    checked again. The batched kernels
     (``purity_arrays``, ``exact_distributions``, ``apply_local_kraus_stack``)
     take a stack and run each numpy step once for all of its rows.
     """
@@ -93,14 +110,20 @@ class StateStack:
             return states
         if not states:
             raise ValidationError("need at least one state")
+        if not all(isinstance(psi, Statevector) for psi in states):
+            raise ValidationError("a stack is built from Statevectors")
         require_same_qubits(*states)
-        return cls(states[0].n_qubits, np.stack([psi.amplitudes for psi in states]))
+        return _wrap_checked(cls, states[0].n_qubits, np.stack([psi.amplitudes for psi in states]))
 
     def __len__(self) -> int:
         return len(self.amplitudes)
 
     def __getitem__(self, row: int) -> Statevector:
-        return Statevector(self.n_qubits, self.amplitudes[row])
+        try:
+            row = operator.index(row)
+        except TypeError:
+            raise ValidationError(f"a stack row index must be an integer, got {row!r}") from None
+        return _wrap_checked(Statevector, self.n_qubits, self.amplitudes[row])
 
 
 @dataclass(frozen=True)
@@ -249,13 +272,13 @@ def make_graph_state(adjacency) -> Statevector:
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] < 1:
         raise ValidationError(f"adjacency must be a nonempty square matrix, got shape {gamma.shape}")
     n = gamma.shape[0]
-    limits.require("state", n)
     if not np.isin(gamma, (0, 1)).all():
         raise ValidationError("adjacency entries must be 0 or 1")
     if (gamma != gamma.T).any():
         raise ValidationError("adjacency is not symmetric")
     if np.diagonal(gamma).any():
         raise ValidationError("adjacency has a self-loop (nonzero diagonal)")
+    limits.require("state", n)
     signs = np.ones(1)
     for k in range(1, n + 1):
         # Qubit k-1 joins as the new lowest index bit; qubit j < k-1 is bit k-2-j of the old index.
@@ -265,15 +288,10 @@ def make_graph_state(adjacency) -> Statevector:
     return Statevector(n, signs / 2.0 ** (n / 2))
 
 
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    require_same_qubits(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def trace_distance_pure(a: Statevector, b: Statevector) -> float:
     """Trace distance between pure states: sqrt(1 - |<a|b>|^2)."""
-    overlap = abs(inner_product(a, b))
+    require_same_qubits(a, b)
+    overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
     return float(np.sqrt(max(0.0, 1.0 - overlap * overlap)))
 
 

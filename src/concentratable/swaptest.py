@@ -50,7 +50,7 @@ import numpy as np
 from . import limits
 from .errors import ConsistencyError, ValidationError
 from .reductions import _plan, _subset_purities
-from .states import QubitSet, StateStack, Statevector, paired_stacks, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, _wrap_checked, paired_stacks, require_same_qubits
 
 PROB_CLAMP_FLOOR = -1e-12
 #: ``post_measurement`` refuses to condition on an outcome this likely or less.
@@ -528,7 +528,7 @@ def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> Measur
     n = psi.n_qubits
     _check_bitstring(z, n)
     probabilities, posts = post_measurements([psi], [psi_prime], [int(z, 2)])
-    return MeasurementOutcome(float(probabilities[0]), JointState(n, posts[0]))
+    return MeasurementOutcome(float(probabilities[0]), _wrap_checked(JointState, n, posts[0]))
 
 
 def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.ndarray]:

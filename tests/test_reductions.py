@@ -4,7 +4,6 @@ import pytest
 import concentratable.limits as limits
 from concentratable import (
     BudgetError,
-    PurityTable,
     QubitSet,
     Statevector,
     ValidationError,
@@ -17,7 +16,6 @@ from concentratable import (
     purity_array,
     purity_arrays,
     purity_table,
-    subsets_of,
 )
 from concentratable.oracle import dense_reduced_purity, reduced_density_matrix
 from concentratable.reductions import submasks
@@ -133,11 +131,6 @@ class TestSubsets:
         assert len(subs) == 1 << bin(mask).count("1")
         assert len(set(subs)) == len(subs)
 
-    def test_subsets_of_yields_qubitsets(self):
-        subs = list(subsets_of(QubitSet(3, 0b110)))
-        assert all(isinstance(s, QubitSet) for s in subs)
-        assert {s.mask for s in subs} == {0b000, 0b010, 0b100, 0b110}
-
 
 class TestPurityTable:
     def test_singleton_structure(self):
@@ -175,29 +168,3 @@ class TestPurityTable:
         psi = make_haar_random(4, 130)
         with pytest.raises(BudgetError, match="16"):
             purity_table(psi, QubitSet.full(4))
-
-    def test_json_round_trip_sorted(self):
-        psi = make_haar_random(3, 140)
-        table = purity_table(psi, QubitSet.full(3))
-        data = table.to_dict()
-        assert [e["mask"] for e in data["entries"]] == sorted(table.values)
-        again = PurityTable.from_dict(data)
-        assert again.values == table.values
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"n": 2, "entries": [{"mask": 1, "purity": "nan"}]},
-            {"n": 2, "entries": [{"mask": 1, "purity": float("inf")}]},
-            {"n": 2, "entries": [{"mask": 99, "purity": 0.5}]},
-            {"n": 2, "entries": [{"mask": -1, "purity": 0.5}]},
-            {"n": 0, "entries": []},
-            {"n": 2, "entries": [{"mask": "x", "purity": 0.5}]},
-            {"n": float("inf"), "entries": []},
-            {"n": 2, "entries": [{"mask": 1}]},
-            {"n": 2, "entries": None},
-        ],
-    )
-    def test_malformed_record_is_a_validation_error(self, data):
-        with pytest.raises(ValidationError, match="malformed purity table record"):
-            PurityTable.from_dict(data)

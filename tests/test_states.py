@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+import concentratable.states as states_module
 from concentratable import (
     BudgetError,
     QubitSet,
     StateStack,
     Statevector,
     ValidationError,
-    inner_product,
     make_ghz,
     make_graph_state,
     make_haar_random,
@@ -210,6 +210,45 @@ class TestStateStack:
             StateStack.of([psi, make_ghz(3)])
         with pytest.raises(ValidationError, match="need at least one state"):
             StateStack.of([])
+        with pytest.raises(ValidationError, match="built from Statevectors"):
+            StateStack.of([stack, stack])
+
+    def test_of_is_read_only_and_bit_exact(self):
+        psi, phi = make_haar_random(3, 1), make_haar_random(3, 2)
+        amps = StateStack.of([psi, phi]).amplitudes
+        assert not amps.flags.writeable
+        assert amps.tobytes() == psi.amplitudes.tobytes() + phi.amplitudes.tobytes()
+
+    def test_rows_are_read_only_views(self):
+        stack = make_haar_random_stack(3, [1, 2, 3])
+        for b in range(-3, 3):
+            row = stack[b].amplitudes
+            assert not row.flags.writeable
+            assert np.shares_memory(row, stack.amplitudes)
+            np.testing.assert_array_equal(row, stack.amplitudes[b])
+        with pytest.raises(IndexError):
+            stack[3]
+
+    @pytest.mark.parametrize("index", [slice(0, 1), np.array([0]), 1.0, None])
+    def test_row_index_must_be_an_integer(self, index):
+        stack = make_haar_random_stack(2, [1, 2])
+        with pytest.raises(ValidationError):
+            stack[index]
+
+    def test_checked_states_are_not_checked_again(self, monkeypatch):
+        stack = make_haar_random_stack(2, [1, 2, 3])
+        calls = []
+        frozen = states_module._frozen_amplitudes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return frozen(*args, **kwargs)
+
+        monkeypatch.setattr(states_module, "_frozen_amplitudes", counted)
+        rows = list(stack)
+        again = StateStack.of(rows)
+        assert calls == []
+        np.testing.assert_array_equal(again.amplitudes, stack.amplitudes)
 
 
 class TestHaarStack:
@@ -263,33 +302,22 @@ class TestGraphState:
         with pytest.raises(ValidationError, match=message):
             make_graph_state(adjacency)
 
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            (np.full((21, 21), 2), "entries must be 0 or 1"),
+            (np.triu(np.ones((21, 21), dtype=int), 1), "not symmetric"),
+            (np.eye(21, dtype=int), "self-loop"),
+        ],
+    )
+    def test_validation_before_budget(self, adjacency, message):
+        with pytest.raises(ValidationError, match=message):
+            make_graph_state(adjacency)
+
     def test_oversized_graph_is_a_budget_error(self, monkeypatch):
         monkeypatch.setenv("CE_MAX_QUBITS", "4")
         with pytest.raises(BudgetError, match="a 5-qubit state"):
             make_graph_state(np.zeros((5, 5), dtype=int))
-
-
-class TestInnerProduct:
-    def test_self_overlap(self):
-        psi = make_haar_random(3, 0)
-        assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ghz_w_orthogonal(self):
-        assert inner_product(make_ghz(3), make_w(3)) == 0.0
-
-    def test_zero_plus(self):
-        zero = make_product([(1, 0)])
-        plus = make_ghz(1)
-        assert inner_product(zero, plus) == pytest.approx(INV_SQRT2)
-
-    def test_conjugate_linear_in_first_argument(self):
-        a = make_haar_random(2, 1)
-        b = make_haar_random(2, 2)
-        assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            inner_product(make_ghz(2), make_ghz(3))
 
 
 class TestTraceDistance:
@@ -316,6 +344,10 @@ class TestTraceDistance:
                 trace_distance_pure(a, b) + trace_distance_pure(b, c) + 1e-12
             )
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValidationError):
+            trace_distance_pure(make_ghz(2), make_ghz(3))
+
 
 class TestPerturb:
     def test_hits_requested_distance(self):
@@ -328,13 +360,13 @@ class TestPerturb:
     def test_small_epsilon_overlap(self):
         psi = make_haar_random(3, 12)
         phi = perturb(psi, 1e-6)
-        assert abs(inner_product(psi, phi)) >= 1.0 - 1e-11
+        assert abs(np.vdot(psi.amplitudes, phi.amplitudes)) >= 1.0 - 1e-11
 
     def test_full_epsilon_orthogonal(self):
         # eps=1 sends |+>^n to the normalized projection of |0...0>.
         psi = make_product([(INV_SQRT2, INV_SQRT2)] * 3)
         phi = perturb(psi, 1.0)
-        assert abs(inner_product(psi, phi)) <= 1e-12
+        assert abs(np.vdot(psi.amplitudes, phi.amplitudes)) <= 1e-12
 
     def test_rejects_all_zero_state(self):
         zero = make_product([(1, 0), (1, 0)])

@@ -19,7 +19,6 @@ from concentratable import (
     full_circuit_oracle,
     full_distribution_via_purities,
     identical_copy_distribution,
-    inner_product,
     make_ghz,
     make_haar_random,
     make_haar_random_stack,
@@ -42,6 +41,7 @@ from concentratable.swaptest import (
     distribution_to_dict,
     histogram_from_dict,
     histogram_to_dict,
+    post_measurements,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -468,6 +468,14 @@ class TestPostMeasurement:
         with pytest.raises(ValidationError):
             post_measurement(psi, psi, "11")
 
+    def test_post_state_is_row_zero_read_only(self):
+        psi, phi = make_haar_random(3, 20), make_haar_random(3, 21)
+        outcome = post_measurement(psi, phi, "101")
+        probabilities, posts = post_measurements([psi], [phi], [0b101])
+        assert not outcome.post_state.amplitudes.flags.writeable
+        assert outcome.post_state.amplitudes.tobytes() == posts[0].tobytes()
+        assert outcome.probability == probabilities[0]
+
 
 class TestCircuitOracle:
     def test_single_qubit_overlap_formula(self):
@@ -475,7 +483,7 @@ class TestCircuitOracle:
             a = make_haar_random(1, 800 + seed)
             b = make_haar_random(1, 900 + seed)
             dist = full_circuit_oracle(a, b, QubitSet.full(1))
-            overlap_sq = abs(inner_product(a, b)) ** 2
+            overlap_sq = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
             assert dist.probability("0") == pytest.approx((1 + overlap_sq) / 2, abs=1e-12)
             assert dist.probability("1") == pytest.approx((1 - overlap_sq) / 2, abs=1e-12)
 
