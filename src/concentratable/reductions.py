@@ -12,9 +12,10 @@ on first use for each (n, s) and kept in a cache of bounded size. The plan
 is flat: the tops, each a set whose rho costs one O(2^(n+k)) Gram product
 for its k qubits; below each top, the partial-trace steps (a source slot,
 the traced axis and a destination slot) that reach each needed cut from a
-top holding one of its sides; and the output index of each subset. One
-executor runs it for one state or a (B, 2^n) stack and writes every purity
-into one preallocated array; the empty set is exactly 1.0 and never computed.
+top holding one of its sides; and the output index of each subset. The
+executor writes every purity into one preallocated array; the empty set is
+exactly 1.0 and never computed. It has two forms, chosen per plan when the
+plan is built (see "Two forms" below).
 
 The tops. If s has at most n/2 qubits it is the only top. Otherwise the
 largest cuts, with n//2 qubits on their smaller side (the n/2 ties at even
@@ -52,6 +53,34 @@ plan executor is the one exception: one state keeps the 2-D BLAS Gram and
 BLAS on one thread, ``purity_arrays([psi])`` took 1.11-1.20x the time of
 ``purity_array(psi)`` at n=10 (5.89 against 5.23 ms in one run) and
 1.00-1.055x at n=12 (46.4 against 44.2 ms); ``ce`` at n=10, 12 runs here.
+
+Two forms. The per-node walk runs the plan's steps one node at a time: a
+gather and Gram product per top, then one partial trace and one purity per
+needed node, pruned to the nodes that fill or feed a cut. Stacks always
+take it. For one state, a plan may instead run by levels
+(``_level_purities``): the tops of each size are gathered and multiplied as
+one stack, and every level of their complete subset trees is built at once,
+one strided ``np.add`` per (level, traced axis), one ``np.vecdot`` and one
+scatter per level. Each cut is read from the node the walk reads it from,
+so both forms give the same bits. The rule (``_runs_by_levels``) is a
+property of the plan: two or more tops whose complete trees hold at most
+two nonempty nodes per cut. Full plans qualify from n = 5 to 8 (1.3 to 1.7
+nodes per cut). There the walk's time is Python call overhead, about 250
+numpy calls at n = 8 against about 30 by levels; in medians of 10 alternating
+in-process pairs on the 2-vCPU host, levels took 0.49x the walk's time at
+n=5 (52 against 106 us), 0.47x at n=6, 0.30x at n=7 and 0.34x at n=8 (255
+against 754 us). From n = 9 on, full plans stay on the walk. The complete
+trees recompute 3.6 nodes per cut at n = 9, 3.7 at n = 10 and 5.3 at
+n = 12, and the work turns from call overhead to memory traffic: at n = 10
+levels took 1.4-2.9x the walk's time, and at n = 12 the two largest
+adjacent levels would hold 60 MB where the walk keeps 0.5 MB, while the
+partial traces there are already bound by memory bandwidth, so batching
+them across tops does not pay. (At n = 9 levels took 0.82-0.86x; the bound
+of 2 stays clear of the n = 9/10 edge, where 3.55 and 3.67 nodes per cut
+are too close for a node count to split.) Single-top plans stay on the
+walk as well. At n = 6 and 8 levels took 0.70-0.80x the walk's time on
+them, but their largest users are the n = 10 and 12 cuts of ``ce``, where
+that is not measured.
 """
 
 from __future__ import annotations
@@ -159,6 +188,7 @@ class PurityTable:
 _PLAN_CACHE_SIZE = 128
 
 
+
 @dataclass(frozen=True)
 class _Plan:
     """The Gram products and partial traces behind every subset purity of one (n, mask).
@@ -173,6 +203,8 @@ class _Plan:
     purity. No top or step computes cut 0, so cut 0 there means only the
     rho is needed, to feed later steps. ``subsets`` lists every
     subset of the mask in ascending order and ``cut_of`` the cut of each.
+    ``levels`` holds what ``_levels`` builds when ``_runs_by_levels``
+    selects the plan, else None.
     """
 
     n: int
@@ -181,6 +213,7 @@ class _Plan:
     cuts: int
     subsets: np.ndarray
     cut_of: np.ndarray
+    levels: tuple | None
 
 
 def _cover(n: int, largest: set[int]) -> list[int]:
@@ -266,6 +299,7 @@ def _plan(n: int, mask: int) -> _Plan:
     traces: dict[tuple[int, int], int] = {}
     seen: set[int] = set()  # every subset of a walked set has its cut indexed
     tops = []
+    source: dict[tuple[int, int], int] = {}  # (top position, set) -> the cut it fills
 
     def visit(node):
         # None for a set already walked; else the cut it fills, 0 for none.
@@ -275,7 +309,7 @@ def _plan(n: int, mask: int) -> _Plan:
         cut = min(node, node ^ full)
         if cut not in needed or cut in index:
             return 0
-        index[cut] = len(index)
+        index[cut] = source[len(tops), node] = len(index)
         return index[cut]
 
     def grow(top):
@@ -305,18 +339,72 @@ def _plan(n: int, mask: int) -> _Plan:
     cut_of = np.array([index[cut] for cut in keys], dtype=np.intp)
     subset_array = np.array(subsets, dtype=np.int64)
     cut_of.flags.writeable = subset_array.flags.writeable = False
-    return _Plan(n, tuple(tops), tuple(traces), len(index), subset_array, cut_of)
+    levels = _levels(n, tops, source, len(index)) if _runs_by_levels(tops, len(index)) else None
+    return _Plan(n, tuple(tops), tuple(traces), len(index), subset_array, cut_of, levels)
+
+
+def _runs_by_levels(tops: list, cuts: int) -> bool:
+    """Whether a plan runs one state by levels: two or more tops whose
+    complete subset trees hold at most two nonempty nodes per cut.
+
+    Full plans qualify from n = 5 to 8; see the module docstring for why
+    larger plans and single-top plans stay on the per-node walk.
+    """
+    nodes = sum((1 << len(labels)) - 1 for labels, *_ in tops)
+    return len(tops) > 1 and nodes <= 2 * cuts
+
+
+def _levels(n: int, tops: list, source: dict, spare: int) -> tuple:
+    """Every level of the complete subset trees of ``tops``, for ``_level_purities``.
+
+    A level holds the nonempty nodes of one qubit count j, as (j, gather,
+    prefixes, fills). A node is a subset of a top, reached as in ``_walk`` by
+    removing labels from its start on; the tops of j qubits come first and
+    start at 0, then the children that trace axis i of a (j + 1)-qubit node,
+    which start at i, for i = 0, 1, ... So a level is ordered by start, and
+    the nodes that may trace axis i, those starting at i or before, are the
+    first ``prefixes[i]`` of the level above. ``gather`` indexes the
+    amplitudes into the 2^j x 2^(n-j) matrices of the j-qubit tops (None
+    without any), and node r fills cut ``fills[r]``: the cut whose value the
+    per-node walk takes from that node, or ``spare`` for none.
+    """
+    positions = np.arange(1 << n)
+    levels = []
+    parent: list = []  # (top position, set, labels, start), ascending start
+    for j in range(max((len(labels) for labels, *_ in tops), default=0), 0, -1):
+        roots = [(t, labels) for t, (labels, *_) in enumerate(tops) if len(labels) == j]
+        level = [(t, sum(1 << k for k in labels), labels, 0) for t, labels in roots]
+        prefixes = []
+        for i in range(j + 1) if parent else ():
+            prefix = parent[: sum(start <= i for *_, start in parent)]
+            prefixes.append(len(prefix))
+            for t, node, labels, _ in prefix:
+                level.append((t, node ^ 1 << labels[i], labels[:i] + labels[i + 1 :], i))
+        gather = None
+        if roots:
+            gather = np.stack([_gather_matrix(positions, n, labels) for _, labels in roots])
+            gather.flags.writeable = False
+        fills = np.array([source.get((t, node), spare) for t, node, *_ in level], dtype=np.intp)
+        fills.flags.writeable = False
+        levels.append((j, gather, tuple(prefixes), fills))
+        parent = level
+    return tuple(levels)
 
 
 def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     """Run ``plan`` on one state's 2^n amplitudes or on a (B, 2^n) stack.
 
     Returns the purity of each subset in ``plan.subsets`` order, on the last
-    axis (rows of a (B, 2^c) array for a stack). Each Gram product, partial
-    trace and purity is one numpy call for the whole stack. One state keeps
-    the 2-D BLAS product and ``np.vdot``: a one-row stack is slower (see above).
+    axis (rows of a (B, 2^c) array for a stack). One state of a plan with
+    ``levels`` runs by levels (``_level_purities``); anything else takes the
+    per-node walk here, with the rule and its measurements in the module
+    docstring. In the walk each Gram product, partial trace and purity is
+    one numpy call for the whole stack, and one state keeps the 2-D BLAS
+    product and ``np.vdot``: a one-row stack is slower (see above).
     """
     lead = amps.shape[:-1]
+    if plan.levels is not None and not lead:
+        return _level_purities(amps, plan)
     out = np.empty(lead + (plan.cuts,))
     out[..., 0] = 1.0
     depth = max((len(top[0]) for top in plan.tops), default=0)
@@ -352,6 +440,37 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
             if cut:
                 fill(flat, cut)
     return out[..., plan.cut_of]
+
+
+def _level_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Run ``plan.levels`` on one state: the batched form of ``_subset_purities``.
+
+    Per level, one gather and one stacked Gram product for its tops, one
+    strided ``np.add`` per traced axis over a prefix of the level above, one
+    ``np.vecdot`` for its purities and one scatter into the cuts. Each cut
+    reads the node the per-node walk reads, by the same Gram product and
+    partial traces, so the values agree with that walk's bit for bit.
+    """
+    out = np.empty(plan.cuts + 1)  # the last entry takes the nodes that fill no cut
+    out[0] = 1.0
+    parent = None
+    for j, gather, prefixes, fills in plan.levels:
+        level = np.empty((len(fills), 1 << j, 1 << j), dtype=complex)
+        at = 0
+        if gather is not None:
+            matrices = amps[gather]
+            at = len(gather)
+            np.matmul(matrices, matrices.conj().swapaxes(-1, -2), out=level[:at])
+        for i, count in enumerate(prefixes):
+            inner = 1 << (j - i)
+            tensor = parent[:count].reshape(count, 1 << i, 2, inner, 1 << i, 2, inner)
+            into = level[at : at + count].reshape(count, 1 << i, inner, 1 << i, inner)
+            np.add(tensor[:, :, 0, :, :, 0], tensor[:, :, 1, :, :, 1], out=into)
+            at += count
+        flat = level.reshape(len(fills), -1)
+        out[fills] = np.vecdot(flat, flat).real
+        parent = level
+    return out[plan.cut_of]
 
 
 def _all_purities(amps: np.ndarray) -> np.ndarray:

@@ -49,8 +49,8 @@ def _wrap_checked(cls, n: int, amplitudes: np.ndarray):
     """``cls(n, amplitudes)`` for a frozen state class, without its ``__post_init__``.
 
     Only for amplitudes that already passed that class's checks: rows of a
-    checked stack, checked states stacked, and post-states whose norms
-    ``post_measurements`` bounded. They are made read-only here.
+    checked stack, checked states or stacks stacked, and post-states whose
+    norms ``post_measurements`` bounded. They are made read-only here.
     """
     amplitudes.setflags(write=False)
     wrapped = object.__new__(cls)
@@ -180,6 +180,19 @@ def require_same_qubits(psi: Statevector, *others) -> None:
             raise ValidationError(
                 f"{what} is over {other.n_qubits} qubits, state has {psi.n_qubits}"
             )
+
+
+def join_stacks(*stacks: StateStack) -> StateStack:
+    """The rows of checked stacks over the same qubits, one stack after another.
+
+    The rows passed their checks when each stack was built, so they are not
+    checked again.
+    """
+    if not stacks or not all(isinstance(stack, StateStack) for stack in stacks):
+        raise ValidationError("join_stacks takes one or more StateStacks")
+    require_same_qubits(*stacks)
+    amps = np.concatenate([stack.amplitudes for stack in stacks])
+    return _wrap_checked(StateStack, stacks[0].n_qubits, amps)
 
 
 def paired_stacks(states, states_prime, *others) -> tuple[StateStack, StateStack]:

@@ -113,8 +113,8 @@ class OutcomeDistribution:
         object.__setattr__(self, "probabilities", _checked_probabilities(probs))
 
     def bitstrings(self) -> list[str]:
-        m = self.tested.cardinality
-        return [format(i, f"0{m}b") for i in range(1 << m)]
+        """The 2^m outcome bitstrings in table order, as a new list."""
+        return list(_outcome_labels(self.tested.cardinality))
 
     def probability(self, z: str) -> float:
         _check_bitstring(z, self.tested.cardinality)
@@ -184,6 +184,16 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
 def _row(b: int, rows: int) -> str:
     """Error-message prefix naming row ``b`` of ``rows`` rows; empty for one row."""
     return f"row {b}: " if rows > 1 else ""
+
+
+@functools.lru_cache(maxsize=16)
+def _outcome_labels(m: int) -> tuple[str, ...]:
+    """Bitstring z of every outcome of m tested qubits, at table index int(z, 2).
+
+    Kept per m: the outcomes cap (m <= 14) leaves at most 14 tuples, 1.2 MB
+    at m = 14, and ``dist`` formats its 2^m labels once per process.
+    """
+    return tuple(format(i, f"0{m}b") for i in range(1 << m))
 
 
 def _check_bitstring(z: str, length: int) -> None:
@@ -489,8 +499,8 @@ def sample(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     law = outcome_distribution(psi, psi_prime, tested).probabilities
     counts = np.random.default_rng(seed).multinomial(shots, law / law.sum())
-    m = tested.cardinality
-    labelled = {format(i, f"0{m}b"): int(counts[i]) for i in np.flatnonzero(counts)}
+    labels = _outcome_labels(tested.cardinality)
+    labelled = {labels[i]: int(counts[i]) for i in np.flatnonzero(counts)}
     return ShotHistogram(tested, shots, labelled, seed)
 
 
@@ -560,7 +570,7 @@ def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.nd
     out_of_range = (probabilities <= CONDITION_FLOOR) | (probabilities > 1.0 + 1e-10)
     if out_of_range.any():
         b = int(np.argmax(out_of_range))
-        z = format(int(outcomes[b]), f"0{m}b")
+        z = _outcome_labels(m)[outcomes[b]]
         raise ValidationError(
             f"{_row(b, len(states))}outcome {z!r} has probability {probabilities[b]}; "
             "cannot condition on it"

@@ -73,6 +73,7 @@ from .reductions import purity_arrays
 from .states import (
     QubitSet,
     StateStack,
+    join_stacks,
     make_ghz,
     make_haar_random_stack,
     make_w,
@@ -359,8 +360,7 @@ def _locc_purities(drawn: list[tuple]):
         states = make_haar_random_stack(n, [drawn[t][1] for t in trials])
         ops = random_local_kraus_stack([drawn[t][2] for t in trials])
         weights, posts = apply_local_kraus_stack(states, ops, [drawn[t][3] for t in trials])
-        stack = StateStack(n, np.concatenate([states.amplitudes, posts.amplitudes]))
-        purities = purity_arrays(stack)
+        purities = purity_arrays(join_stacks(states, posts))
         before, after = purities[: len(trials)], purities[len(trials) :]
         yield trials, before, weights, after.reshape(len(trials), 2, -1)
 
@@ -484,8 +484,7 @@ def check_error_bound(
         states = make_haar_random_stack(n, seeds)
         primes = StateStack.of([perturb(psi, epsilon) for psi in states])
         cross = ce_two_states(states, primes, s)
-        both = StateStack(n, np.concatenate([states.amplitudes, primes.amplitudes]))
-        singles = ce_all_subsets(purity_arrays(both))
+        singles = ce_all_subsets(purity_arrays(join_stacks(states, primes)))
         excess = (cross - singles[:per_eps, s.mask]) + (cross - singles[per_eps:, s.mask])
         bound = 4.0 * epsilon * epsilon
         # Excess at the bound fails outright and counts by how far it went.

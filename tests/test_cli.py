@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from concentratable import (
     w_closed_form,
 )
 import concentratable.cli as cli_module
+from concentratable import reductions
 from concentratable.cli import main
 from concentratable.swaptest import distribution_from_dict, histogram_from_dict
 
@@ -152,6 +154,61 @@ class TestCe:
         code, _, err = run_cli(capsys, "dist", "--ghz", "3")
         assert code == 2
         assert err.startswith("error:") and "CE_MAX_QUBITS" in err
+
+
+def cli_outputs(capsys, tmp_path, *argv):
+    """stdout and the --output file's bytes of one command."""
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0
+    return out, path.read_bytes()
+
+
+class TestOutputBytes:
+    """``dist`` and ``sample`` write the bytes they wrote before plans ran by levels."""
+
+    COMMANDS = [
+        ("dist", "--haar", "8", "--state-seed", "3"),
+        ("dist", "--haar", "7", "--state-seed", "5", "--subset-mask", "0b1101111"),
+        ("dist", "--haar", "6", "--state-seed", "1"),
+        ("sample", "--haar", "8", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
+        ("sample", "--haar", "5", "--state-seed", "2", "--shots", "500", "--seed", "1"),
+    ]
+
+    def test_level_form_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
+        levels = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
+        assert reductions._plan(8, 255).levels is not None
+        # Plans built from here on run one state by the per-node walk.
+        monkeypatch.setattr(reductions, "_runs_by_levels", lambda tops, cuts: False)
+        reductions._plan.cache_clear()
+        try:
+            assert reductions._plan(8, 255).levels is None
+            walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
+        finally:
+            reductions._plan.cache_clear()
+        assert walked == levels
+
+    @pytest.mark.parametrize(
+        "argv, stdout_sha256, output_sha256",
+        [
+            (
+                ("dist", "--ghz", "8"),
+                "d0214ced94152c1743bfa6227cbdc33934c0c1b25e1028e1fa551367ecde8157",
+                "d5acd2b52054967175b9aa357ec0888089e21f3df12c8da1cd3d952a08ec154c",
+            ),
+            (
+                ("sample", "--ghz", "8", "--shots", "1000", "--seed", "7"),
+                "1772baeef28cab50f619ea392f3e45b5627574937e0e7573daf33f65d0a0b3cd",
+                "6e6cc1be2a38149c561876174a6ddf1a1276a67b3e61053e7dfd9c3f0155f01c",
+            ),
+        ],
+    )
+    def test_ghz8_bytes_are_pinned(self, capsys, tmp_path, argv, stdout_sha256, output_sha256):
+        # GHZ purities come out the same in any summation order, so these digests,
+        # taken before plans ran by levels, hold on any BLAS.
+        out, data = cli_outputs(capsys, tmp_path, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(data).hexdigest() == output_sha256
 
 
 class TestDist:

@@ -14,6 +14,10 @@ which the plan answers from (n/2 + 1)-qubit tops, are checked exactly.
 ``make_graph_state`` builds the plain graph states, on which C(s) from the
 purity kernel and the subset-sum transform, and from the Walsh law, is
 checked against the same formula up to n = 14.
+
+One state may run its plan by levels (``_level_purities``) instead of the
+per-node walk that stacks run; with the selection rule forced on, the level
+form is checked against the walk and the dense oracle for n up to 9.
 """
 
 import numpy as np
@@ -35,8 +39,9 @@ from concentratable import (
     purity_arrays,
     purity_table,
 )
+from concentratable import reductions
 from concentratable.oracle import dense_reduced_purity
-from concentratable.reductions import submasks
+from concentratable.reductions import _level_purities, _plan, _subset_purities, submasks
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -100,6 +105,39 @@ def test_purity_arrays_match_each_state(stack):
         np.testing.assert_allclose(row, purity_array(psi), rtol=0, atol=TOL)
         dense = [dense_reduced_purity(psi, QubitSet(n, mask)) for mask in range(1 << n)]
         np.testing.assert_allclose(row, dense, rtol=0, atol=TOL)
+
+
+@st.composite
+def states_and_masks(draw):
+    psi = draw(states(n_max=9))
+    full = (1 << psi.n_qubits) - 1
+    return psi, draw(st.just(full) | st.integers(1, full))
+
+
+@PROPERTY_SETTINGS
+@given(states_and_masks())
+def test_level_form_matches_per_node_walk_and_dense_oracle(case):
+    psi, mask = case
+    n = psi.n_qubits
+    # Built outside the cache with the selection rule forced on, so every plan has levels.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reductions, "_runs_by_levels", lambda tops, cuts: True)
+        plan = _plan.__wrapped__(n, mask)
+    levels = _level_purities(psi.amplitudes, plan)
+    walked = _subset_purities(psi.amplitudes[None], plan)[0]
+    np.testing.assert_allclose(levels, walked, rtol=0, atol=1e-12)
+    dense = [dense_reduced_purity(psi, QubitSet(n, sub)) for sub in plan.subsets.tolist()]
+    np.testing.assert_allclose(levels, dense, rtol=0, atol=TOL)
+
+
+def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
+    for n in (6, 7, 8):
+        assert _plan(n, (1 << n) - 1).levels is not None
+    for n in (9, 10, 12):
+        assert _plan(n, (1 << n) - 1).levels is None
+    for n, mask in ((4, 0b1111), (6, 0b111), (8, 0b1111), (8, 0b10110001)):
+        plan = _plan(n, mask)
+        assert len(plan.tops) == 1 and plan.levels is None
 
 
 def gf2_rank(rows):

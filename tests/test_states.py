@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import concentratable.states as states_module
+from concentratable.states import join_stacks
 from concentratable import (
     BudgetError,
     QubitSet,
@@ -247,8 +248,19 @@ class TestStateStack:
         monkeypatch.setattr(states_module, "_frozen_amplitudes", counted)
         rows = list(stack)
         again = StateStack.of(rows)
+        joined = join_stacks(stack, again)
         assert calls == []
         np.testing.assert_array_equal(again.amplitudes, stack.amplitudes)
+        assert not joined.amplitudes.flags.writeable
+        assert joined.amplitudes.tobytes() == 2 * stack.amplitudes.tobytes()
+
+    def test_join_stacks_takes_stacks_of_one_size(self):
+        stack = make_haar_random_stack(2, [1, 2])
+        with pytest.raises(ValidationError, match="second state is over 3 qubits"):
+            join_stacks(stack, make_haar_random_stack(3, [1]))
+        for bad in [(), (stack, make_ghz(2))]:
+            with pytest.raises(ValidationError, match="one or more StateStacks"):
+                join_stacks(*bad)
 
 
 class TestHaarStack:

@@ -229,6 +229,19 @@ class TestOutcomeDistribution:
         with pytest.raises(ValidationError):
             dist.probability("012")
 
+    def test_bitstrings_are_a_fresh_list_each_call(self):
+        dist = OutcomeDistribution(QubitSet.full(2), np.full(4, 0.25))
+        first = dist.bitstrings()
+        first[0] = "11"
+        first.append("00")
+        assert dist.bitstrings() == ["00", "01", "10", "11"]
+        assert dist.bitstrings() is not dist.bitstrings()
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_bitstrings_are_the_table_indices_in_binary(self, m):
+        dist = OutcomeDistribution(QubitSet.full(m), np.full(1 << m, 2.0**-m))
+        assert dist.bitstrings() == [format(i, f"0{m}b") for i in range(1 << m)]
+
 
 class TestPurityRouteDistribution:
     def test_odd_weight_is_zero(self):
