@@ -18,9 +18,14 @@ exhausting memory. The kinds, with the size each one is given:
   outcome law ``identical_copy_distribution`` transforms. Its users are
   ``distribution_via_purities``, ``full_distribution_via_purities``,
   ``ce_even_weight`` and, through ``outcome_distribution``, ``sample`` and
-  the CLI's ``dist``, ``sample`` and ``distill`` on identical copies. Cap
-  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked before
-  ``"outcomes"``.
+  the CLI's ``dist``, ``sample`` and ``distill`` on identical copies; and
+  ``verify``'s closed-forms check, given its n_max, whose all-subset
+  purity arrays of two states grow about 4x per qubit (0.3 s at n = 13,
+  1.1 s at n = 14 on a 2-vCPU x86 host, plan cached). Cap ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked
+  before ``"outcomes"``.
+- ``"compare"``: n_max, for the up to five rows per n = 4..n_max of
+  ``compare_ghz_w`` and the CLI's ``compare``, all held in memory with
+  their CSV. Cap ``COMPARE_MAX_QUBITS`` = 1024 (5,103 rows).
 - ``"dense"``: n, for the 4^n-entry density matrix of the dense oracles
   in ``oracle``. Cap ``DENSE_ORACLE_MAX_QUBITS`` = 10.
 - ``"branches"``: the branch count of ``apply_separable_sequence``. Cap
@@ -53,6 +58,7 @@ from .errors import BudgetError, ValidationError
 PURITY_TABLE_MAX_CARDINALITY = 24
 OUTCOME_ENUM_MAX_QUBITS = 14
 PURITY_DISTRIBUTION_MAX_QUBITS = 14
+COMPARE_MAX_QUBITS = 1024
 SEPARABLE_BRANCH_MAX = 2**20
 DENSE_ORACLE_MAX_QUBITS = 10
 DEFAULT_MAX_SIM_QUBITS = 20
@@ -79,6 +85,10 @@ _KINDS = {
     "purity-terms": (
         "PURITY_DISTRIBUTION_MAX_QUBITS",
         lambda n, cap: f"{1 << n} purity terms for n={n} (cap {cap})",
+    ),
+    "compare": (
+        "COMPARE_MAX_QUBITS",
+        lambda n, cap: f"closed-form table to n={n} (cap n <= {cap})",
     ),
     "dense": (
         "DENSE_ORACLE_MAX_QUBITS",

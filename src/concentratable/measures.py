@@ -193,9 +193,10 @@ def concentratable_entanglement(
 ) -> CEResult:
     """C(s) by the requested route; "auto" is the purity sum.
 
-    On the full 10-qubit set the purity sum took about 4 ms against about
-    80 ms for the SWAP-test route (2-vCPU x86 host, BLAS on one thread),
-    and the SWAP-test route refuses n > 10 under the default 20-qubit cap.
+    On the full 10-qubit set the purity sum took about 3 ms (its plan run
+    as a one-state program) against about 70 ms for the SWAP-test route
+    (2-vCPU x86 host, BLAS on one thread), and the SWAP-test route refuses
+    n > 10 under the default 20-qubit cap.
     At n = 5 and 6 the SWAP-test route was faster on the full set, by about
     0.03 ms; from n = 7 the purity sum was faster.
     """
@@ -282,10 +283,12 @@ def compare_ghz_w(n_max: int, cardinalities: list[int] | None = None) -> list[di
     """Closed-form table of C_GHZ(s) - C_W(s) for n = 4..n_max.
 
     Default cardinalities per n are {1, 2, n//2, n-1, n} (deduplicated).
-    Every difference is checked to be strictly positive.
+    Every difference is checked to be strictly positive. n_max is held to
+    the ``"compare"`` cap before any row is built.
     """
     if n_max < 4:
         raise ValidationError(f"need n_max >= 4, got {n_max}")
+    limits.require("compare", n_max)
     rows = []
     for n in range(4, n_max + 1):
         cs = cardinalities if cardinalities is not None else [1, 2, n // 2, n - 1, n]

@@ -14,8 +14,9 @@ for its k qubits; below each top, the partial-trace steps (a source slot,
 the traced axis and a destination slot) that reach each needed cut from a
 top holding one of its sides; and the output index of each subset. The
 executor writes every purity into one preallocated array; the empty set is
-exactly 1.0 and never computed. It has two forms, chosen per plan when the
-plan is built (see "Two forms" below).
+exactly 1.0 and never computed. It has three forms, one for stacks and two
+for one state, chosen per plan when the plan is built (see "Three forms"
+below).
 
 The tops. If s has at most n/2 qubits it is the only top. Otherwise the
 largest cuts, with n//2 qubits on their smaller side (the n/2 ties at even
@@ -28,16 +29,20 @@ Gram per tie would take 462.
 
 Cost, on a 2-vCPU x86 host with BLAS on one thread, medians of 10
 alternating in-process pairs against a recursive tree with one Gram per
-tie: ``purity_array`` took 42-46 ms at n=12 (0.52-0.58x of the tree's
-78-85 ms) and 4.1-5.9 ms at n=10 (0.49-0.58x of 8.3-10.3 ms), with the
-plan cached. Building the n=12 plan takes 14-20 ms, paid by the first call
-for each (n, s) in a process; a one-shot call still came out faster than
-the tree's. tracemalloc peak of ``purity_array`` (tree's in brackets):
-0.55-0.58 MB (0.70) at n=12 with the plan cached, 0.85-0.96 MB on a first
-call; 1.9 MB (2.8) and 3.4 MB at n=14; 7.6 MB (12.0) and 13.5 MB at n=16.
-The (n//2 + 1)-qubit rho is 4x the tree's largest, but the 2^n-amplitude
-gather and the output dominate the peak; the plan itself adds the
-first-call excess.
+tie, both on the per-node walk: ``purity_array`` took 42-46 ms at n=12
+(0.52-0.58x of the tree's 78-85 ms) and 4.1-5.9 ms at n=10 (0.49-0.58x of
+8.3-10.3 ms), with the plan cached. Building the n=12 plan takes 14-20 ms,
+paid by the first call for each (n, s) in a process; a one-shot call still
+came out faster than the tree's. tracemalloc peak of the walk's
+``purity_array`` (tree's in brackets): 0.55-0.58 MB (0.70) at n=12 with the
+plan cached, 0.85-0.96 MB on a first call; 1.9 MB (2.8) and 3.4 MB at n=14;
+7.6 MB (12.0) and 13.5 MB at n=16. The (n//2 + 1)-qubit rho is 4x the
+tree's largest, but the 2^n-amplitude gather and the output dominate the
+peak; the plan itself adds the first-call excess. A one-state program
+(below) is kept with its plan: for full plans tracemalloc counts 0.36 MB
+at n=10, 0.92 MB at n=12, 3.6 MB at n=14 and 15.6 MB at n=16, and a call
+with the program built peaks at 0.06, 0.22, 0.59 and 2.4 MB, where the
+walk's peaks at 0.15, 0.58, 2.0 and 8.0 MB.
 
 ``purity_arrays`` runs the same plan for a stack of states of one n: the
 Gram products, partial traces and purities keep a leading batch axis, so
@@ -48,47 +53,69 @@ with one gather, Gram product and overlap for the whole stack.
 
 Across the package a single-state function is row 0 of its stacked form
 (``cross_purity`` of ``cross_purities``), with its checks only there. The
-plan executor is the one exception: one state keeps the 2-D BLAS Gram and
-``np.vdot``. In runs of 15 alternating pairs on a 2-vCPU x86 host with
-BLAS on one thread, ``purity_arrays([psi])`` took 1.11-1.20x the time of
-``purity_array(psi)`` at n=10 (5.89 against 5.23 ms in one run) and
-1.00-1.055x at n=12 (46.4 against 44.2 ms); ``ce`` at n=10, 12 runs here.
+plan executor is the one exception: one state runs by levels or by a
+program, both faster than the walk on a one-row stack.
 
-Two forms. The per-node walk runs the plan's steps one node at a time: a
+Three forms. The per-node walk runs the plan's steps one node at a time: a
 gather and Gram product per top, then one partial trace and one purity per
-needed node, pruned to the nodes that fill or feed a cut. Stacks always
-take it. For one state, a plan may instead run by levels
-(``_level_purities``): the tops of each size are gathered and multiplied as
-one stack, and every level of their complete subset trees is built at once,
-one strided ``np.add`` per (level, traced axis), one ``np.vecdot`` and one
-scatter per level. Each cut is read from the node the walk reads it from,
-so both forms give the same bits. The rule (``_runs_by_levels``) is a
-property of the plan: two or more tops whose complete trees hold at most
+needed node, pruned to the nodes that fill or feed a cut; each call covers
+the whole stack. Stacks always take it. One state takes one of the other
+two forms; each reads every cut from the node the walk reads it from, by
+the same Gram product and partial traces, so all three give the same bits.
+
+By levels (``_level_purities``): the tops of each size are gathered and
+multiplied as one stack, and every level of their complete subset trees is
+built at once, one strided ``np.add`` per (level, traced axis), one
+``np.vecdot`` and one scatter per level. The rule (``_runs_by_levels``) is
+a property of the plan: two or more tops whose complete trees hold at most
 two nonempty nodes per cut. Full plans qualify from n = 5 to 8 (1.3 to 1.7
 nodes per cut). There the walk's time is Python call overhead, about 250
-numpy calls at n = 8 against about 30 by levels; in medians of 10 alternating
-in-process pairs on the 2-vCPU host, levels took 0.49x the walk's time at
-n=5 (52 against 106 us), 0.47x at n=6, 0.30x at n=7 and 0.34x at n=8 (255
-against 754 us). From n = 9 on, full plans stay on the walk. The complete
-trees recompute 3.6 nodes per cut at n = 9, 3.7 at n = 10 and 5.3 at
-n = 12, and the work turns from call overhead to memory traffic: at n = 10
-levels took 1.4-2.9x the walk's time, and at n = 12 the two largest
-adjacent levels would hold 60 MB where the walk keeps 0.5 MB, while the
-partial traces there are already bound by memory bandwidth, so batching
-them across tops does not pay. (At n = 9 levels took 0.82-0.86x; the bound
-of 2 stays clear of the n = 9/10 edge, where 3.55 and 3.67 nodes per cut
-are too close for a node count to split.) Single-top plans stay on the
-walk as well. At n = 6 and 8 levels took 0.70-0.80x the walk's time on
-them, but their largest users are the n = 10 and 12 cuts of ``ce``, where
-that is not measured.
+numpy calls at n = 8 against about 30 by levels; in medians of 10
+alternating in-process pairs on the 2-vCPU host, levels took 0.49x the
+walk's time at n=5 (52 against 106 us), 0.47x at n=6, 0.30x at n=7 and
+0.34x at n=8 (255 against 754 us). From n = 9 on, full plans do not run by
+levels. The complete trees recompute 3.6 nodes per cut at n = 9, 3.7 at
+n = 10 and 5.3 at n = 12, and the work turns from call overhead to memory
+traffic: at n = 10 levels took 1.4-2.9x the walk's time, and at n = 12 the
+two largest adjacent levels would hold 60 MB where the walk keeps 0.5 MB,
+while the partial traces there are already bound by memory bandwidth, so
+batching them across tops does not pay. (At n = 9 levels took 0.82-0.86x;
+the bound of 2 stays clear of the n = 9/10 edge, where 3.55 and 3.67 nodes
+per cut are too close for a node count to split.)
+
+By program (``_program_purities``), every other plan: single-top plans and
+full plans from n = 9. The program (``_program``) is the walk for one
+state with everything but the numbers worked out once, on the plan's first
+one-state call, and kept with the plan: each top's transpose axes, row
+buffers for its nodes per qubit count, shared by the tops, and each step's
+(diag0, diag1, out) views bound to its parent's and its own row. A top then
+runs as one Gram product, its ``np.add`` calls, and one ``np.vecdot`` per
+qubit count over the rows it filled, scattered into the cuts; the walk
+rebuilds its views on every call and makes one purity call per node (482
+partial traces and 512 ``np.vdot`` calls at n = 10). Rows stay within
+``_PROGRAM_LEVEL_BYTES`` (64 KiB) per qubit count: a count whose rows are
+full is read before its next node takes row 0 again. Rows for every node
+of a top (1.2 MB at n = 12) made the full n = 12 plan slower than the walk
+(1.07x in one run of alternating pairs, 0.99x in another that put the
+capped program at 0.94x), where capped rows stay in cache. Views are made once
+per (count, axis, parent row, child row). A call that finds the rows in
+use by another thread (the plan's lock is taken without waiting) runs the
+walk on a one-row stack instead, with the same bits. Against the walk on
+one state, in medians of 10 alternating in-process pairs on the 2-vCPU
+host: 0.74x at n = 9 (0.92 against 1.24 ms), 0.88x at n = 10 (2.75 against
+3.18 ms), 0.90x at n = 11 and 0.94x at n = 12 (31.8 against 35.9 ms) on
+full plans; 0.51x on single-top plans at n = 6, 8 and 10 and 0.68x at
+n = 12. On the full n = 5..8 plans programs took 0.57-0.70x, where levels
+take 0.30-0.49x, so levels stay there.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import threading
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,9 +211,27 @@ class PurityTable:
 # at most 121 distinct plans (every nonempty mask at n = 2..6, full sets at 7
 # and 8), so 128 keeps them all; at 64 such a run rebuilt about 150 of them
 # each time. The bound keeps a sweep over many masks from piling plans up: a
-# full-set plan holds 0.21 MB at n = 12, 0.79 MB at 14 and 2.8 MB at 16.
+# full-set plan holds 0.21 MB at n = 12, 0.79 MB at 14 and 2.8 MB at 16, and
+# once it has run one state its program 0.92 MB at n = 12, 3.6 MB at 14 and
+# 15.6 MB at 16 more.
 _PLAN_CACHE_SIZE = 128
 
+# A one-state program keeps at most this many bytes of rows per qubit count
+# (and at least one row), so its scratch stays within a few times the walk's
+# one rho per count and its rows are read while still in cache (see "By
+# program" in the module docstring).
+_PROGRAM_LEVEL_BYTES = 1 << 16
+
+
+class _Scratch:
+    """A plan's one-state program (``_program``), built on first use, and the
+    lock that keeps two calls from writing its rows at once."""
+
+    __slots__ = ("lock", "program")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.program = None
 
 
 @dataclass(frozen=True)
@@ -204,7 +249,8 @@ class _Plan:
     rho is needed, to feed later steps. ``subsets`` lists every
     subset of the mask in ascending order and ``cut_of`` the cut of each.
     ``levels`` holds what ``_levels`` builds when ``_runs_by_levels``
-    selects the plan, else None.
+    selects the plan, else None; ``scratch`` holds the one-state program of
+    a plan without levels.
     """
 
     n: int
@@ -214,6 +260,7 @@ class _Plan:
     subsets: np.ndarray
     cut_of: np.ndarray
     levels: tuple | None
+    scratch: _Scratch = field(default_factory=_Scratch, compare=False, repr=False)
 
 
 def _cover(n: int, largest: set[int]) -> list[int]:
@@ -348,7 +395,7 @@ def _runs_by_levels(tops: list, cuts: int) -> bool:
     complete subset trees hold at most two nonempty nodes per cut.
 
     Full plans qualify from n = 5 to 8; see the module docstring for why
-    larger plans and single-top plans stay on the per-node walk.
+    larger plans and single-top plans run one state by their program.
     """
     nodes = sum((1 << len(labels)) - 1 for labels, *_ in tops)
     return len(tops) > 1 and nodes <= 2 * cuts
@@ -395,18 +442,19 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     """Run ``plan`` on one state's 2^n amplitudes or on a (B, 2^n) stack.
 
     Returns the purity of each subset in ``plan.subsets`` order, on the last
-    axis (rows of a (B, 2^c) array for a stack). One state of a plan with
-    ``levels`` runs by levels (``_level_purities``); anything else takes the
-    per-node walk here, with the rule and its measurements in the module
-    docstring. In the walk each Gram product, partial trace and purity is
-    one numpy call for the whole stack, and one state keeps the 2-D BLAS
-    product and ``np.vdot``: a one-row stack is slower (see above).
+    axis (rows of a (B, 2^c) array for a stack). One state runs by levels
+    (``_level_purities``) if the plan has ``levels``, else by its program
+    (``_program_purities``); a stack takes the per-node walk here, with each
+    Gram product, partial trace and purity one numpy call for the whole
+    stack. The forms and their measurements are in the module docstring.
     """
     lead = amps.shape[:-1]
-    if plan.levels is not None and not lead:
-        return _level_purities(amps, plan)
+    if not lead:
+        if plan.levels is not None:
+            return _level_purities(amps, plan)
+        return _program_purities(amps, plan)
     out = np.empty(lead + (plan.cuts,))
-    out[..., 0] = 1.0
+    out[:, 0] = 1.0
     depth = max((len(top[0]) for top in plan.tops), default=0)
     slots = [np.empty(lead + (1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
     flats = [slot.reshape(lead + (-1,)) for slot in slots]
@@ -418,28 +466,125 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
         # Tr_i keeps the two diagonal blocks of the traced qubit.
         views.append((tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], into, flats[k - 1]))
 
-    if lead:
-
-        def fill(flat, cut):
-            out[:, cut] = np.vecdot(flat, flat).real
-
-    else:
-
-        def fill(flat, cut):
-            out[cut] = np.vdot(flat, flat).real
-
     for labels, cut, step_traces, step_cuts in plan.tops:
         k = len(labels)
         matrix = _gather_matrix(amps, plan.n, labels)
         np.matmul(matrix, matrix.conj().swapaxes(-1, -2), out=slots[k])
         if cut:
-            fill(flats[k], cut)
+            out[:, cut] = np.vecdot(flats[k], flats[k]).real
         for trace, cut in zip(step_traces, step_cuts):
             diag0, diag1, into, flat = views[trace]
             np.add(diag0, diag1, out=into)
             if cut:
-                fill(flat, cut)
+                out[:, cut] = np.vecdot(flat, flat).real
     return out[..., plan.cut_of]
+
+
+def _program(plan: _Plan) -> tuple:
+    """The per-node walk of ``plan`` for one state, bound to buffers once.
+
+    Nodes of j qubits live in the rows of one (r_j, 2^j, 2^j) buffer that
+    all tops share; a top's nodes take rows in the walk's order, so the
+    partial trace of each step reads its parent's row and writes its own.
+    A top runs as one Gram product into its row, its steps' ``np.add``
+    calls, and one ``np.vecdot`` per qubit count over the rows it filled,
+    scattered into the cuts (a node that fills no cut writes the spare
+    entry ``plan.cuts``). When a count's rows are all taken, the next node
+    of that count first reads them, so r_j stays within
+    ``_PROGRAM_LEVEL_BYTES``; the walk has finished with them by then.
+
+    Returns, per top, (axes, shape, gram, segments): the transpose of the
+    amplitude tensor and the matrix shape that gather the top, the row its
+    Gram product fills, and (adds, reads) pairs to run in order, each add a
+    (diag0, diag1, into) view triple and each read a (rows, fills) pair.
+    Views are made once per (count, axis, parent row, child row).
+    """
+    n, spare = plan.n, plan.cuts
+    depth = max((len(labels) for labels, *_ in plan.tops), default=0)
+    limit = [max(1, _PROGRAM_LEVEL_BYTES >> (4 + 2 * j)) for j in range(depth + 1)]
+    count = [1] * (depth + 1)
+    for labels, _, step_traces, _ in plan.tops:
+        nodes = [0] * (depth + 1)
+        nodes[len(labels)] = 1
+        for trace in step_traces:
+            nodes[plan.traces[trace][0] - 1] += 1
+        count = [max(c, min(m, cap)) for c, m, cap in zip(count, nodes, limit)]
+    rows = [np.empty((r, 1 << j, 1 << j), dtype=complex) for j, r in enumerate(count)]
+
+    @functools.cache
+    def add(j, i, parent, child):
+        inner = 1 << (j - 1 - i)
+        tensor = rows[j][parent].reshape(1 << i, 2, inner, 1 << i, 2, inner)
+        into = rows[j - 1][child].reshape(1 << i, inner, 1 << i, inner)
+        return tensor[:, 0, :, :, 0, :], tensor[:, 1, :, :, 1, :], into
+
+    @functools.cache
+    def flat(j, used):
+        return rows[j][:used].reshape(used, -1)
+
+    program = []
+    for labels, cut, step_traces, step_cuts in plan.tops:
+        k = len(labels)
+        fills: list[list[int]] = [[] for _ in range(depth + 1)]
+        segments, adds = [], []
+
+        def read(j):
+            # The pending rows of j qubits, as one read if any fills a cut.
+            pending, fills[j] = fills[j], []
+            if any(fill != spare for fill in pending):
+                return ((flat(j, len(pending)), np.array(pending, dtype=np.intp)),)
+            return ()
+
+        def take(j, cut):
+            # The next row of j qubits for a node filling ``cut``.
+            nonlocal adds
+            if len(fills[j]) == count[j]:
+                segments.append((tuple(adds), read(j)))
+                adds = []
+            fills[j].append(cut or spare)
+            return len(fills[j]) - 1
+
+        current = [0] * (depth + 1)
+        current[k] = take(k, cut)
+        for trace, cut in zip(step_traces, step_cuts):
+            j, i = plan.traces[trace]
+            current[j - 1] = take(j - 1, cut)
+            adds.append(add(j, i, current[j], current[j - 1]))
+        segments.append((tuple(adds), sum(map(read, range(depth, 0, -1)), ())))
+        axes = tuple(labels) + tuple(q for q in range(n) if q not in labels)
+        program.append((axes, (1 << k, 1 << (n - k)), rows[k][0], tuple(segments)))
+    return tuple(program)
+
+
+def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Run ``plan``'s program (``_program``) on one state's amplitudes.
+
+    Each cut reads the node the per-node walk reads, by the same Gram
+    product and partial traces, so the values agree with the walk's bit for
+    bit. The program is built on the first call and its rows are reused; a
+    call that finds them in use by another thread runs the walk on a
+    one-row stack instead.
+    """
+    scratch = plan.scratch
+    if not scratch.lock.acquire(blocking=False):
+        return _subset_purities(amps[None], plan)[0]
+    try:
+        if scratch.program is None:
+            scratch.program = _program(plan)
+        out = np.empty(plan.cuts + 1)  # the last entry takes the nodes that fill no cut
+        out[0] = 1.0
+        tensor = amps.reshape((2,) * plan.n)
+        for axes, shape, gram, segments in scratch.program:
+            matrix = tensor.transpose(axes).reshape(shape)
+            np.matmul(matrix, matrix.conj().T, out=gram)
+            for adds, reads in segments:
+                for diag0, diag1, into in adds:
+                    np.add(diag0, diag1, out=into)
+                for flat, fills in reads:
+                    out[fills] = np.vecdot(flat, flat).real
+    finally:
+        scratch.lock.release()
+    return out[plan.cut_of]
 
 
 def _level_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:

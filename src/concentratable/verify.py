@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import ValidationError
 from .measures import (
     _clamp_all,
@@ -498,7 +499,12 @@ def check_error_bound(
 
 
 def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
-    """GHZ and W values match their closed forms for every cardinality."""
+    """GHZ and W values match their closed forms for every cardinality.
+
+    Every n up to ``n_max`` takes all 2^n purities of two states, so n_max
+    is held to the ``"purity-terms"`` cap before any of them is built.
+    """
+    limits.require("purity-terms", n_max)
     rng = np.random.default_rng(seed)
     worst = _Worst()
     count = 0

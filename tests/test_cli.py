@@ -165,7 +165,8 @@ def cli_outputs(capsys, tmp_path, *argv):
 
 
 class TestOutputBytes:
-    """``dist`` and ``sample`` write the bytes they wrote before plans ran by levels."""
+    """``dist`` and ``sample`` write the bytes they wrote before one state's plans ran
+    by levels or by programs."""
 
     COMMANDS = [
         ("dist", "--haar", "8", "--state-seed", "3"),
@@ -187,6 +188,21 @@ class TestOutputBytes:
         finally:
             reductions._plan.cache_clear()
         assert walked == levels
+
+    PROGRAM_COMMANDS = [
+        ("dist", "--haar", "10", "--state-seed", "3"),
+        ("dist", "--haar", "9", "--state-seed", "5", "--subset-mask", "0b110111011"),
+        ("sample", "--haar", "10", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
+    ]
+
+    def test_program_matches_stacked_walk(self, capsys, tmp_path, monkeypatch):
+        programs = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
+        assert reductions._plan(10, 1023).scratch.program is not None
+        monkeypatch.setattr(
+            reductions, "_program_purities", lambda amps, plan: reductions._subset_purities(amps[None], plan)[0]
+        )
+        walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
+        assert walked == programs
 
     @pytest.mark.parametrize(
         "argv, stdout_sha256, output_sha256",
@@ -442,6 +458,16 @@ class TestVerify:
         assert out == ""
         assert "error: n_max must be >= 2, got 1" in err
 
+    @pytest.mark.parametrize("n_max", [15, 25])
+    def test_closed_forms_past_the_purity_term_cap_is_a_budget_error(self, capsys, n_max):
+        # Refused before the first purity array: n_max = 25 used to build them up to n = 20.
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", str(n_max), "--trials", "1", "--property", "closed-forms"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"budget error: {1 << n_max} purity terms for n={n_max} (cap 14)\n"
+
 
 class TestCompare:
     def test_rows_positive_and_exact(self, capsys):
@@ -462,6 +488,14 @@ class TestCompare:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "n,cardinality,ghz,w,delta"
+
+    def test_past_the_table_cap_is_a_budget_error(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "compare", "--n-max", "100000000", "--output", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "budget error: closed-form table to n=100000000 (cap n <= 1024)\n"
+        assert not path.exists()
 
 
 class TestDistill:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from concentratable import (
+    BudgetError,
     CEResult,
     ConsistencyError,
     QubitSet,
@@ -33,6 +34,7 @@ from concentratable import (
     w_closed_form,
     w_post_projection_ce,
 )
+from concentratable import limits
 from concentratable.cli import main
 from concentratable.oracle import LocalKrausPair, apply_local_kraus
 
@@ -343,6 +345,12 @@ class TestCompare:
     def test_rejects_small_n_max(self):
         with pytest.raises(ValidationError):
             compare_ghz_w(3)
+
+    def test_n_max_is_capped(self):
+        rows = compare_ghz_w(limits.COMPARE_MAX_QUBITS)
+        assert len(rows) == 5 * (limits.COMPARE_MAX_QUBITS - 3) - 2
+        with pytest.raises(BudgetError, match="cap n <= 1024"):
+            compare_ghz_w(limits.COMPARE_MAX_QUBITS + 1)
 
 class TestCEResult:
     def test_bound_enforced(self):

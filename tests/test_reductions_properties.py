@@ -15,14 +15,21 @@ which the plan answers from (n/2 + 1)-qubit tops, are checked exactly.
 purity kernel and the subset-sum transform, and from the Walsh law, is
 checked against the same formula up to n = 14.
 
-One state may run its plan by levels (``_level_purities``) instead of the
-per-node walk that stacks run; with the selection rule forced on, the level
-form is checked against the walk and the dense oracle for n up to 9.
+One state runs its plan by levels (``_level_purities``) or by its program
+(``_program_purities``) instead of the per-node walk that stacks run. Both
+are checked bit for bit against the walk on a one-row stack; with the
+selection rule forced on, the level form is also checked against the dense
+oracle for n up to 9. The program is checked with rows that are read after
+every node, across repeated and interleaved calls, with its lock held and
+from several threads at once.
 """
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concentratable import (
@@ -41,7 +48,13 @@ from concentratable import (
 )
 from concentratable import reductions
 from concentratable.oracle import dense_reduced_purity
-from concentratable.reductions import _level_purities, _plan, _subset_purities, submasks
+from concentratable.reductions import (
+    _level_purities,
+    _plan,
+    _program_purities,
+    _subset_purities,
+    submasks,
+)
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -130,14 +143,114 @@ def test_level_form_matches_per_node_walk_and_dense_oracle(case):
     np.testing.assert_allclose(levels, dense, rtol=0, atol=TOL)
 
 
+def haar_amplitudes(n, seed=0):
+    return make_haar_random(n, seed).amplitudes
+
+
+def run_one(plan, amps):
+    """One state's purities by ``plan``, and whether that call built its program."""
+    built = plan.scratch.program is None
+    values = _subset_purities(amps, plan)
+    return values, built and plan.scratch.program is not None
+
+
 def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
-    for n in (6, 7, 8):
-        assert _plan(n, (1 << n) - 1).levels is not None
-    for n in (9, 10, 12):
-        assert _plan(n, (1 << n) - 1).levels is None
+    # One state: full plans at n = 5..8 run by levels, all others by their program.
+    for n, mask, levels in (
+        [(n, (1 << n) - 1, True) for n in (5, 6, 7, 8)]
+        + [(n, (1 << n) - 1, False) for n in (2, 3, 4, 9, 10, 12)]
+        + [(4, 0b1111, False), (6, 0b111, False), (8, 0b1111, False), (8, 0b10110001, False)]
+    ):
+        plan = _plan.__wrapped__(n, mask)
+        assert (plan.levels is not None) == levels
+        # A stack never builds a program.
+        _subset_purities(haar_amplitudes(n)[None], plan)
+        assert plan.scratch.program is None
+        _, built = run_one(plan, haar_amplitudes(n))
+        assert built != levels
     for n, mask in ((4, 0b1111), (6, 0b111), (8, 0b1111), (8, 0b10110001)):
-        plan = _plan(n, mask)
-        assert len(plan.tops) == 1 and plan.levels is None
+        assert len(_plan(n, mask).tops) == 1
+
+
+@st.composite
+def amplitudes_and_masks(draw):
+    n = draw(st.integers(1, 12))
+    full = (1 << n) - 1
+    mask = draw(st.just(full) | st.integers(1, full))
+    return haar_amplitudes(n, draw(seeds)), n, mask
+
+
+@settings(max_examples=30, deadline=None)
+@given(amplitudes_and_masks(), st.sampled_from([None, 16]))
+@example((haar_amplitudes(12), 12, 4095), None)
+@example((haar_amplitudes(11), 11, 2047), 16)
+def test_one_state_equals_stacked_walk_bit_for_bit(case, level_bytes):
+    amps, n, mask = case
+    with pytest.MonkeyPatch.context() as patch:
+        if level_bytes is not None:
+            # One row per qubit count: the program reads every node as soon as the next one comes.
+            patch.setattr(reductions, "_PROGRAM_LEVEL_BYTES", level_bytes)
+        plan = _plan.__wrapped__(n, mask)
+        one = _subset_purities(amps, plan)
+    walked = _subset_purities(amps[None], plan)[0]
+    assert one.dtype == walked.dtype and one.shape == walked.shape
+    assert one.tobytes() == walked.tobytes()
+
+
+def test_repeated_and_interleaved_calls_agree():
+    cases = [(n, (1 << n) - 1) for n in (9, 10)] + [(10, 0b1011011), (12, 0b111111), (3, 0b101)]
+    plans = [_plan.__wrapped__(n, mask) for n, mask in cases]
+    states = [[haar_amplitudes(n, seed) for seed in (1, 2)] for n, _ in cases]
+    first = [[_subset_purities(amps[None], plan)[0] for amps in pair] for plan, pair in zip(plans, states)]
+    for _ in range(3):
+        for plan, pair, expected in zip(plans, states, first):
+            for amps, values in zip(pair, expected):
+                assert _subset_purities(amps, plan).tobytes() == values.tobytes()
+
+
+def program_views(plan):
+    """Every array a plan's program writes: Gram rows, partial-trace targets and read rows."""
+    for _, _, gram, segments in plan.scratch.program:
+        yield gram
+        for adds, reads in segments:
+            yield from (into for *_, into in adds)
+            yield from (rows for rows, _ in reads)
+
+
+@pytest.mark.parametrize("n, mask", [(10, 1023), (12, 0b111111), (9, 0b110101101)])
+def test_result_shares_no_memory_with_the_program(n, mask):
+    plan = _plan.__wrapped__(n, mask)
+    values = _subset_purities(haar_amplitudes(n), plan)
+    assert not any(np.shares_memory(values, view) for view in program_views(plan))
+
+
+def test_busy_scratch_falls_back_to_the_stacked_walk():
+    plan = _plan.__wrapped__(10, 1023)
+    amps = haar_amplitudes(10, 4)
+    with plan.scratch.lock:
+        busy = _program_purities(amps, plan)
+    # The fallback ran: the program is built only by a call that holds the lock.
+    assert plan.scratch.program is None
+    assert busy.tobytes() == _subset_purities(amps[None], plan)[0].tobytes()
+    assert _program_purities(amps, plan).tobytes() == busy.tobytes()
+    assert plan.scratch.program is not None
+
+
+def test_threads_on_one_plan_agree():
+    # More threads than cores and a short switch interval, so calls overlap on
+    # the plan's rows unless its lock sends all but one to the fallback.
+    plan = _plan.__wrapped__(10, 1023)
+    states = [haar_amplitudes(10, seed) for seed in range(16)]
+    expected = [_subset_purities(amps[None], plan)[0].tobytes() for amps in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                got = pool.map(lambda amps: _subset_purities(amps, plan).tobytes(), states, timeout=60)
+                assert list(got) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def gf2_rank(rows):
