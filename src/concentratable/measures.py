@@ -193,10 +193,11 @@ def concentratable_entanglement(
 ) -> CEResult:
     """C(s) by the requested route; "auto" is the purity sum.
 
-    On the full 10-qubit set the purity sum took about 3 ms (its plan run
-    as a one-state program) against about 70 ms for the SWAP-test route
-    (2-vCPU x86 host, BLAS on one thread), and the SWAP-test route refuses
-    n > 10 under the default 20-qubit cap.
+    On the full 10-qubit set the purity sum took about 3 ms once its plan
+    had run a state before (then as a one-state program; its first call
+    walks the plan, about 4 ms) against about 70 ms for the SWAP-test
+    route (2-vCPU x86 host, BLAS on one thread), and the SWAP-test route
+    refuses n > 10 under the default 20-qubit cap.
     At n = 5 and 6 the SWAP-test route was faster on the full set, by about
     0.03 ms; from n = 7 the purity sum was faster.
     """

@@ -39,10 +39,10 @@ plan cached, 0.85-0.96 MB on a first call; 1.9 MB (2.8) and 3.4 MB at n=14;
 7.6 MB (12.0) and 13.5 MB at n=16. The (n//2 + 1)-qubit rho is 4x the
 tree's largest, but the 2^n-amplitude gather and the output dominate the
 peak; the plan itself adds the first-call excess. A one-state program
-(below) is kept with its plan: for full plans tracemalloc counts 0.36 MB
-at n=10, 0.92 MB at n=12, 3.6 MB at n=14 and 15.6 MB at n=16, and a call
-with the program built peaks at 0.06, 0.22, 0.59 and 2.4 MB, where the
-walk's peaks at 0.15, 0.58, 2.0 and 8.0 MB.
+(below) is kept with its plan once the plan has run a second state: for
+full plans tracemalloc counts 0.36 MB at n=10, 0.92 MB at n=12, 3.6 MB at
+n=14 and 15.6 MB at n=16, and a call with the program built peaks at 0.06,
+0.22, 0.59 and 2.4 MB, where the walk's peaks at 0.15, 0.58, 2.0 and 8.0 MB.
 
 ``purity_arrays`` runs the same plan for a stack of states of one n: the
 Gram products, partial traces and purities keep a leading batch axis, so
@@ -53,15 +53,20 @@ with one gather, Gram product and overlap for the whole stack.
 
 Across the package a single-state function is row 0 of its stacked form
 (``cross_purity`` of ``cross_purities``), with its checks only there. The
-plan executor is the one exception: one state runs by levels or by a
-program, both faster than the walk on a one-row stack.
+plan executor is the one exception: one state runs by levels, by a
+program, or by the walk on the state itself, with the 2-D BLAS Gram product
+and ``np.vdot``, all faster than the walk on a one-row stack (which took
+1.11-1.20x the time of the 2-D walk at n=10 in runs of 15 alternating
+pairs).
 
 Three forms. The per-node walk runs the plan's steps one node at a time: a
 gather and Gram product per top, then one partial trace and one purity per
 needed node, pruned to the nodes that fill or feed a cut; each call covers
-the whole stack. Stacks always take it. One state takes one of the other
-two forms; each reads every cut from the node the walk reads it from, by
-the same Gram product and partial traces, so all three give the same bits.
+the whole stack. Stacks always take it, and so does a plan's first
+one-state call (see "By program"). One state otherwise takes one of the
+other two forms; each reads every cut from the node the walk reads it from,
+by the same Gram product and partial traces, so all three give the same
+bits.
 
 By levels (``_level_purities``): the tops of each size are gathered and
 multiplied as one stack, and every level of their complete subset trees is
@@ -84,29 +89,48 @@ the bound of 2 stays clear of the n = 9/10 edge, where 3.55 and 3.67 nodes
 per cut are too close for a node count to split.)
 
 By program (``_program_purities``), every other plan: single-top plans and
-full plans from n = 9. The program (``_program``) is the walk for one
-state with everything but the numbers worked out once, on the plan's first
-one-state call, and kept with the plan: each top's transpose axes, row
-buffers for its nodes per qubit count, shared by the tops, and each step's
-(diag0, diag1, out) views bound to its parent's and its own row. A top then
-runs as one Gram product, its ``np.add`` calls, and one ``np.vecdot`` per
-qubit count over the rows it filled, scattered into the cuts; the walk
-rebuilds its views on every call and makes one purity call per node (482
-partial traces and 512 ``np.vdot`` calls at n = 10). Rows stay within
-``_PROGRAM_LEVEL_BYTES`` (64 KiB) per qubit count: a count whose rows are
-full is read before its next node takes row 0 again. Rows for every node
-of a top (1.2 MB at n = 12) made the full n = 12 plan slower than the walk
-(1.07x in one run of alternating pairs, 0.99x in another that put the
-capped program at 0.94x), where capped rows stay in cache. Views are made once
-per (count, axis, parent row, child row). A call that finds the rows in
-use by another thread (the plan's lock is taken without waiting) runs the
-walk on a one-row stack instead, with the same bits. Against the walk on
+full plans from n = 9, from their second one-state call on. The program
+(``_program``) is the walk for one state with everything but the numbers
+worked out once, on that second call, and kept with the plan: each top's
+transpose axes, row buffers for its nodes per qubit count, shared by the
+tops, and each step's (diag0, diag1, out) views bound to its parent's and
+its own row. A top then runs as one Gram product, its ``np.add`` calls, and
+one ``np.vecdot`` per qubit count over the rows it filled, scattered into
+the cuts; the walk rebuilds its views on every call and makes one purity
+call per node (482 partial traces and 512 ``np.vdot`` calls at n = 10). Rows
+stay within ``_PROGRAM_LEVEL_BYTES`` (64 KiB) per qubit count: a count
+whose rows are full is read before its next node takes row 0 again. Rows
+for every node of a top (1.2 MB at n = 12) made the full n = 12 plan slower
+than the walk (1.07x in one run of alternating pairs, 0.99x in another that
+put the capped program at 0.94x), where capped rows stay in cache. Views
+are made once per (count, axis, parent row, child row). A call that finds
+the rows in use by another thread (the plan's lock is taken without
+waiting) walks the state instead, with the same bits. Against the walk on
 one state, in medians of 10 alternating in-process pairs on the 2-vCPU
 host: 0.74x at n = 9 (0.92 against 1.24 ms), 0.88x at n = 10 (2.75 against
-3.18 ms), 0.90x at n = 11 and 0.94x at n = 12 (31.8 against 35.9 ms) on
-full plans; 0.51x on single-top plans at n = 6, 8 and 10 and 0.68x at
-n = 12. On the full n = 5..8 plans programs took 0.57-0.70x, where levels
-take 0.30-0.49x, so levels stay there.
+3.18 ms), 0.90x at n = 11 and 0.94x at n = 12 (31.8 against 35.9 ms) on full
+plans; 0.51x on single-top plans at n = 6, 8 and 10 and 0.68x at n = 12. On
+the full n = 5..8 plans programs took 0.57-0.70x, where levels take
+0.30-0.49x, so levels stay there.
+
+Building a program costs what it saves over two to three calls. In
+in-process medians on the 2-vCPU host the build took 1.3, 2.2, 4.2 and 7.6
+ms on the full plans at n = 9..12 (the walk 2.2, 4.7, 13.1 and 38.4 ms, the
+program 1.6, 4.0, 11.7 and 35.5 ms in that run) and 0.19 and 0.36 ms on the
+single-top plans of 5 qubits at n = 10 and 6 at n = 12. So a plan's first
+one-state call walks the state and builds nothing: a process that runs a
+plan once (one ``ce``, ``dist`` or ``sample`` command) pays what the walk
+costs and keeps no program, and the second call builds it. In fresh
+processes, 20 alternating rounds against the walk, a first call (plan
+included) that built the program took 1.14x at n = 10 and 1.17x at n = 12 on
+full plans and 1.23x and 1.34x on those single-top plans (slower in 15 to
+19 of 20); walking it first took 0.97-1.09x, within the noise of the same
+code. The price is the second call: over a plan's first three calls the
+walk-first rule took 1.04-1.11x the walk's time, where building on the
+first took 0.97-1.08x. By the build times above, the rule's total drops
+below the walk's from the third call (single-top plans) to the fifth (full
+n = 10); a ``ce --all-cardinalities --method even_weight_sum`` sweep at
+n = 10 (ten calls on the full plan) took 0.92x.
 """
 
 from __future__ import annotations
@@ -212,8 +236,8 @@ class PurityTable:
 # and 8), so 128 keeps them all; at 64 such a run rebuilt about 150 of them
 # each time. The bound keeps a sweep over many masks from piling plans up: a
 # full-set plan holds 0.21 MB at n = 12, 0.79 MB at 14 and 2.8 MB at 16, and
-# once it has run one state its program 0.92 MB at n = 12, 3.6 MB at 14 and
-# 15.6 MB at 16 more.
+# once it has run two states one at a time its program 0.92 MB at n = 12,
+# 3.6 MB at 14 and 15.6 MB at 16 more. A plan run once builds no program.
 _PLAN_CACHE_SIZE = 128
 
 # A one-state program keeps at most this many bytes of rows per qubit count
@@ -224,14 +248,16 @@ _PROGRAM_LEVEL_BYTES = 1 << 16
 
 
 class _Scratch:
-    """A plan's one-state program (``_program``), built on first use, and the
-    lock that keeps two calls from writing its rows at once."""
+    """A plan's one-state program (``_program``), built on its second
+    one-state call (``walked`` marks the first), and the lock that keeps two
+    calls from writing its rows at once."""
 
-    __slots__ = ("lock", "program")
+    __slots__ = ("lock", "program", "walked")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.program = None
+        self.walked = False
 
 
 @dataclass(frozen=True)
@@ -444,17 +470,21 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     Returns the purity of each subset in ``plan.subsets`` order, on the last
     axis (rows of a (B, 2^c) array for a stack). One state runs by levels
     (``_level_purities``) if the plan has ``levels``, else by its program
-    (``_program_purities``); a stack takes the per-node walk here, with each
-    Gram product, partial trace and purity one numpy call for the whole
-    stack. The forms and their measurements are in the module docstring.
+    (``_program_purities``) once the plan has run one state before; anything
+    else takes the per-node walk here. In the walk each Gram product,
+    partial trace and purity is one numpy call for the whole stack, and one
+    state keeps the 2-D BLAS product and ``np.vdot``. The forms and their
+    measurements are in the module docstring.
     """
     lead = amps.shape[:-1]
     if not lead:
         if plan.levels is not None:
             return _level_purities(amps, plan)
-        return _program_purities(amps, plan)
+        values = _program_purities(amps, plan)
+        if values is not None:
+            return values
     out = np.empty(lead + (plan.cuts,))
-    out[:, 0] = 1.0
+    out[..., 0] = 1.0
     depth = max((len(top[0]) for top in plan.tops), default=0)
     slots = [np.empty(lead + (1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
     flats = [slot.reshape(lead + (-1,)) for slot in slots]
@@ -466,17 +496,27 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
         # Tr_i keeps the two diagonal blocks of the traced qubit.
         views.append((tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], into, flats[k - 1]))
 
+    if lead:
+
+        def fill(flat, cut):
+            out[:, cut] = np.vecdot(flat, flat).real
+
+    else:
+
+        def fill(flat, cut):
+            out[cut] = np.vdot(flat, flat).real
+
     for labels, cut, step_traces, step_cuts in plan.tops:
         k = len(labels)
         matrix = _gather_matrix(amps, plan.n, labels)
         np.matmul(matrix, matrix.conj().swapaxes(-1, -2), out=slots[k])
         if cut:
-            out[:, cut] = np.vecdot(flats[k], flats[k]).real
+            fill(flats[k], cut)
         for trace, cut in zip(step_traces, step_cuts):
             diag0, diag1, into, flat = views[trace]
             np.add(diag0, diag1, out=into)
             if cut:
-                out[:, cut] = np.vecdot(flat, flat).real
+                fill(flat, cut)
     return out[..., plan.cut_of]
 
 
@@ -556,18 +596,22 @@ def _program(plan: _Plan) -> tuple:
     return tuple(program)
 
 
-def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
+def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
     """Run ``plan``'s program (``_program``) on one state's amplitudes.
 
     Each cut reads the node the per-node walk reads, by the same Gram
     product and partial traces, so the values agree with the walk's bit for
-    bit. The program is built on the first call and its rows are reused; a
-    call that finds them in use by another thread runs the walk on a
-    one-row stack instead.
+    bit. Returns None, for the caller to walk the state, on the plan's
+    first one-state call and on a call that finds the rows in use by
+    another thread; the second call builds the program and later calls
+    reuse it.
     """
     scratch = plan.scratch
+    if not scratch.walked:
+        scratch.walked = True
+        return None
     if not scratch.lock.acquire(blocking=False):
-        return _subset_purities(amps[None], plan)[0]
+        return None
     try:
         if scratch.program is None:
             scratch.program = _program(plan)

@@ -630,6 +630,9 @@ def run_suite(
     unknown = set(names) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
+    if "closed-forms" in names:
+        # The other checks clip n to their own sizes; refuse before any of them runs.
+        limits.require("purity-terms", _SUITE_ARGS["closed-forms"](trials, n_max, epsilons)["n_max"])
     return [
         CHECKS[name](**_SUITE_ARGS[name](trials, n_max, epsilons), seed=seed) for name in names
     ]

@@ -15,7 +15,7 @@ from concentratable import (
     w_closed_form,
 )
 import concentratable.cli as cli_module
-from concentratable import reductions
+from concentratable import reductions, verify
 from concentratable.cli import main
 from concentratable.swaptest import distribution_from_dict, histogram_from_dict
 
@@ -179,8 +179,9 @@ class TestOutputBytes:
     def test_level_form_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
         levels = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
         assert reductions._plan(8, 255).levels is not None
-        # Plans built from here on run one state by the per-node walk.
+        # Plans built from here on run one state by the per-node walk, never by a program.
         monkeypatch.setattr(reductions, "_runs_by_levels", lambda tops, cuts: False)
+        monkeypatch.setattr(reductions, "_program_purities", lambda amps, plan: None)
         reductions._plan.cache_clear()
         try:
             assert reductions._plan(8, 255).levels is None
@@ -195,14 +196,14 @@ class TestOutputBytes:
         ("sample", "--haar", "10", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
     ]
 
-    def test_program_matches_stacked_walk(self, capsys, tmp_path, monkeypatch):
+    def test_program_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
+        # The first one-state call of a plan walks it; the second builds its program.
+        first = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
         programs = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
         assert reductions._plan(10, 1023).scratch.program is not None
-        monkeypatch.setattr(
-            reductions, "_program_purities", lambda amps, plan: reductions._subset_purities(amps[None], plan)[0]
-        )
+        monkeypatch.setattr(reductions, "_program_purities", lambda amps, plan: None)
         walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
-        assert walked == programs
+        assert walked == programs == first
 
     @pytest.mark.parametrize(
         "argv, stdout_sha256, output_sha256",
@@ -467,6 +468,17 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == f"budget error: {1 << n_max} purity terms for n={n_max} (cap 14)\n"
+
+    def test_all_properties_past_the_purity_term_cap_are_refused_before_any_check(self, capsys, monkeypatch):
+        # closed-forms comes twelfth; the eleven checks ahead of it must not run first.
+        ran = []
+        for name in verify.CHECKS:
+            monkeypatch.setitem(verify.CHECKS, name, lambda name=name, **kw: ran.append(name))
+        code, out, err = run_cli(capsys, "verify", "--n-max", "15")
+        assert code == 3
+        assert out == ""
+        assert err == f"budget error: {1 << 15} purity terms for n=15 (cap 14)\n"
+        assert ran == []
 
 
 class TestCompare:

@@ -19,9 +19,10 @@ One state runs its plan by levels (``_level_purities``) or by its program
 (``_program_purities``) instead of the per-node walk that stacks run. Both
 are checked bit for bit against the walk on a one-row stack; with the
 selection rule forced on, the level form is also checked against the dense
-oracle for n up to 9. The program is checked with rows that are read after
-every node, across repeated and interleaved calls, with its lock held and
-from several threads at once.
+oracle for n up to 9. A plan's first one-state call walks the state itself
+and its second builds the program; both are checked. The program is checked
+with rows that are read after every node, across repeated and interleaved
+calls, with its lock held and from several threads at once.
 """
 
 import sys
@@ -155,7 +156,8 @@ def run_one(plan, amps):
 
 
 def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
-    # One state: full plans at n = 5..8 run by levels, all others by their program.
+    # One state: full plans at n = 5..8 run by levels, all others by the walk
+    # on their first call and by their program, built then, from the second.
     for n, mask, levels in (
         [(n, (1 << n) - 1, True) for n in (5, 6, 7, 8)]
         + [(n, (1 << n) - 1, False) for n in (2, 3, 4, 9, 10, 12)]
@@ -166,6 +168,8 @@ def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
         # A stack never builds a program.
         _subset_purities(haar_amplitudes(n)[None], plan)
         assert plan.scratch.program is None
+        _, built = run_one(plan, haar_amplitudes(n))
+        assert not built and plan.scratch.walked != levels
         _, built = run_one(plan, haar_amplitudes(n))
         assert built != levels
     for n, mask in ((4, 0b1111), (6, 0b111), (8, 0b1111), (8, 0b10110001)):
@@ -191,10 +195,12 @@ def test_one_state_equals_stacked_walk_bit_for_bit(case, level_bytes):
             # One row per qubit count: the program reads every node as soon as the next one comes.
             patch.setattr(reductions, "_PROGRAM_LEVEL_BYTES", level_bytes)
         plan = _plan.__wrapped__(n, mask)
-        one = _subset_purities(amps, plan)
+        # The first call walks the state itself, the second runs the program (or levels).
+        first, second = (_subset_purities(amps, plan) for _ in range(2))
     walked = _subset_purities(amps[None], plan)[0]
-    assert one.dtype == walked.dtype and one.shape == walked.shape
-    assert one.tobytes() == walked.tobytes()
+    for one in (first, second):
+        assert one.dtype == walked.dtype and one.shape == walked.shape
+        assert one.tobytes() == walked.tobytes()
 
 
 def test_repeated_and_interleaved_calls_agree():
@@ -220,19 +226,24 @@ def program_views(plan):
 @pytest.mark.parametrize("n, mask", [(10, 1023), (12, 0b111111), (9, 0b110101101)])
 def test_result_shares_no_memory_with_the_program(n, mask):
     plan = _plan.__wrapped__(n, mask)
-    values = _subset_purities(haar_amplitudes(n), plan)
-    assert not any(np.shares_memory(values, view) for view in program_views(plan))
+    values = [_subset_purities(haar_amplitudes(n, seed), plan) for seed in (1, 2)]
+    assert not any(np.shares_memory(v, view) for v in values for view in program_views(plan))
 
 
-def test_busy_scratch_falls_back_to_the_stacked_walk():
+def test_busy_scratch_falls_back_to_the_per_node_walk():
     plan = _plan.__wrapped__(10, 1023)
     amps = haar_amplitudes(10, 4)
+    walked = _subset_purities(amps[None], plan)[0].tobytes()
+    # The first one-state call declines, so the caller walks the state.
+    assert _program_purities(amps, plan) is None
+    assert plan.scratch.walked and plan.scratch.program is None
     with plan.scratch.lock:
-        busy = _program_purities(amps, plan)
+        assert _program_purities(amps, plan) is None
+        busy = _subset_purities(amps, plan)
     # The fallback ran: the program is built only by a call that holds the lock.
     assert plan.scratch.program is None
-    assert busy.tobytes() == _subset_purities(amps[None], plan)[0].tobytes()
-    assert _program_purities(amps, plan).tobytes() == busy.tobytes()
+    assert busy.tobytes() == walked
+    assert _program_purities(amps, plan).tobytes() == walked
     assert plan.scratch.program is not None
 
 
