@@ -20,9 +20,9 @@ exhausting memory. The kinds, with the size each one is given:
   ``ce_even_weight`` and, through ``outcome_distribution``, ``sample`` and
   the CLI's ``dist``, ``sample`` and ``distill`` on identical copies; and
   ``verify``'s closed-forms check, given its n_max, whose all-subset
-  purity arrays of two states grow about 4x per qubit (0.3 s at n = 13,
-  1.1 s at n = 14 on a 2-vCPU x86 host, plan cached). Cap ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked
-  before ``"outcomes"``.
+  purity arrays of two states grow about 4x per qubit. Cap
+  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked before
+  ``"outcomes"``.
 - ``"compare"``: n_max, for the up to five rows per n = 4..n_max of
   ``compare_ghz_w`` and the CLI's ``compare``, all held in memory with
   their CSV. Cap ``COMPARE_MAX_QUBITS`` = 1024 (5,103 rows).

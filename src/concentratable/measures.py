@@ -25,7 +25,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .reductions import _plan, _subset_purities, cross_purities, submasks
+from .reductions import _plan, _state_purities, cross_purities, submasks
 from .states import QubitSet, Statevector, paired_stacks, require_same_qubits
 from .swaptest import (
     ShotHistogram,
@@ -117,7 +117,7 @@ def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) from the purity sum over all 2^{c(s)} subsets of s."""
     _require_nonempty(psi, s)
     limits.require("purity-table", s.cardinality)
-    total = float(_subset_purities(psi.amplitudes, _plan(psi.n_qubits, s.mask)).sum())
+    total = float(_state_purities(psi.amplitudes, _plan(psi.n_qubits, s.mask)).sum())
     value = _clamp(1.0 - total / (1 << s.cardinality))
     return CEResult(value, s, "purity_sum", {"terms": 1 << s.cardinality})
 
@@ -193,13 +193,9 @@ def concentratable_entanglement(
 ) -> CEResult:
     """C(s) by the requested route; "auto" is the purity sum.
 
-    On the full 10-qubit set the purity sum took about 3 ms once its plan
-    had run a state before (then as a one-state program; its first call
-    walks the plan, about 4 ms) against about 70 ms for the SWAP-test
-    route (2-vCPU x86 host, BLAS on one thread), and the SWAP-test route
-    refuses n > 10 under the default 20-qubit cap.
-    At n = 5 and 6 the SWAP-test route was faster on the full set, by about
-    0.03 ms; from n = 7 the purity sum was faster.
+    The purity sum is the default because it costs O(2^n) memory and beats
+    the O(4^n) SWAP-test route from n = 7 on the full set; the SWAP-test
+    route also refuses n > 10 under the default 20-qubit cap.
     """
     if method == "auto":
         method = "purity_sum"

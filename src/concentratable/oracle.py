@@ -6,7 +6,8 @@ targets. The random local operations come in stacks for ``verify``:
 ``random_local_kraus_stack`` builds many seeds' Kraus pairs with batched
 ``np.linalg`` calls, and ``apply_local_kraus_stack`` applies them to a
 ``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are their
-row 0, as elsewhere (bar the purity executor, see ``reductions``).
+row 0, as elsewhere (one state's purities may run by levels or by a
+program, each bit-identical to that row; see ``reductions``).
 """
 
 from __future__ import annotations

@@ -8,129 +8,43 @@ and may be read from either side.
 
 ``purity`` answers one cut. ``purity_table``, ``purity_array`` and
 ``purity_arrays`` answer every subset of a set s at once from a plan, built
-on first use for each (n, s) and kept in a cache of bounded size. The plan
-is flat: the tops, each a set whose rho costs one O(2^(n+k)) Gram product
-for its k qubits; below each top, the partial-trace steps (a source slot,
-the traced axis and a destination slot) that reach each needed cut from a
-top holding one of its sides; and the output index of each subset. The
-executor writes every purity into one preallocated array; the empty set is
-exactly 1.0 and never computed. It has three forms, one for stacks and two
-for one state, chosen per plan when the plan is built (see "Three forms"
-below).
+on first use for each (n, s) and kept in a bounded cache. The plan is flat:
+the tops, each a set whose rho costs one O(2^(n+k)) Gram product for its k
+qubits; below each top, the partial traces that reach each needed cut from
+a top holding one of its sides; and the output index of each subset. The
+empty set is exactly 1.0 and never computed.
 
 The tops. If s has at most n/2 qubits it is the only top. Otherwise the
-largest cuts, with n//2 qubits on their smaller side (the n/2 ties at even
-n), are covered greedily by (n//2 + 1)-qubit tops: one such Gram costs two
-on n//2 qubits and yields up to n//2 + 1 of these cuts by one partial trace
-each. Any cut still open becomes its own top on its smaller side, largest
-first. On the full 12-qubit set that is 75 seven-, 14 six- and 11
-five-qubit Grams, 169.5 six-qubit-Gram equivalents, where one six-qubit
-Gram per tie would take 462.
+cuts with n//2 qubits on their smaller side are covered greedily by
+(n//2 + 1)-qubit tops: one such Gram costs two on n//2 qubits and yields
+up to n//2 + 1 of these cuts by one partial trace each. Any cut still open
+becomes its own top on its smaller side, largest first.
 
-Cost, on a 2-vCPU x86 host with BLAS on one thread, medians of 10
-alternating in-process pairs against a recursive tree with one Gram per
-tie, both on the per-node walk: ``purity_array`` took 42-46 ms at n=12
-(0.52-0.58x of the tree's 78-85 ms) and 4.1-5.9 ms at n=10 (0.49-0.58x of
-8.3-10.3 ms), with the plan cached. Building the n=12 plan takes 14-20 ms,
-paid by the first call for each (n, s) in a process; a one-shot call still
-came out faster than the tree's. tracemalloc peak of the walk's
-``purity_array`` (tree's in brackets): 0.55-0.58 MB (0.70) at n=12 with the
-plan cached, 0.85-0.96 MB on a first call; 1.9 MB (2.8) and 3.4 MB at n=14;
-7.6 MB (12.0) and 13.5 MB at n=16. The (n//2 + 1)-qubit rho is 4x the
-tree's largest, but the 2^n-amplitude gather and the output dominate the
-peak; the plan itself adds the first-call excess. A one-state program
-(below) is kept with its plan once the plan has run a second state: for
-full plans tracemalloc counts 0.36 MB at n=10, 0.92 MB at n=12, 3.6 MB at
-n=14 and 15.6 MB at n=16, and a call with the program built peaks at 0.06,
-0.22, 0.59 and 2.4 MB, where the walk's peaks at 0.15, 0.58, 2.0 and 8.0 MB.
+The walk. ``_subset_purities`` runs a plan on a (B, 2^n) stack one node at
+a time: a gather and Gram product per top, then one partial trace and one
+purity per node that fills or feeds a cut, each one numpy call for the
+whole stack. ``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs
+of states with one gather, Gram product and overlap for the whole stack.
 
-``purity_arrays`` runs the same plan for a stack of states of one n: the
-Gram products, partial traces and purities keep a leading batch axis, so
-each is one numpy call for all B states.
+One state (``_state_purities``) takes one of three forms. Each reads every
+cut from the node the walk reads it from, by the same Gram product and
+partial traces, so each equals row 0 of the walk bit for bit:
 
-``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs of states
-with one gather, Gram product and overlap for the whole stack.
+- By levels (``_level_purities``), when ``_runs_by_levels`` gives the plan
+  ``levels``: every level of the tops' complete subset trees in one batched
+  call per step. It pays where the walk's time is call overhead, the full
+  plans at n = 5..8; larger trees recompute too many nodes and the traces
+  turn memory-bound.
+- By program (``_program_purities``), from a plan's second one-state call
+  on, up to ``_PROGRAM_MAX_QUBITS``: the walk with every view bound once to
+  row buffers kept with the plan. A build costs what two or three calls
+  save, so a plan run once builds none.
+- Row 0 of the walk on a one-row stack: a plan's first one-state call, a
+  call that finds the program in use by another thread, and plans past
+  ``_PROGRAM_MAX_QUBITS``.
 
-Across the package a single-state function is row 0 of its stacked form
-(``cross_purity`` of ``cross_purities``), with its checks only there. The
-plan executor is the one exception: one state runs by levels, by a
-program, or by the walk on the state itself, with the 2-D BLAS Gram product
-and ``np.vdot``, all faster than the walk on a one-row stack (which took
-1.11-1.20x the time of the 2-D walk at n=10 in runs of 15 alternating
-pairs).
-
-Three forms. The per-node walk runs the plan's steps one node at a time: a
-gather and Gram product per top, then one partial trace and one purity per
-needed node, pruned to the nodes that fill or feed a cut; each call covers
-the whole stack. Stacks always take it, and so does a plan's first
-one-state call (see "By program"). One state otherwise takes one of the
-other two forms; each reads every cut from the node the walk reads it from,
-by the same Gram product and partial traces, so all three give the same
-bits.
-
-By levels (``_level_purities``): the tops of each size are gathered and
-multiplied as one stack, and every level of their complete subset trees is
-built at once, one strided ``np.add`` per (level, traced axis), one
-``np.vecdot`` and one scatter per level. The rule (``_runs_by_levels``) is
-a property of the plan: two or more tops whose complete trees hold at most
-two nonempty nodes per cut. Full plans qualify from n = 5 to 8 (1.3 to 1.7
-nodes per cut). There the walk's time is Python call overhead, about 250
-numpy calls at n = 8 against about 30 by levels; in medians of 10
-alternating in-process pairs on the 2-vCPU host, levels took 0.49x the
-walk's time at n=5 (52 against 106 us), 0.47x at n=6, 0.30x at n=7 and
-0.34x at n=8 (255 against 754 us). From n = 9 on, full plans do not run by
-levels. The complete trees recompute 3.6 nodes per cut at n = 9, 3.7 at
-n = 10 and 5.3 at n = 12, and the work turns from call overhead to memory
-traffic: at n = 10 levels took 1.4-2.9x the walk's time, and at n = 12 the
-two largest adjacent levels would hold 60 MB where the walk keeps 0.5 MB,
-while the partial traces there are already bound by memory bandwidth, so
-batching them across tops does not pay. (At n = 9 levels took 0.82-0.86x;
-the bound of 2 stays clear of the n = 9/10 edge, where 3.55 and 3.67 nodes
-per cut are too close for a node count to split.)
-
-By program (``_program_purities``), every other plan: single-top plans and
-full plans from n = 9, from their second one-state call on. The program
-(``_program``) is the walk for one state with everything but the numbers
-worked out once, on that second call, and kept with the plan: each top's
-transpose axes, row buffers for its nodes per qubit count, shared by the
-tops, and each step's (diag0, diag1, out) views bound to its parent's and
-its own row. A top then runs as one Gram product, its ``np.add`` calls, and
-one ``np.vecdot`` per qubit count over the rows it filled, scattered into
-the cuts; the walk rebuilds its views on every call and makes one purity
-call per node (482 partial traces and 512 ``np.vdot`` calls at n = 10). Rows
-stay within ``_PROGRAM_LEVEL_BYTES`` (64 KiB) per qubit count: a count
-whose rows are full is read before its next node takes row 0 again. Rows
-for every node of a top (1.2 MB at n = 12) made the full n = 12 plan slower
-than the walk (1.07x in one run of alternating pairs, 0.99x in another that
-put the capped program at 0.94x), where capped rows stay in cache. Views
-are made once per (count, axis, parent row, child row). A call that finds
-the rows in use by another thread (the plan's lock is taken without
-waiting) walks the state instead, with the same bits. Against the walk on
-one state, in medians of 10 alternating in-process pairs on the 2-vCPU
-host: 0.74x at n = 9 (0.92 against 1.24 ms), 0.88x at n = 10 (2.75 against
-3.18 ms), 0.90x at n = 11 and 0.94x at n = 12 (31.8 against 35.9 ms) on full
-plans; 0.51x on single-top plans at n = 6, 8 and 10 and 0.68x at n = 12. On
-the full n = 5..8 plans programs took 0.57-0.70x, where levels take
-0.30-0.49x, so levels stay there.
-
-Building a program costs what it saves over two to three calls. In
-in-process medians on the 2-vCPU host the build took 1.3, 2.2, 4.2 and 7.6
-ms on the full plans at n = 9..12 (the walk 2.2, 4.7, 13.1 and 38.4 ms, the
-program 1.6, 4.0, 11.7 and 35.5 ms in that run) and 0.19 and 0.36 ms on the
-single-top plans of 5 qubits at n = 10 and 6 at n = 12. So a plan's first
-one-state call walks the state and builds nothing: a process that runs a
-plan once (one ``ce``, ``dist`` or ``sample`` command) pays what the walk
-costs and keeps no program, and the second call builds it. In fresh
-processes, 20 alternating rounds against the walk, a first call (plan
-included) that built the program took 1.14x at n = 10 and 1.17x at n = 12 on
-full plans and 1.23x and 1.34x on those single-top plans (slower in 15 to
-19 of 20); walking it first took 0.97-1.09x, within the noise of the same
-code. The price is the second call: over a plan's first three calls the
-walk-first rule took 1.04-1.11x the walk's time, where building on the
-first took 0.97-1.08x. By the build times above, the rule's total drops
-below the walk's from the third call (single-top plans) to the fifth (full
-n = 10); a ``ce --all-cardinalities --method even_weight_sum`` sweep at
-n = 10 (ten calls on the full plan) took 0.92x.
+The measurements behind these rules are in CHANGES.md and the
+``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
@@ -158,18 +72,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def _gather_matrix(amps: np.ndarray, n: int, labels) -> np.ndarray:
-    """Amplitudes reshaped so rows index the qubits in ``labels``.
-
-    ``amps`` is one state's 2^n amplitudes, or a (B, 2^n) stack that gives a
-    (B, 2^k, 2^(n-k)) stack of matrices.
-    """
-    rest = [k for k in range(n) if k not in labels]
-    axes = list(labels) + rest
-    lead = amps.shape[:-1]
-    if lead:
-        axes = [0] + [1 + k for k in axes]
-    tensor = amps.reshape(lead + (2,) * n).transpose(axes)
-    return tensor.reshape(lead + (1 << len(labels), -1))
+    """A (B, 2^n) stack of amplitudes as a (B, 2^k, 2^(n-k)) stack of
+    matrices whose rows index the k qubits in ``labels``."""
+    axes = [0] + [1 + k for k in labels] + [1 + k for k in range(n) if k not in labels]
+    return amps.reshape((-1,) + (2,) * n).transpose(axes).reshape(len(amps), 1 << len(labels), -1)
 
 
 def purity(psi: Statevector, alpha: QubitSet) -> float:
@@ -182,7 +88,7 @@ def purity(psi: Statevector, alpha: QubitSet) -> float:
         return 1.0
     if 2 * alpha.cardinality > psi.n_qubits:
         alpha = alpha.complement()
-    matrix = _gather_matrix(psi.amplitudes, psi.n_qubits, alpha.labels())
+    matrix = _gather_matrix(psi.amplitudes[None], psi.n_qubits, alpha.labels())[0]
     gram = matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)
 
@@ -231,19 +137,16 @@ class PurityTable:
         return self.values[mask]
 
 
-# Plans are kept for a process's later calls. A verify run at n_max 6 looks up
-# at most 121 distinct plans (every nonempty mask at n = 2..6, full sets at 7
-# and 8), so 128 keeps them all; at 64 such a run rebuilt about 150 of them
-# each time. The bound keeps a sweep over many masks from piling plans up: a
-# full-set plan holds 0.21 MB at n = 12, 0.79 MB at 14 and 2.8 MB at 16, and
-# once it has run two states one at a time its program 0.92 MB at n = 12,
-# 3.6 MB at 14 and 15.6 MB at 16 more. A plan run once builds no program.
+# Plans kept for a process's later calls: every plan a verify run at n_max 6
+# looks up (121) fits, and a sweep over many masks cannot pile plans up.
 _PLAN_CACHE_SIZE = 128
 
+# Plans past this n build no program, since a full plan's program about doubles
+# per qubit: the plan cache then keeps at most 128 programs of this n.
+_PROGRAM_MAX_QUBITS = 12
+
 # A one-state program keeps at most this many bytes of rows per qubit count
-# (and at least one row), so its scratch stays within a few times the walk's
-# one rho per count and its rows are read while still in cache (see "By
-# program" in the module docstring).
+# (and at least one row), so its rows are read while still in cache.
 _PROGRAM_LEVEL_BYTES = 1 << 16
 
 
@@ -268,7 +171,7 @@ class _Plan:
     computes it; index 0 is the empty cut, exactly 1.0. ``tops`` holds
     (labels, cut, traces, cuts) per Gram product: the top's labels in axis
     order, the cut its own purity fills, and its steps as two parallel
-    tuples. The executor keeps one rho per qubit count k, in slot k. Step j
+    tuples. The walk keeps one rho per qubit count k, in slot k. Step j
     traces qubit i of slot k into slot k - 1, where (k, i) =
     ``plan.traces[traces[j]]``, and fills ``cuts[j]`` with the result's
     purity. No top or step computes cut 0, so cut 0 there means only the
@@ -276,7 +179,7 @@ class _Plan:
     subset of the mask in ascending order and ``cut_of`` the cut of each.
     ``levels`` holds what ``_levels`` builds when ``_runs_by_levels``
     selects the plan, else None; ``scratch`` holds the one-state program of
-    a plan without levels.
+    a plan without levels (none past ``_PROGRAM_MAX_QUBITS``).
     """
 
     n: int
@@ -421,7 +324,7 @@ def _runs_by_levels(tops: list, cuts: int) -> bool:
     complete subset trees hold at most two nonempty nodes per cut.
 
     Full plans qualify from n = 5 to 8; see the module docstring for why
-    larger plans and single-top plans run one state by their program.
+    no other plan does.
     """
     nodes = sum((1 << len(labels)) - 1 for labels, *_ in tops)
     return len(tops) > 1 and nodes <= 2 * cuts
@@ -455,7 +358,8 @@ def _levels(n: int, tops: list, source: dict, spare: int) -> tuple:
                 level.append((t, node ^ 1 << labels[i], labels[:i] + labels[i + 1 :], i))
         gather = None
         if roots:
-            gather = np.stack([_gather_matrix(positions, n, labels) for _, labels in roots])
+            matrices = [_gather_matrix(positions[None], n, labels) for _, labels in roots]
+            gather = np.concatenate(matrices)
             gather.flags.writeable = False
         fills = np.array([source.get((t, node), spare) for t, node, *_ in level], dtype=np.intp)
         fills.flags.writeable = False
@@ -465,59 +369,49 @@ def _levels(n: int, tops: list, source: dict, spare: int) -> tuple:
 
 
 def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Run ``plan`` on one state's 2^n amplitudes or on a (B, 2^n) stack.
+    """Run ``plan`` by the per-node walk on a (B, 2^n) stack of amplitudes.
 
-    Returns the purity of each subset in ``plan.subsets`` order, on the last
-    axis (rows of a (B, 2^c) array for a stack). One state runs by levels
-    (``_level_purities``) if the plan has ``levels``, else by its program
-    (``_program_purities``) once the plan has run one state before; anything
-    else takes the per-node walk here. In the walk each Gram product,
-    partial trace and purity is one numpy call for the whole stack, and one
-    state keeps the 2-D BLAS product and ``np.vdot``. The forms and their
-    measurements are in the module docstring.
+    Returns a (B, 2^c) array: row b holds the purity of each subset in
+    ``plan.subsets`` order for state b. Each Gram product, partial trace
+    and purity is one numpy call for the whole stack.
     """
-    lead = amps.shape[:-1]
-    if not lead:
-        if plan.levels is not None:
-            return _level_purities(amps, plan)
-        values = _program_purities(amps, plan)
-        if values is not None:
-            return values
-    out = np.empty(lead + (plan.cuts,))
-    out[..., 0] = 1.0
+    count = len(amps)
+    out = np.empty((count, plan.cuts))
+    out[:, 0] = 1.0
     depth = max((len(top[0]) for top in plan.tops), default=0)
-    slots = [np.empty(lead + (1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
-    flats = [slot.reshape(lead + (-1,)) for slot in slots]
+    slots = [np.empty((count, 1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
+    flats = [slot.reshape(count, -1) for slot in slots]
     views = []
     for k, i in plan.traces:
         inner = 1 << (k - 1 - i)
-        tensor = slots[k].reshape(lead + (1 << i, 2, inner, 1 << i, 2, inner))
-        into = slots[k - 1].reshape(lead + (1 << i, inner, 1 << i, inner))
+        tensor = slots[k].reshape(count, 1 << i, 2, inner, 1 << i, 2, inner)
+        into = slots[k - 1].reshape(count, 1 << i, inner, 1 << i, inner)
         # Tr_i keeps the two diagonal blocks of the traced qubit.
-        views.append((tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], into, flats[k - 1]))
-
-    if lead:
-
-        def fill(flat, cut):
-            out[:, cut] = np.vecdot(flat, flat).real
-
-    else:
-
-        def fill(flat, cut):
-            out[cut] = np.vdot(flat, flat).real
-
+        views.append((tensor[:, :, 0, :, :, 0], tensor[:, :, 1, :, :, 1], into, flats[k - 1]))
     for labels, cut, step_traces, step_cuts in plan.tops:
         k = len(labels)
         matrix = _gather_matrix(amps, plan.n, labels)
         np.matmul(matrix, matrix.conj().swapaxes(-1, -2), out=slots[k])
         if cut:
-            fill(flats[k], cut)
+            out[:, cut] = np.vecdot(flats[k], flats[k]).real
         for trace, cut in zip(step_traces, step_cuts):
             diag0, diag1, into, flat = views[trace]
             np.add(diag0, diag1, out=into)
             if cut:
-                fill(flat, cut)
-    return out[..., plan.cut_of]
+                out[:, cut] = np.vecdot(flat, flat).real
+    return out[:, plan.cut_of]
+
+
+def _state_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Run ``plan`` on one state's 2^n amplitudes: row 0 of ``_subset_purities``.
+
+    By levels if the plan has them, else by its program when
+    ``_program_purities`` runs one, else by the walk on a one-row stack.
+    """
+    if plan.levels is not None:
+        return _level_purities(amps, plan)
+    values = _program_purities(amps, plan)
+    return _subset_purities(amps[None], plan)[0] if values is None else values
 
 
 def _program(plan: _Plan) -> tuple:
@@ -601,11 +495,13 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
 
     Each cut reads the node the per-node walk reads, by the same Gram
     product and partial traces, so the values agree with the walk's bit for
-    bit. Returns None, for the caller to walk the state, on the plan's
-    first one-state call and on a call that finds the rows in use by
-    another thread; the second call builds the program and later calls
-    reuse it.
+    bit. Returns None, for the caller to walk a one-row stack, on plans
+    past ``_PROGRAM_MAX_QUBITS``, on the plan's first one-state call and on
+    a call that finds the rows in use by another thread; the second call
+    builds the program and later calls reuse it.
     """
+    if plan.n > _PROGRAM_MAX_QUBITS:
+        return None
     scratch = plan.scratch
     if not scratch.walked:
         scratch.walked = True
@@ -662,24 +558,18 @@ def _level_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     return out[plan.cut_of]
 
 
-def _all_purities(amps: np.ndarray) -> np.ndarray:
-    """All 2^n purities of each state in ``amps``, indexed by label mask on the last axis."""
-    n = amps.shape[-1].bit_length() - 1
-    return _subset_purities(amps, _plan(n, (1 << n) - 1))
-
-
 def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:
     """Purities for every subset of s, keyed by mask (includes the empty set)."""
     require_same_qubits(psi, s)
     limits.require("purity-table", s.cardinality)
     plan = _plan(psi.n_qubits, s.mask)
-    values = _subset_purities(psi.amplitudes, plan)
+    values = _state_purities(psi.amplitudes, plan)
     return PurityTable(psi.n_qubits, dict(zip(plan.subsets.tolist(), values.tolist())))
 
 
 def purity_array(psi: Statevector) -> np.ndarray:
     """All 2^n purities of psi as an array indexed by label mask."""
-    return _all_purities(psi.amplitudes)
+    return _state_purities(psi.amplitudes, _plan(psi.n_qubits, (1 << psi.n_qubits) - 1))
 
 
 def purity_arrays(states: StateStack | Sequence[Statevector]) -> np.ndarray:
@@ -688,4 +578,5 @@ def purity_arrays(states: StateStack | Sequence[Statevector]) -> np.ndarray:
     ``states`` is a ``StateStack`` or a nonempty sequence of states sharing
     n; the plan runs once for all of them.
     """
-    return _all_purities(StateStack.of(states).amplitudes)
+    stack = StateStack.of(states)
+    return _subset_purities(stack.amplitudes, _plan(stack.n_qubits, (1 << stack.n_qubits) - 1))

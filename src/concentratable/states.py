@@ -5,8 +5,9 @@ occupies bit (n - 1 - k) of the amplitude index, so qubit 0 is the most
 significant bit and basis state |q0 q1 ... q_{n-1}> sits at index
 int("q0 q1 ... q_{n-1}", 2). Reshaping amplitudes to shape (2,)*n puts
 qubit k on axis k.
-``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere
-(bar the purity executor, see ``reductions``), one body per object.
+``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere,
+one body per object. (One state's purities may also run by levels or by a
+program, each bit-identical to row 0 of the stack; see ``reductions``.)
 """
 
 from __future__ import annotations

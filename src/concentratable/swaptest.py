@@ -25,12 +25,11 @@ Two copies of one n-qubit state need no joint vector: on a tested set s
 of m' qubits, p(z) = 2^-m' * sum over subsets alpha of s of
 (-1)^{|z & alpha|} Tr[rho_alpha^2], one Walsh transform of the 2^m'
 subset purities that the cached purity plan of ``reductions`` gives.
-``identical_copy_distribution`` computes that law (n <= 14); on the full
-register it took 1.1 ms against 5.3 ms for the pair basis at n = 8 and
-6.4 ms against 113 ms at n = 10 (2-vCPU x86 host, plan cached).
-``outcome_distribution`` is the one route policy: copies with equal
-amplitudes take the purity law, any other pair the pair basis. The CLI's
-``dist``, ``sample`` and ``distill`` read their laws through it.
+``identical_copy_distribution`` computes that law (n <= 14) in O(2^n)
+memory, where the pair basis needs O(4^n). ``outcome_distribution`` is
+the one route policy: copies with equal amplitudes take the purity law,
+any other pair the pair basis. The CLI's ``dist``, ``sample`` and
+``distill`` read their laws through it.
 ``exact_distribution`` and the stacked forms stay the pair-basis
 simulation of the test, and ``post_measurement`` still needs the 4^n
 vector, so ``distill`` keeps the two-copy cap.
@@ -49,7 +48,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .reductions import _plan, _subset_purities
+from .reductions import _plan, _state_purities
 from .states import QubitSet, StateStack, Statevector, _wrap_checked, paired_stacks, require_same_qubits
 
 PROB_CLAMP_FLOOR = -1e-12
@@ -204,8 +203,7 @@ def _check_bitstring(z: str, length: int) -> None:
 #: Joint amplitudes the stacked pair kernel holds at once (256 KiB of
 #: complex128). Larger stacks run in chunks of rows, one pair of copies at
 #: least, so the memory of ``exact_distributions`` does not grow with the
-#: number of states: its tracemalloc peak was 1.0 MB for 8 six-qubit pairs
-#: of copies, against 0.23 MB for one.
+#: number of states.
 JOINT_CHUNK_AMPLITUDES = 1 << 14
 
 
@@ -450,7 +448,7 @@ def identical_copy_distribution(psi: Statevector, tested: QubitSet) -> OutcomeDi
     _require_tested_nonempty(tested)
     limits.require("purity-terms", psi.n_qubits)
     limits.require("outcomes", tested.cardinality)
-    purities = _subset_purities(psi.amplitudes, _plan(psi.n_qubits, tested.mask))
+    purities = _state_purities(psi.amplitudes, _plan(psi.n_qubits, tested.mask))
     return OutcomeDistribution(tested, _walsh_law(purities))
 
 

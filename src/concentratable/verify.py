@@ -36,7 +36,8 @@ in trial order:
   ``pair_marginals`` call.
 
 The package's single-state functions are row 0 of these stacked forms
-(bar the purity executor, see ``reductions``). What stays per state:
+(one state's purities may run by levels or by a program, each
+bit-identical to that row; see ``reductions``). What stays per state:
 route-agreement's purity sum (``ce_purity``), the one single-state route,
 which the stacked routes are held against; tangle-identity's ``n_tangle``;
 and ``perturb``. A state reads only ``default_rng(state_seed)``, never a
@@ -118,7 +119,9 @@ class _Worst:
 
     A NaN violation outranks every number, so it is kept with its witness
     and fails the report (NaN <= tolerance is False). A check whose pass
-    condition is stricter than ``value <= tolerance`` sets ``failed``.
+    condition is stricter than ``value <= tolerance`` sets ``failed``. A
+    report with no violation recorded (zero trials) fails: a check that
+    tested nothing has shown nothing.
     """
 
     def __init__(self):
@@ -135,14 +138,18 @@ class _Worst:
         """``update`` with each entry in order; ``witness(i)`` names entry i.
 
         Only the first largest entry (or the first NaN, which np.argmax also
-        picks) can win, so it alone is passed on.
+        picks) can win, so it alone is passed on. An empty array records
+        nothing.
         """
-        i = int(np.argmax(violations))
-        self.update(float(violations[i]), witness(i))
+        if len(violations):
+            i = int(np.argmax(violations))
+            self.update(float(violations[i]), witness(i))
 
     def report(self, name: str, trials: int, tolerance: float) -> PropertyReport:
-        passed = not self.failed and self.value <= tolerance
-        return PropertyReport(name, trials, self.value, tolerance, passed, self.witness)
+        tested = self.value != -np.inf  # still -inf only if nothing was recorded
+        passed = tested and not self.failed and self.value <= tolerance
+        witness = self.witness if tested else "no violation recorded"
+        return PropertyReport(name, trials, self.value, tolerance, passed, witness)
 
 
 def _state_seed(rng: np.random.Generator) -> int:

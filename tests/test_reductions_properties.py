@@ -15,14 +15,15 @@ which the plan answers from (n/2 + 1)-qubit tops, are checked exactly.
 purity kernel and the subset-sum transform, and from the Walsh law, is
 checked against the same formula up to n = 14.
 
-One state runs its plan by levels (``_level_purities``) or by its program
-(``_program_purities``) instead of the per-node walk that stacks run. Both
-are checked bit for bit against the walk on a one-row stack; with the
-selection rule forced on, the level form is also checked against the dense
-oracle for n up to 9. A plan's first one-state call walks the state itself
-and its second builds the program; both are checked. The program is checked
-with rows that are read after every node, across repeated and interleaved
-calls, with its lock held and from several threads at once.
+One state (``_state_purities``) runs its plan by levels
+(``_level_purities``) or by its program (``_program_purities``); both are
+checked bit for bit against the per-node walk on a one-row stack, and with
+the selection rule forced on, the level form also against the dense oracle
+for n up to 9. A plan's first one-state call, a call that finds the
+program's lock taken, and every call on a plan past n = 12 run row 0 of
+that stacked walk; the second call builds the program. The program is
+checked with rows that are read after every node, across repeated and
+interleaved calls, with its lock held and from several threads at once.
 """
 
 import sys
@@ -53,6 +54,7 @@ from concentratable.reductions import (
     _level_purities,
     _plan,
     _program_purities,
+    _state_purities,
     _subset_purities,
     submasks,
 )
@@ -151,13 +153,14 @@ def haar_amplitudes(n, seed=0):
 def run_one(plan, amps):
     """One state's purities by ``plan``, and whether that call built its program."""
     built = plan.scratch.program is None
-    values = _subset_purities(amps, plan)
+    values = _state_purities(amps, plan)
     return values, built and plan.scratch.program is not None
 
 
 def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
-    # One state: full plans at n = 5..8 run by levels, all others by the walk
-    # on their first call and by their program, built then, from the second.
+    # One state: full plans at n = 5..8 run by levels, all others by row 0 of
+    # the stacked walk on their first call and by their program, built on the
+    # second, from then on.
     for n, mask, levels in (
         [(n, (1 << n) - 1, True) for n in (5, 6, 7, 8)]
         + [(n, (1 << n) - 1, False) for n in (2, 3, 4, 9, 10, 12)]
@@ -195,8 +198,8 @@ def test_one_state_equals_stacked_walk_bit_for_bit(case, level_bytes):
             # One row per qubit count: the program reads every node as soon as the next one comes.
             patch.setattr(reductions, "_PROGRAM_LEVEL_BYTES", level_bytes)
         plan = _plan.__wrapped__(n, mask)
-        # The first call walks the state itself, the second runs the program (or levels).
-        first, second = (_subset_purities(amps, plan) for _ in range(2))
+        # The first call runs the one-row stacked walk, the second the program (or levels).
+        first, second = (_state_purities(amps, plan) for _ in range(2))
     walked = _subset_purities(amps[None], plan)[0]
     for one in (first, second):
         assert one.dtype == walked.dtype and one.shape == walked.shape
@@ -211,7 +214,7 @@ def test_repeated_and_interleaved_calls_agree():
     for _ in range(3):
         for plan, pair, expected in zip(plans, states, first):
             for amps, values in zip(pair, expected):
-                assert _subset_purities(amps, plan).tobytes() == values.tobytes()
+                assert _state_purities(amps, plan).tobytes() == values.tobytes()
 
 
 def program_views(plan):
@@ -226,7 +229,7 @@ def program_views(plan):
 @pytest.mark.parametrize("n, mask", [(10, 1023), (12, 0b111111), (9, 0b110101101)])
 def test_result_shares_no_memory_with_the_program(n, mask):
     plan = _plan.__wrapped__(n, mask)
-    values = [_subset_purities(haar_amplitudes(n, seed), plan) for seed in (1, 2)]
+    values = [_state_purities(haar_amplitudes(n, seed), plan) for seed in (1, 2)]
     assert not any(np.shares_memory(v, view) for v in values for view in program_views(plan))
 
 
@@ -234,17 +237,27 @@ def test_busy_scratch_falls_back_to_the_per_node_walk():
     plan = _plan.__wrapped__(10, 1023)
     amps = haar_amplitudes(10, 4)
     walked = _subset_purities(amps[None], plan)[0].tobytes()
-    # The first one-state call declines, so the caller walks the state.
+    # The first one-state call declines, so the caller runs the one-row stacked walk.
     assert _program_purities(amps, plan) is None
     assert plan.scratch.walked and plan.scratch.program is None
     with plan.scratch.lock:
         assert _program_purities(amps, plan) is None
-        busy = _subset_purities(amps, plan)
+        busy = _state_purities(amps, plan)
     # The fallback ran: the program is built only by a call that holds the lock.
     assert plan.scratch.program is None
     assert busy.tobytes() == walked
     assert _program_purities(amps, plan).tobytes() == walked
     assert plan.scratch.program is not None
+
+
+def test_plans_past_n12_build_no_program():
+    plan = _plan.__wrapped__(13, (1 << 13) - 1)
+    amps = haar_amplitudes(13, 5)
+    walked = _subset_purities(amps[None], plan)[0].tobytes()
+    # Every one-state call, the second and third included, runs the one-row stacked walk.
+    for _ in range(3):
+        assert _state_purities(amps, plan).tobytes() == walked
+    assert plan.scratch.program is None
 
 
 def test_threads_on_one_plan_agree():
@@ -258,7 +271,7 @@ def test_threads_on_one_plan_agree():
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(3):
-                got = pool.map(lambda amps: _subset_purities(amps, plan).tobytes(), states, timeout=60)
+                got = pool.map(lambda amps: _state_purities(amps, plan).tobytes(), states, timeout=60)
                 assert list(got) == expected
     finally:
         sys.setswitchinterval(interval)

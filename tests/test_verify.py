@@ -83,6 +83,32 @@ def test_singlet_projection_draws_only_outcomes_it_can_condition_on(monkeypatch)
     assert report.passed, report.witness
 
 
+ZERO_TRIAL_CALLS = {
+    "route-agreement": {"trials": 0},
+    "odd-weight-zero": {"trials": 0},
+    "bi-separable-zero": {"trials": 0},
+    "tangle-identity": {"trials": 0},
+    "singlet-projection": {"trials": 0},
+    "ce-locc-monotonicity": {"trials": 0},
+    "purity-locc-monotonicity": {"trials": 0},
+    "nested-monotonicity": {"trials": 0},
+    "subadditivity": {"trials": 0},
+    "continuity": {"trials": 0},
+    "error-bound": {"trials": 0},
+    "closed-forms": {"n_max": 1},
+    "w-projection": {"n_values": ()},
+}
+
+
+@pytest.mark.parametrize("name, kwargs", ZERO_TRIAL_CALLS.items())
+def test_a_check_with_zero_trials_fails(name, kwargs):
+    # Nothing tested is nothing shown: the report fails rather than passing vacuously.
+    report = CHECKS[name](**kwargs)
+    assert report.name == name and report.trials == 0
+    assert not report.passed
+    assert report.witness
+
+
 def test_reports_serialize():
     report = PropertyReport("demo", 3, 1e-12, 1e-9, True, "n=2")
     data = report.to_dict()
