@@ -36,10 +36,9 @@ from .measures import (
 from .reductions import purity_array
 from .states import QubitSet, Statevector, make_ghz, make_haar_random, make_w, statevector_from_dict
 from .swaptest import (
-    distribution_to_dict,
     draw_outcomes,
-    histogram_to_dict,
     outcome_distribution,
+    outcome_table_json,
     pair_marginal,
     post_measurement,
     sample,
@@ -195,7 +194,7 @@ def cmd_dist(args) -> int:
     probabilities = dist.probabilities.tolist()
     print("\n".join(f"{z}  {p:.12g}" for z, p in zip(dist.bitstrings(), probabilities)))
     if args.output:
-        _write_json(args.output, distribution_to_dict(dist))
+        _write_atomic(args.output, outcome_table_json(dist))
     if args.check_odd_zero:
         odd = np.bitwise_count(np.arange(len(probabilities))) % 2 == 1
         worst = float(dist.probabilities[odd].max())
@@ -215,9 +214,8 @@ def cmd_sample(args) -> int:
     estimate = ce_from_histogram(hist)
     stderr = estimate.detail["stderr"]
     print(f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)")
-    payload = histogram_to_dict(hist) | {"estimate": estimate.to_dict()}
     if args.output:
-        _write_json(args.output, payload)
+        _write_atomic(args.output, outcome_table_json(hist, estimate=estimate.to_dict()))
     return 0
 
 

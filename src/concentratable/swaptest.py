@@ -42,6 +42,7 @@ convention; a bitstring and its table index are related by int(z, 2).
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -687,7 +688,34 @@ def full_circuit_oracle(
 
 
 # ---------------------------------------------------------------------------
-# JSON forms.
+# JSON forms. The ``*_to_dict`` and ``*_from_dict`` pairs are the public
+# record forms; the CLI writes its outcome-table files with
+# ``outcome_table_json``, which renders the same record straight to text,
+# byte for byte what ``json.dumps(to_dict(...), sort_keys=True)`` gives.
+
+
+def outcome_table_json(table: OutcomeDistribution | ShotHistogram, **extra) -> str:
+    """One line of JSON for ``table``'s record plus ``extra`` keys, newline-terminated.
+
+    Equals ``json.dumps(distribution_to_dict(table) | extra, sort_keys=True)
+    + "\\n"`` (``histogram_to_dict`` for a histogram) without building a dict
+    per entry: the entries are one join of fragments, each value written by
+    ``repr`` as ``json`` writes a finite float or an int, and the other keys
+    go through ``json.dumps``. "entries" must sort first, so every key of
+    ``extra`` must sort after it.
+    """
+    if any(key <= "entries" for key in extra):
+        raise ValueError(f"extra keys must sort after 'entries', got {sorted(extra)}")
+    if isinstance(table, OutcomeDistribution):
+        labels = _outcome_labels(table.tested.cardinality)
+        values = table.probabilities.tolist()
+        rest = {"tested_mask": table.tested.mask}
+    else:
+        labels = sorted(table.counts)
+        values = [int(table.counts[z]) for z in labels]
+        rest = {"tested_mask": table.tested.mask, "shots": table.shots, "seed": table.seed}
+    entries = ", ".join([f'{{"p_or_count": {p!r}, "z": "{z}"}}' for z, p in zip(labels, values)])
+    return f'{{"entries": [{entries}], {json.dumps(rest | extra, sort_keys=True)[1:]}\n'
 
 
 def distribution_to_dict(dist: OutcomeDistribution) -> dict:

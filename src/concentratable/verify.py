@@ -161,9 +161,24 @@ def _nonempty_mask(rng: np.random.Generator, n: int) -> int:
 
 
 def _split(trials: int, groups) -> list[tuple]:
-    """(group, count) of ``trials`` split evenly over ``groups``, the first taking the remainder."""
+    """(group, count) of ``trials`` split evenly over ``groups``, the first taking the remainder.
+
+    No groups split nothing: the check then records no violation and fails.
+    """
+    if not len(groups):
+        return []
     base, extra = divmod(trials, len(groups))
     return [(g, base + (i < extra)) for i, g in enumerate(groups) if base + (i < extra)]
+
+
+def _draw(rng: np.random.Generator, trials: int, n_values, trial) -> list:
+    """``trial(n)`` for each of ``trials`` trials, n drawn from ``n_values`` first.
+
+    No sizes draw no trials: the check then records no violation and fails.
+    """
+    if not len(n_values):
+        return []
+    return [trial(int(rng.choice(n_values))) for _ in range(trials)]
 
 
 def _grouped(keys) -> list[tuple[int, list[int]]]:
@@ -257,12 +272,13 @@ def check_biseparable_zero(trials=50, n_values=(2, 3, 4, 5, 6), seed=303, tolera
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    drawn = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
+
+    def trial(n):
         cut = int(rng.integers(1, n)) if n > 1 else 1
-        drawn.append((n, cut, _state_seed(rng), _state_seed(rng)))
-    tables = [None] * trials
+        return n, cut, _state_seed(rng), _state_seed(rng)
+
+    drawn = _draw(rng, trials, n_values, trial)
+    tables = [None] * len(drawn)
     for n, indices in _grouped(n for n, *_ in drawn):
         amps = np.empty((len(indices), 1 << n), dtype=np.complex128)
         for cut, rows in _grouped(drawn[i][1] for i in indices):
@@ -314,9 +330,7 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    drawn = [
-        (int(rng.choice(n_values)), _state_seed(rng), float(rng.random())) for _ in range(trials)
-    ]
+    drawn = _draw(rng, trials, n_values, lambda n: (n, _state_seed(rng), float(rng.random())))
     pairs_seen = 0
     for n, indices in _grouped(n for n, *_ in drawn):
         stack = make_haar_random_stack(n, [drawn[i][1] for i in indices])
@@ -347,12 +361,12 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
 
 def _draw_locc(rng: np.random.Generator, trials: int, n_values, with_mask: bool) -> list[tuple]:
     """(n, state_seed, kraus_seed, qubit[, mask]) of each trial, drawn in that order."""
-    drawn = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        trial = (n, _state_seed(rng), _state_seed(rng), int(rng.integers(0, n)))
-        drawn.append(trial + (_nonempty_mask(rng, n),) if with_mask else trial)
-    return drawn
+
+    def trial(n):
+        head = (n, _state_seed(rng), _state_seed(rng), int(rng.integers(0, n)))
+        return head + (_nonempty_mask(rng, n),) if with_mask else head
+
+    return _draw(rng, trials, n_values, trial)
 
 
 def _locc_purities(drawn: list[tuple]):
@@ -382,7 +396,7 @@ def check_ce_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=606, tole
     """Average C(s) over the branches of a random local measurement never grows."""
     rng = np.random.default_rng(seed)
     drawn = _draw_locc(rng, trials, n_values, with_mask=True)
-    violations = np.empty(trials)
+    violations = np.empty(len(drawn))
     for rows, before, weights, after in _locc_purities(drawn):
         masks = np.array([drawn[t][4] for t in rows])
         ce_before = np.take_along_axis(ce_all_subsets(before), masks[:, None], axis=1)[:, 0]
@@ -397,7 +411,7 @@ def check_purity_locc_monotonicity(trials=200, n_values=(2, 3, 4, 5), seed=707, 
     """Average local purities never drop under a random local measurement."""
     rng = np.random.default_rng(seed)
     drawn = _draw_locc(rng, trials, n_values, with_mask=False)
-    gaps = [None] * trials
+    gaps = [None] * len(drawn)
     for rows, before, weights, after in _locc_purities(drawn):
         averaged = weights[:, 0, None] * after[:, 0] + weights[:, 1, None] * after[:, 1]
         for t, gap in zip(rows, before - averaged):
@@ -413,9 +427,8 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
     """C(s') <= C(s) whenever s' is a subset of s."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    drawn = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
+
+    def trial(n):
         state_seed = _state_seed(rng)
         outer_mask = _nonempty_mask(rng, n)
         labels = [k for k in range(n) if outer_mask >> k & 1]
@@ -424,7 +437,9 @@ def check_nested_monotonicity(trials=200, n_values=(2, 3, 4, 5, 6), seed=808, to
         if inner_mask == 0:
             inner_mask = 1 << labels[int(rng.integers(0, len(labels)))]
         witness = f"n={n} state_seed={state_seed} inner={inner_mask:#b} outer={outer_mask:#b}"
-        drawn.append((n, state_seed, inner_mask, outer_mask, witness))
+        return n, state_seed, inner_mask, outer_mask, witness
+
+    drawn = _draw(rng, trials, n_values, trial)
     for ce, (*_, inner_mask, outer_mask, witness) in zip(_haar_ce_rows(drawn), drawn):
         worst.update(float(ce[inner_mask] - ce[outer_mask]), witness)
     return worst.report("nested-monotonicity", trials, tolerance)
@@ -434,9 +449,8 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
     """max(C(s), C(s')) <= C(s u s') <= C(s) + C(s') for disjoint s, s'."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    drawn = []
-    for _ in range(trials):
-        n = int(rng.choice([v for v in n_values if v >= 2]))
+
+    def trial(n):
         state_seed = _state_seed(rng)
         first = _nonempty_mask(rng, n)
         while first == (1 << n) - 1:
@@ -447,7 +461,9 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
         if second == 0:
             second = 1 << complement_labels[int(rng.integers(0, len(complement_labels)))]
         witness = f"n={n} state_seed={state_seed} s={first:#b} s'={second:#b}"
-        drawn.append((n, state_seed, first, second, witness))
+        return n, state_seed, first, second, witness
+
+    drawn = _draw(rng, trials, [v for v in n_values if v >= 2], trial)
     for ce, (*_, first, second, witness) in zip(_haar_ce_rows(drawn), drawn):
         c_first, c_second, c_union = float(ce[first]), float(ce[second]), float(ce[first | second])
         worst.update(c_union - c_first - c_second, witness)
@@ -459,13 +475,13 @@ def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-
     """|C(psi) - C(phi)| <= 2 * ||psi psi+ - phi phi+||_1 on perturbed pairs."""
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    drawn = []
-    for _ in range(trials):
-        n = int(rng.choice(n_values))
-        state_seed = _state_seed(rng)
-        epsilon = float(rng.uniform(1e-4, 0.9))
-        drawn.append((n, state_seed, epsilon, _nonempty_mask(rng, n)))
-    violations = [None] * trials
+    drawn = _draw(
+        rng,
+        trials,
+        n_values,
+        lambda n: (n, _state_seed(rng), float(rng.uniform(1e-4, 0.9)), _nonempty_mask(rng, n)),
+    )
+    violations = [None] * len(drawn)
     for n, indices in _grouped(trial[0] for trial in drawn):
         states = list(make_haar_random_stack(n, [drawn[i][1] for i in indices]))
         perturbed = [perturb(psi, drawn[i][2]) for i, psi in zip(indices, states)]

@@ -5,9 +5,12 @@ subsets against the explicit ancilla+Fredkin circuit and against dense
 (1 +/- S_k)/2 matrices; the purity+Walsh law of identical copies is checked
 on random tested subsets of Haar, GHZ, W, product and graph states against
 the pair basis and the circuit; the sampler's histograms are checked against
-the circuit's law by an exact binomial test at the 5-sigma level.
+the circuit's law by an exact binomial test at the 5-sigma level. The
+outcome-table writer is checked against ``json.dumps`` of the record forms
+on laws and histograms with extreme values.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +19,9 @@ from hypothesis import strategies as st
 
 from concentratable import (
     JointState,
+    OutcomeDistribution,
     QubitSet,
+    ShotHistogram,
     apply_controlled_projector,
     exact_distribution,
     full_circuit_oracle,
@@ -33,6 +38,14 @@ from concentratable import (
     sample,
     singlet_fidelity,
     zero_outcome_probability,
+)
+from concentratable.measures import ce_from_histogram
+from concentratable.swaptest import (
+    distribution_from_dict,
+    distribution_to_dict,
+    histogram_from_dict,
+    histogram_to_dict,
+    outcome_table_json,
 )
 
 TOL = 1e-12
@@ -197,3 +210,75 @@ def test_sample_matches_circuit_oracle(case):
     for z, p in zip(oracle.bitstrings(), oracle.probabilities):
         count = hist.counts.get(z, 0)
         assert binomial_two_sided_tail(count, SHOTS, float(p)) >= FIVE_SIGMA_TAIL, (z, count, p)
+
+
+# -- the outcome-table writer -----------------------------------------------------
+
+# Zero, the smallest subnormal and values near 1e-17; one-hot laws add 1.0.
+EXTREME_PROBABILITIES = (0.0, 5e-324, 1.2345678901234567e-17, 1e-17)
+
+
+@st.composite
+def control_registers(draw, m_max):
+    m = draw(st.integers(1, m_max))
+    n = draw(st.integers(m, m + 2))
+    labels = draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
+    return QubitSet.from_labels(n, labels)
+
+
+@st.composite
+def outcome_laws(draw):
+    tested = draw(control_registers(10))
+    size = 1 << tested.cardinality
+    rng = np.random.default_rng(draw(seeds))
+    extreme = rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.9, 1.0]))
+    if draw(st.booleans()):
+        # A law with one certain outcome: 1.0 beside extreme values only.
+        weights = np.zeros(size)
+        weights[rng.integers(size)] = 1.0
+    else:
+        # Magnitudes from 1e-20 to 1, renormalized over the non-extreme outcomes.
+        weights = rng.random(size) * 10.0 ** rng.integers(-20, 1, size)
+        weights[extreme] = 0.0
+        if not weights.any():
+            weights[rng.integers(size)] = 1.0
+    probabilities = weights / weights.sum()
+    positions = extreme & (weights == 0.0)
+    probabilities[positions] = rng.choice(EXTREME_PROBABILITIES, int(positions.sum()))
+    return OutcomeDistribution(tested, probabilities)
+
+
+@st.composite
+def histograms(draw):
+    tested = draw(control_registers(10))
+    m = tested.cardinality
+    outcomes = draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=40))
+    counts = {
+        format(z, f"0{m}b"): draw(st.one_of(st.integers(0, 10), st.integers(0, 10**15)))
+        for z in outcomes
+    }
+    shots = sum(counts.values())
+    assume(shots >= 1)
+    return ShotHistogram(tested, shots, counts, draw(st.integers(0, 2**63)))
+
+
+@PROPERTY_SETTINGS
+@given(outcome_laws())
+def test_law_text_is_sorted_json_dumps(dist):
+    text = outcome_table_json(dist)
+    assert text == json.dumps(distribution_to_dict(dist), sort_keys=True) + "\n"
+    again = distribution_from_dict(json.loads(text), dist.tested.n_qubits)
+    assert again.tested == dist.tested
+    assert again.probabilities.tobytes() == dist.probabilities.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(histograms())
+def test_histogram_text_is_sorted_json_dumps(hist):
+    # With the estimate key, as ``sample --output`` writes it.
+    estimate = ce_from_histogram(hist).to_dict()
+    text = outcome_table_json(hist, estimate=estimate)
+    payload = histogram_to_dict(hist) | {"estimate": estimate}
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert outcome_table_json(hist) == json.dumps(histogram_to_dict(hist), sort_keys=True) + "\n"
+    assert histogram_from_dict(json.loads(text), hist.tested.n_qubits) == hist

@@ -109,6 +109,31 @@ def test_a_check_with_zero_trials_fails(name, kwargs):
     assert report.witness
 
 
+EMPTY_SIZE_CALLS = {
+    "route-agreement": {"n_values": ()},
+    "odd-weight-zero": {"n_values": ()},
+    "bi-separable-zero": {"n_values": ()},
+    "tangle-identity": {"n_values": ()},
+    "singlet-projection": {"n_values": ()},
+    "ce-locc-monotonicity": {"n_values": ()},
+    "purity-locc-monotonicity": {"n_values": ()},
+    "nested-monotonicity": {"n_values": ()},
+    "subadditivity": {"n_values": ()},
+    "continuity": {"n_values": ()},
+    "error-bound": {"epsilons": ()},
+}
+
+
+@pytest.mark.parametrize("name, kwargs", EMPTY_SIZE_CALLS.items())
+def test_a_check_with_no_sizes_fails_like_zero_trials(name, kwargs):
+    # Trials spread over no sizes test nothing: the zero-trial report, not an exception.
+    report = CHECKS[name](trials=5, **kwargs)
+    empty = CHECKS[name](trials=0)
+    assert report.name == name and report.trials == 5
+    assert not report.passed
+    assert (report.max_violation, report.witness) == (empty.max_violation, empty.witness)
+
+
 def test_reports_serialize():
     report = PropertyReport("demo", 3, 1e-12, 1e-9, True, "n=2")
     data = report.to_dict()
