@@ -694,18 +694,18 @@ def full_circuit_oracle(
 # byte for byte what ``json.dumps(to_dict(...), sort_keys=True)`` gives.
 
 
-def outcome_table_json(table: OutcomeDistribution | ShotHistogram, **extra) -> str:
-    """One line of JSON for ``table``'s record plus ``extra`` keys, newline-terminated.
+def outcome_table_json(
+    table: OutcomeDistribution | ShotHistogram, estimate: dict | None = None
+) -> str:
+    """One line of JSON for ``table``'s record, newline-terminated.
 
-    Equals ``json.dumps(distribution_to_dict(table) | extra, sort_keys=True)
-    + "\\n"`` (``histogram_to_dict`` for a histogram) without building a dict
-    per entry: the entries are one join of fragments, each value written by
-    ``repr`` as ``json`` writes a finite float or an int, and the other keys
-    go through ``json.dumps``. "entries" must sort first, so every key of
-    ``extra`` must sort after it.
+    Equals ``json.dumps(distribution_to_dict(table), sort_keys=True) + "\\n"``
+    (``histogram_to_dict`` for a histogram, with an ``"estimate"`` key when
+    ``estimate`` is given) without building a dict per entry: the entries are
+    one join of fragments, each value written by ``repr`` as ``json`` writes a
+    finite float or an int, and the other keys go through ``json.dumps``.
+    "entries" sorts before each of them.
     """
-    if any(key <= "entries" for key in extra):
-        raise ValueError(f"extra keys must sort after 'entries', got {sorted(extra)}")
     if isinstance(table, OutcomeDistribution):
         labels = _outcome_labels(table.tested.cardinality)
         values = table.probabilities.tolist()
@@ -714,8 +714,10 @@ def outcome_table_json(table: OutcomeDistribution | ShotHistogram, **extra) -> s
         labels = sorted(table.counts)
         values = [int(table.counts[z]) for z in labels]
         rest = {"tested_mask": table.tested.mask, "shots": table.shots, "seed": table.seed}
+    if estimate is not None:
+        rest["estimate"] = estimate
     entries = ", ".join([f'{{"p_or_count": {p!r}, "z": "{z}"}}' for z, p in zip(labels, values)])
-    return f'{{"entries": [{entries}], {json.dumps(rest | extra, sort_keys=True)[1:]}\n'
+    return f'{{"entries": [{entries}], {json.dumps(rest, sort_keys=True)[1:]}\n'
 
 
 def distribution_to_dict(dist: OutcomeDistribution) -> dict:

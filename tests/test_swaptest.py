@@ -41,7 +41,6 @@ from concentratable.swaptest import (
     distribution_to_dict,
     histogram_from_dict,
     histogram_to_dict,
-    outcome_table_json,
     post_measurements,
 )
 
@@ -554,13 +553,6 @@ class TestSerialization:
         hist = sample(psi, psi, QubitSet.full(2), 250, 9)
         again = histogram_from_dict(histogram_to_dict(hist), 2)
         assert again == hist
-
-    @pytest.mark.parametrize("key", ["entries", "a", "e"])
-    def test_table_text_refuses_a_key_sorting_before_entries(self, key):
-        # The text puts "entries" first, so a key sorting before it would break the order.
-        psi = make_haar_random(2, 26)
-        with pytest.raises(ValueError, match="sort after 'entries'"):
-            outcome_table_json(sample(psi, psi, QubitSet.full(2), 10, 9), **{key: 1})
 
     @pytest.mark.parametrize(
         "field, value",
