@@ -25,15 +25,7 @@ import numpy as np
 from . import __version__
 from . import limits
 from .errors import BudgetError, ValidationError
-from .measures import (
-    CSV_COLUMNS,
-    CEResult,
-    ce_all_subsets,
-    ce_from_histogram,
-    compare_ghz_w,
-    concentratable_entanglement,
-)
-from .reductions import purity_array
+from .measures import CSV_COLUMNS, ce_from_histogram, ce_sweep, compare_ghz_w
 from .states import QubitSet, Statevector, make_ghz, make_haar_random, make_w, statevector_from_dict
 from .swaptest import (
     draw_outcomes,
@@ -95,7 +87,7 @@ def _resolve_state(args) -> Statevector:
             return statevector_from_dict(json.load(handle))
     except OSError as exc:
         raise ValidationError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"state file is not valid JSON: {exc}") from exc
 
 
@@ -121,7 +113,7 @@ def _add_subset_args(parser: argparse.ArgumentParser, sweeps: bool) -> None:
         )
 
 
-def _single_subset(args, n: int, default_full: bool = True) -> QubitSet:
+def _single_subset(args, n: int) -> QubitSet:
     if args.subset_mask is not None and args.cardinality is not None:
         raise ValidationError("give either --subset-mask or --cardinality, not both")
     if args.subset_mask is not None:
@@ -130,9 +122,7 @@ def _single_subset(args, n: int, default_full: bool = True) -> QubitSet:
         if not 1 <= args.cardinality <= n:
             raise ValidationError(f"cardinality must be in 1..{n}, got {args.cardinality}")
         return QubitSet.from_labels(n, range(args.cardinality))
-    if default_full:
-        return QubitSet.full(n)
-    raise ValidationError("no subset given")
+    return QubitSet.full(n)
 
 
 def _resolve_subsets(args, n: int) -> list[QubitSet]:
@@ -156,22 +146,9 @@ def _resolve_subsets(args, n: int) -> list[QubitSet]:
     return [_single_subset(args, n)]
 
 
-def _sweep(psi: Statevector, subsets: list[QubitSet], method: str) -> list[CEResult]:
-    """C(s) for each subset; a purity-sum sweep reads them all from one purity array."""
-    if len(subsets) == 1 or method not in ("auto", "purity_sum"):
-        return [concentratable_entanglement(psi, s, method=method) for s in subsets]
-    # The full array is the purity table of the largest set a sweep asks for.
-    limits.require("purity-table", psi.n_qubits)
-    values = ce_all_subsets(purity_array(psi))
-    return [
-        CEResult(float(values[s.mask]), s, "purity_sum", {"terms": 1 << s.cardinality})
-        for s in subsets
-    ]
-
-
 def cmd_ce(args) -> int:
     psi = _resolve_state(args)
-    results = _sweep(psi, _resolve_subsets(args, psi.n_qubits), args.method)
+    results = ce_sweep(psi, _resolve_subsets(args, psi.n_qubits), args.method)
     for r in results:
         print(f"C(mask={r.s.mask:#b}, c={r.s.cardinality}) = {r.value:.12g}  [{r.method}]")
     if args.output:

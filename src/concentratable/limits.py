@@ -6,9 +6,9 @@ exhausting memory. The kinds, with the size each one is given:
 
 - ``"subsets"``: n, for the 2^n - 1 subsets ``ce --all-subsets``
   enumerates. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
-- ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``
-  and the 2^c(s) purities ``ce_purity`` sums. Cap
-  ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
+- ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``,
+  the 2^c(s) purities ``ce_purity`` sums and (c(s) = n) the purity array
+  a purity-sum ``ce_sweep`` reads. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
 - ``"cross-purity"``: c(s), for the 2^c(s) cross-purity terms of
   ``ce_two_state``. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
 - ``"outcomes"``: the tested qubit count m, for the 2^m-entry table of
@@ -17,12 +17,12 @@ exhausting memory. The kinds, with the size each one is given:
 - ``"purity-terms"``: n, for the state whose purities the purity+Walsh
   outcome law ``identical_copy_distribution`` transforms. Its users are
   ``distribution_via_purities``, ``full_distribution_via_purities``,
-  ``ce_even_weight`` and, through ``outcome_distribution``, ``sample`` and
-  the CLI's ``dist``, ``sample`` and ``distill`` on identical copies; and
-  ``verify``'s closed-forms check, given its n_max, whose all-subset
-  purity arrays of two states grow about 4x per qubit. Cap
-  ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked before
-  ``"outcomes"``.
+  ``ce_even_weight``, the even-weight ``ce_sweep`` and, through
+  ``outcome_distribution``, ``sample`` and the CLI's ``dist``, ``sample``
+  and ``distill`` on identical copies; and ``verify``'s closed-forms check,
+  given its n_max, whose all-subset purity arrays of two states grow about
+  4x per qubit. Cap ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked
+  before ``"outcomes"``.
 - ``"compare"``: n_max, for the up to five rows per n = 4..n_max of
   ``compare_ghz_w`` and the CLI's ``compare``, all held in memory with
   their CSV. Cap ``COMPARE_MAX_QUBITS`` = 1024 (5,103 rows).
@@ -32,13 +32,13 @@ exhausting memory. The kinds, with the size each one is given:
   ``SEPARABLE_BRANCH_MAX`` = 2^20.
 - ``"two-copies"``: 2n simulated qubits, for the 4^n two-copy vector of
   the pair-basis SWAP-test routines (``exact_distribution``,
-  ``zero_outcome_probability``, ``outcome_probability``,
-  ``post_measurement`` and their stacked forms; ``ce_distribution``;
-  ``outcome_distribution`` and ``sample`` on unequal copies). The CLI's
-  ``distill`` checks it before its first draw, since every run that sees
-  a 1 conditions the two-copy vector. Cap ``max_sim_qubits()``:
-  CE_MAX_QUBITS, default ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of
-  complex128 amplitudes).
+  ``zero_outcome_probability``, ``outcome_probability``, ``post_measurement``
+  and their stacked forms; ``ce_distribution`` and the distribution
+  ``ce_sweep``, which checks it before ``"outcomes"``; ``outcome_distribution``
+  and ``sample`` on unequal copies). The CLI's ``distill`` checks it before
+  its first draw, since every run that sees a 1 conditions the two-copy
+  vector. Cap ``max_sim_qubits()``: CE_MAX_QUBITS, default
+  ``DEFAULT_MAX_SIM_QUBITS`` = 20 (16 MiB of complex128 amplitudes).
 - ``"circuit"``: 2n plus one ancilla per tested qubit, for the register of
   ``full_circuit_oracle``. Same cap as ``"two-copies"``.
 - ``"state"``: n, for the 2^n amplitudes ``make_ghz``, ``make_w``,

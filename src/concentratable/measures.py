@@ -12,8 +12,8 @@ routes are implemented separately so they can cross-check each other:
 the pair-basis SWAP test on two copies (O(c * 4^n) time and a 4^n-entry
 joint vector), and ``ce_even_weight`` sums the full-register law of
 ``swaptest.identical_copy_distribution``, a Walsh transform of all 2^n
-purities from the full-register plan. "auto" always takes the purity
-sum; see ``concentratable_entanglement``.
+purities from the full-register plan. ``ce_sweep`` picks the route ("auto" is
+the purity sum); all s at once are one subset-sum transform (``ce_all_subsets``).
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .reductions import _plan, _state_purities, cross_purities, submasks
+from .reductions import _plan, _state_purities, cross_purities, purity_array, submasks
 from .states import QubitSet, Statevector, paired_stacks, require_same_qubits
 from .swaptest import (
     ShotHistogram,
+    _reverse_bits,
+    exact_distribution,
     identical_copy_distribution,
     sample,
     zero_outcome_probability,
@@ -91,26 +93,19 @@ def _clamp(value: float) -> float:
     return max(value, 0.0)
 
 
-def _clamp_all(values: np.ndarray) -> np.ndarray:
-    """``_clamp`` of every entry."""
-    _clamp(float(values.min()))
-    return np.maximum(values, 0.0)
+def _subset_sums(values) -> np.ndarray:
+    """Subset-sum (zeta) transform on the last axis, leading axes being states: Z[t] sums
+    values[x] over the submasks x of t; pass k adds each entry without bit k to the one with it."""
+    sums = np.array(values, dtype=float)
+    for k in range(sums.shape[-1].bit_length() - 1):
+        pairs = sums.reshape(sums.shape[:-1] + (-1, 2, 1 << k))
+        pairs[..., 1, :] += pairs[..., 0, :]
+    return sums
 
 
-def _table_masks(n: int, masks) -> np.ndarray:
-    """Label masks (bit k = qubit k) as outcome-table index masks (qubit k is bit n-1-k)."""
-    k = np.arange(n)
-    return ((np.asarray(masks)[..., None] >> k) & 1) @ (1 << (n - 1 - k))
-
-
-def _even_touching(n: int, masks) -> np.ndarray:
-    """Outcomes of even weight with a 1 on some qubit of s, for each label mask s.
-
-    Boolean, by outcome-table index on the last axis; leading axes follow ``masks``.
-    """
-    index = np.arange(1 << n)
-    touching = (index & _table_masks(n, masks)[..., None]) != 0
-    return touching & (np.bitwise_count(index) & 1 == 0)
+def _zero_on_sums(laws: np.ndarray) -> np.ndarray:
+    """p(no 1 on s) = Z[complement of s] by label mask s, from full-register laws by table index."""
+    return _subset_sums(_reverse_bits(laws))[..., ::-1]
 
 
 def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
@@ -122,20 +117,30 @@ def ce_purity(psi: Statevector, s: QubitSet) -> CEResult:
     return CEResult(value, s, "purity_sum", {"terms": 1 << s.cardinality})
 
 
-def ce_all_subsets(purities: np.ndarray) -> np.ndarray:
-    """C(s) for every label mask s, from the 2^n purities of ``purity_array``.
+def ce_all_subsets(table, method: str = "purity_sum") -> np.ndarray:
+    """C(s) for every label mask s, from one full-register table of the route.
 
-    The last axis is indexed by label mask; leading axes (such as the rows of
-    ``purity_arrays``) are separate states. The sum over the subsets of s in
-    ``ce_purity`` is one subset-sum (zeta) transform: pass k adds each entry
-    without qubit k into the one with it. Entry 0 (the empty set) is 0.
+    The table is ``purity_array`` for "purity_sum", the pair-basis law of
+    ``exact_distribution`` for "distribution_zero_set" or the purity+Walsh
+    law of ``identical_copy_distribution`` for "even_weight_sum" (laws by
+    table index); leading axes, such as the rows of ``purity_arrays``, are
+    states. Each is one subset-sum transform Z: the sum over the subsets of s
+    in ``ce_purity``, 1 - Z[complement of s] = 1 - p(no 1 on s), or, over
+    even-weight outcomes, Z_even[all] - Z_even[complement of s]. Entry 0 (the
+    empty set) is 0, up to rounding on the distribution route.
     """
-    sums = np.array(purities, dtype=float)
-    size = sums.shape[-1]
-    for k in range(size.bit_length() - 1):
-        pairs = sums.reshape(sums.shape[:-1] + (-1, 2, 1 << k))
-        pairs[..., 1, :] += pairs[..., 0, :]
-    return _clamp_all(1.0 - sums / 2.0 ** np.bitwise_count(np.arange(size)))
+    weights = np.bitwise_count(np.arange(np.shape(table)[-1]))
+    if method == "purity_sum":
+        values = 1.0 - _subset_sums(table) / 2.0**weights
+    elif method == "distribution_zero_set":
+        values = 1.0 - _zero_on_sums(table)
+    elif method == "even_weight_sum":
+        even = _zero_on_sums(table * (weights % 2 == 0))
+        values = even[..., :1] - even
+    else:
+        raise ValidationError(f"unknown method {method!r} for a full-register table")
+    _clamp(float(values.min()))
+    return np.maximum(values, 0.0)
 
 
 def ce_distribution(psi: Statevector, s: QubitSet) -> CEResult:
@@ -147,19 +152,18 @@ def ce_distribution(psi: Statevector, s: QubitSet) -> CEResult:
     _require_nonempty(psi, s)
     p_zero = zero_outcome_probability(psi, psi, s)
     value = _clamp(1.0 - p_zero)
-    return CEResult(
-        value, s, "distribution_zero_set", {"zero_outcome_probability": p_zero}
-    )
+    return CEResult(value, s, "distribution_zero_set", {"zero_outcome_probability": p_zero})
 
 
 def ce_even_weight(psi: Statevector, s: QubitSet) -> CEResult:
     """C(s) as the summed probability of even-weight outcomes touching s.
 
     Reads the full-register law of ``identical_copy_distribution``, so the
-    n <= 14 budget is set by its 2^n purity terms.
+    n <= 14 budget is set by its 2^n purity terms; one s is one dot product.
     """
     _require_nonempty(psi, s)
-    selected = _even_touching(psi.n_qubits, s.mask)
+    labels = np.arange(1 << psi.n_qubits)
+    selected = _reverse_bits((labels & s.mask != 0) & (np.bitwise_count(labels) % 2 == 0))
     law = identical_copy_distribution(psi, QubitSet.full(psi.n_qubits)).probabilities
     value = _clamp(float(np.vecdot(law, selected)))
     return CEResult(value, s, "even_weight_sum", {"terms": int(selected.sum())})
@@ -188,24 +192,44 @@ def ce_from_histogram(hist: ShotHistogram) -> CEResult:
     )
 
 
-def concentratable_entanglement(
-    psi: Statevector, s: QubitSet, method: str = "auto"
-) -> CEResult:
-    """C(s) by the requested route; "auto" is the purity sum.
+def ce_sweep(psi: Statevector, subsets, method: str = "auto") -> list[CEResult]:
+    """C(s) for each subset by the requested route: the one route policy.
 
-    The purity sum is the default because it costs O(2^n) memory and beats
-    the O(4^n) SWAP-test route from n = 7 on the full set; the SWAP-test
-    route also refuses n > 10 under the default 20-qubit cap.
+    "auto" is the purity sum, because it costs O(2^n) memory and beats the
+    O(4^n) SWAP-test route from n = 7 on the full set; the SWAP-test route
+    also refuses n > 10 under the default 20-qubit cap. One subset runs the
+    route's function. Two or more read every value, and its detail, from the
+    route's one full-register table (``ce_all_subsets``), checking first the
+    cap the route's function checks first; they match it up to rounding.
     """
-    if method == "auto":
-        method = "purity_sum"
-    if method == "purity_sum":
-        return ce_purity(psi, s)
-    if method == "distribution_zero_set":
-        return ce_distribution(psi, s)
-    if method == "even_weight_sum":
-        return ce_even_weight(psi, s)
-    raise ValidationError(f"unknown method {method!r} (seed-based 'shots' runs via ce_shots)")
+    method = "purity_sum" if method == "auto" else method
+    route = dict(zip(METHODS, (ce_purity, ce_distribution, ce_even_weight))).get(method)
+    if route is None:
+        raise ValidationError(f"unknown method {method!r} (seed-based 'shots' runs via ce_shots)")
+    if len(subsets) < 2:
+        return [route(psi, s) for s in subsets]
+    for s in subsets:
+        _require_nonempty(psi, s)
+    n, full = psi.n_qubits, QubitSet.full(psi.n_qubits)
+    c, key = np.bitwise_count(np.arange(1 << n)).astype(int), "terms"
+    if route is ce_purity:
+        limits.require("purity-table", n)
+        table, detail = purity_array(psi), 1 << c
+    elif route is ce_distribution:
+        limits.require("two-copies", 2 * n)
+        table = exact_distribution(psi, psi, full).probabilities
+        key, detail = "zero_outcome_probability", _zero_on_sums(table)
+    else:
+        table = identical_copy_distribution(psi, full).probabilities
+        # 2^(n-1) even-weight outcomes, less the 2^(n-c-1) (1 if c = n) with no 1 on s.
+        detail = (1 << (n - 1)) - np.maximum((1 << n) >> (c + 1), 1)
+    values = ce_all_subsets(table, method)
+    return [CEResult(float(values[s.mask]), s, method, {key: detail[s.mask].item()}) for s in subsets]
+
+
+def concentratable_entanglement(psi: Statevector, s: QubitSet, method: str = "auto") -> CEResult:
+    """C(s) by the requested route: ``ce_sweep`` of the one subset s."""
+    return ce_sweep(psi, [s], method)[0]
 
 
 def ce_two_state(psi: Statevector, psi_prime: Statevector, s: QubitSet) -> float:

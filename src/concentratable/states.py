@@ -352,6 +352,8 @@ def statevector_to_dict(psi: Statevector) -> dict:
 def statevector_from_dict(data: dict) -> Statevector:
     try:
         n = int(data["n"])
+        if isinstance(data["n"], bool) or isinstance(data["n"], float) and n != data["n"]:
+            raise ValueError(f"n must be a whole number, got {data['n']!r}")
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state record: {exc}") from exc

@@ -427,13 +427,14 @@ def _walsh_law(purities: np.ndarray) -> np.ndarray:
     by table index int(z, 2). On the full register a local mask is a label
     mask. Independent of the pair-basis route.
     """
-    m = purities.shape[-1].bit_length() - 1
-    lead = purities.shape[:-1]
-    by_local_mask = _fwht(purities) / (1 << m)
-    # Local mask (bit j = j-th tested label) -> table index (first tested label
-    # most significant) is a bit reversal: reversing the axes of the (2,)*m view.
-    axes = tuple(range(len(lead))) + tuple(range(len(lead) + m - 1, len(lead) - 1, -1))
-    return by_local_mask.reshape(lead + (2,) * m).transpose(axes).reshape(lead + (-1,))
+    return _reverse_bits(_fwht(purities) / purities.shape[-1])
+
+
+def _reverse_bits(tables: np.ndarray) -> np.ndarray:
+    """Each table on the last axis re-indexed by its bit-reversed index: local mask (bit j =
+    j-th tested label) <-> table index (first label most significant), (2,)*m axes reversed."""
+    m = tables.shape[-1].bit_length() - 1
+    return tables.reshape((-1,) + (2,) * m).transpose(0, *range(m, 0, -1)).reshape(tables.shape)
 
 
 def identical_copy_distribution(psi: Statevector, tested: QubitSet) -> OutcomeDistribution:

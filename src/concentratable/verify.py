@@ -27,7 +27,7 @@ in trial order:
   purity+Walsh laws from one ``purity_arrays`` call);
 - route-agreement reads its SWAP-test route, 1 - p(all-zero on s), from one
   ``exact_distributions`` call per n and its even-weight route from the
-  purity+Walsh laws of one ``purity_arrays`` call;
+  purity+Walsh laws of one ``purity_arrays`` call, both by ``ce_all_subsets``;
 - tangle-identity takes p(1...1) of each group from one
   ``outcome_probabilities`` call;
 - singlet-projection takes its laws from one ``exact_distributions`` call
@@ -54,9 +54,6 @@ import numpy as np
 from . import limits
 from .errors import ValidationError
 from .measures import (
-    _clamp_all,
-    _even_touching,
-    _table_masks,
     ce_all_subsets,
     ce_purity,
     ce_two_states,
@@ -209,9 +206,9 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
     Per n, the SWAP-test route, 1 - p(all-zero on s) as in ``ce_distribution``,
     is read off the full-register laws of one ``exact_distributions`` call,
     and the even-weight route off the purity+Walsh laws of one
-    ``purity_arrays`` call, with the selection ``ce_even_weight`` makes. The
-    purity sum, ``ce_purity``, runs per state: the one single-state route,
-    the reference the stacked ones are held to.
+    ``purity_arrays`` call, each by ``ce_all_subsets`` as a sweep reads them.
+    The purity sum, ``ce_purity``, runs per state: the one single-state
+    route, the reference the stacked ones are held to.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -220,10 +217,9 @@ def check_route_agreement(trials=100, n_values=(2, 3, 4, 5, 6), seed=101, tolera
         masks = np.array([mask for _, mask in drawn])
         stack = make_haar_random_stack(n, [state_seed for state_seed, _ in drawn])
         tables = exact_distributions(stack, stack, QubitSet.full(n))
-        off_s = (np.arange(1 << n) & _table_masks(n, masks)[:, None]) == 0
-        swap_test = np.maximum(1.0 - np.vecdot(tables, off_s), 0.0)
+        swap_test = ce_all_subsets(tables, "distribution_zero_set")[np.arange(per_n), masks]
         walsh = _walsh_law(purity_arrays(stack))
-        even_weight = _clamp_all(np.vecdot(walsh, _even_touching(n, masks)))
+        even_weight = ce_all_subsets(walsh, "even_weight_sum")[np.arange(per_n), masks]
         purity_sum = np.array(
             [ce_purity(psi, QubitSet(n, mask)).value for psi, mask in zip(stack, masks.tolist())]
         )

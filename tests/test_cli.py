@@ -8,6 +8,7 @@ import pytest
 from concentratable import (
     QubitSet,
     ce_purity,
+    concentratable_entanglement,
     ghz_closed_form,
     make_haar_random,
     make_product,
@@ -76,11 +77,21 @@ class TestCe:
         assert by_mask[0b111] == pytest.approx(0.375)
         assert by_mask[0b001] == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("sweep", ["--all-subsets", "--all-cardinalities"])
-    def test_sweep_matches_per_subset_purity_sum(self, capsys, tmp_path, sweep):
+    @pytest.mark.parametrize(
+        "sweep, method",
+        [
+            pytest.param(sweep, method, id=sweep if method == "auto" else f"{sweep}-{method}")
+            for method in ("auto", "distribution_zero_set", "even_weight_sum")
+            for sweep in ("--all-subsets", "--all-cardinalities")
+        ],
+    )
+    def test_sweep_matches_per_subset_purity_sum(self, capsys, tmp_path, sweep, method):
+        # A sweep reads every value from one table; the one-subset route of the
+        # same method is the reference. The SWAP-test routes sum their law in
+        # another order than the one-subset route, so they agree within 1e-12.
         out_path = tmp_path / "ce.csv"
         code, out, _ = run_cli(
-            capsys, "ce", "--haar", "5", "--state-seed", "11", sweep,
+            capsys, "ce", "--haar", "5", "--state-seed", "11", sweep, "--method", method,
             "--output", str(out_path), "--format", "csv",
         )
         assert code == 0
@@ -90,12 +101,13 @@ class TestCe:
         masks = range(1, 32) if sweep == "--all-subsets" else [(1 << c) - 1 for c in range(1, 6)]
         assert [int(r["mask"]) for r in rows] == list(masks)
         lines = out.strip().splitlines()
+        tolerance = 1e-15 if method == "auto" else 1e-12
         for row, line in zip(rows, lines, strict=True):
-            expected = ce_purity(psi, QubitSet(5, int(row["mask"])))
-            assert row["method"] == "purity_sum"
+            expected = concentratable_entanglement(psi, QubitSet(5, int(row["mask"])), method)
+            assert row["method"] == expected.method
             assert int(row["cardinality"]) == expected.s.cardinality
-            assert abs(float(row["value"]) - expected.value) <= 1e-15
-            assert line.endswith(f" = {expected.value:.12g}  [purity_sum]")
+            assert abs(float(row["value"]) - expected.value) <= tolerance
+            assert line.endswith(f" = {expected.value:.12g}  [{expected.method}]")
 
     def test_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "ce.json"
@@ -139,15 +151,24 @@ class TestCe:
         assert out == ""
         assert err.startswith("error: expected 2^1000000000000 amplitudes")
 
-    @pytest.mark.parametrize("n", ["1e400", '"two"', "null"])
+    @pytest.mark.parametrize("n", ["1e400", '"two"', "null", "1.5", "true"])
     def test_state_file_with_non_integer_n_is_a_validation_error(self, capsys, tmp_path, n):
-        # 1e400 parses as an infinite float, which int() refuses with OverflowError.
+        # 1e400 parses as an infinite float, which int() refuses with OverflowError;
+        # int() would read 1.5 and true as 1.
         path = tmp_path / "bad.json"
         path.write_text('{"n": %s, "amplitudes": [[1, 0], [0, 0]]}' % n)
         code, out, err = run_cli(capsys, "ce", "--file", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed state record") and "Traceback" not in err
+
+    def test_state_file_that_is_not_utf8_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "ce", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: state file is not valid JSON") and "Traceback" not in err
 
     def test_malformed_register_cap_is_a_validation_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CE_MAX_QUBITS", "abc")

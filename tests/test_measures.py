@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concentratable import (
     BudgetError,
@@ -19,6 +21,7 @@ from concentratable import (
     concentratable_entanglement,
     exact_distribution,
     ghz_closed_form,
+    identical_copy_distribution,
     make_ghz,
     make_haar_random,
     make_product,
@@ -36,6 +39,7 @@ from concentratable import (
 )
 from concentratable import limits
 from concentratable.cli import main
+from concentratable.measures import ce_sweep
 from concentratable.oracle import LocalKrausPair, apply_local_kraus
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -81,6 +85,54 @@ class TestCeAllSubsets:
     def test_significantly_negative_value_rejected(self):
         with pytest.raises(ConsistencyError):
             ce_all_subsets(np.array([1.0, 1.1]))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValidationError, match="unknown method 'shots'"):
+            ce_all_subsets(np.array([0.5, 0.5]), "shots")
+
+
+def even_touching(n, mask):
+    """Even-weight outcomes with a 1 on some qubit of label mask s, by outcome-table
+    index (qubit k is bit n-1-k): the selection ``ce_even_weight`` sums, built here
+    from integer masks rather than by reversing the axes of a table."""
+    index = np.arange(1 << n)
+    table_mask = sum(1 << (n - 1 - k) for k in range(n) if mask >> k & 1)
+    return ((index & table_mask) != 0) & (np.bitwise_count(index) % 2 == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["ghz", "w", "haar"]),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["purity_sum", "distribution_zero_set", "even_weight_sum"]),
+)
+def test_sweep_matches_one_subset_routes(kind, n, seed, method):
+    psi = make_haar_random(n, seed) if kind == "haar" else {"ghz": make_ghz, "w": make_w}[kind](n)
+    subsets = [QubitSet(n, mask) for mask in range(1, 1 << n)]
+    law = identical_copy_distribution(psi, QubitSet.full(n)).probabilities
+    for swept, s in zip(ce_sweep(psi, subsets, method), subsets, strict=True):
+        one = concentratable_entanglement(psi, s, method)
+        assert (swept.s, swept.method) == (s, one.method)
+        assert abs(swept.value - one.value) <= 1e-12
+        assert swept.detail.keys() == one.detail.keys()
+        for key, value in one.detail.items():
+            assert type(swept.detail[key]) is type(value)
+            assert abs(swept.detail[key] - value) <= 1e-12
+        if method == "even_weight_sum":
+            selected = even_touching(n, s.mask)
+            assert abs(swept.value - float(np.vecdot(law, selected))) <= 1e-12
+            assert swept.detail["terms"] == one.detail["terms"] == int(selected.sum())
+
+
+def test_sweep_validates_every_subset_first():
+    psi = make_ghz(3)
+    with pytest.raises(ValidationError, match="empty subset"):
+        ce_sweep(psi, [QubitSet(3, 1), QubitSet(3, 0)], "even_weight_sum")
+    with pytest.raises(ValidationError):
+        ce_sweep(psi, [QubitSet(3, 1), QubitSet(2, 1)])
+    with pytest.raises(ValidationError, match="unknown method"):
+        ce_sweep(psi, [QubitSet(3, 1), QubitSet(3, 2)], "shots")
 
 
 class TestCeDistribution:

@@ -408,6 +408,10 @@ class TestSerialization:
         psi = make_haar_random(3, 21)
         again = statevector_from_dict(statevector_to_dict(psi))
         np.testing.assert_array_equal(again.amplitudes, psi.amplitudes)
+        # A whole float n reads as that integer.
+        again = statevector_from_dict(statevector_to_dict(psi) | {"n": 3.0})
+        assert again.n_qubits == 3
+        np.testing.assert_array_equal(again.amplitudes, psi.amplitudes)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
