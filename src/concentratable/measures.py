@@ -26,7 +26,7 @@ import numpy as np
 from . import limits
 from .errors import ConsistencyError, ValidationError
 from .reductions import _plan, _state_purities, cross_purities, purity_array, submasks
-from .states import QubitSet, Statevector, paired_stacks, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, paired_stacks, require_same_qubits
 from .swaptest import (
     ShotHistogram,
     _reverse_bits,
@@ -258,11 +258,19 @@ def ce_two_states(states, states_prime, s: QubitSet) -> np.ndarray:
 
 
 def n_tangle(psi: Statevector) -> float:
-    """|<psi| Y^(x)n |psi*>|^2; equals 2^n p(all-ones) for even n."""
-    amps = psi.amplitudes
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(psi.dim)) & 1)
-    overlap = np.sum(signs * amps * amps[::-1])
-    return float(min(abs(overlap) ** 2, 1.0))
+    """|<psi| Y^(x)n |psi*>|^2; equals 2^n p(all-ones) for even n.
+
+    This is row 0 of ``n_tangles``.
+    """
+    return float(n_tangles([psi])[0])
+
+
+def n_tangles(states) -> np.ndarray:
+    """``n_tangle`` of each row of a stack (or sequence of states)."""
+    amps = StateStack.of(states).amplitudes
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(amps.shape[-1])) & 1)
+    overlaps = np.sum(signs * amps * amps[:, ::-1], axis=-1)
+    return np.minimum(np.abs(overlaps) ** 2, 1.0)
 
 
 def ghz_closed_form(n: int, cardinality: int) -> float:

@@ -302,11 +302,29 @@ def make_graph_state(adjacency) -> Statevector:
     return Statevector(n, signs / 2.0 ** (n / 2))
 
 
+def _row(b: int, rows: int) -> str:
+    """Error-message prefix naming row ``b`` of ``rows`` rows; empty for one row."""
+    return f"row {b}: " if rows > 1 else ""
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each complex row's 2-norm as a column, bit-identical to ``np.linalg.norm`` of the row."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+
+
 def trace_distance_pure(a: Statevector, b: Statevector) -> float:
-    """Trace distance between pure states: sqrt(1 - |<a|b>|^2)."""
-    require_same_qubits(a, b)
-    overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
-    return float(np.sqrt(max(0.0, 1.0 - overlap * overlap)))
+    """Trace distance between pure states: sqrt(1 - |<a|b>|^2).
+
+    This is row 0 of ``trace_distances_pure``.
+    """
+    return float(trace_distances_pure([a], [b])[0])
+
+
+def trace_distances_pure(states, states_prime) -> np.ndarray:
+    """``trace_distance_pure`` of each pair of rows of two stacks (or sequences of states)."""
+    states, states_prime = paired_stacks(states, states_prime)
+    overlaps = np.abs(np.vecdot(states.amplitudes, states_prime.amplitudes))
+    return np.sqrt(np.maximum(0.0, 1.0 - overlaps * overlaps))
 
 
 def perturb(psi: Statevector, epsilon: float) -> Statevector:
@@ -316,18 +334,42 @@ def perturb(psi: Statevector, epsilon: float) -> Statevector:
     psi' = delta*psi + sqrt(1-delta^2)*u with delta = sqrt(1-eps^2), so
     <psi|psi'> = delta and the trace distance comes out to epsilon.
     Fails when psi is |0...0> up to phase (the orthogonal component vanishes).
+    This is row 0 of ``perturb_stack``.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    c0 = psi.amplitudes[0]
-    if abs(c0) >= 1.0 - 1e-12:
-        raise ValidationError("psi is |0...0> up to phase; the projected |0> vanishes")
-    residual = -np.conj(c0) * psi.amplitudes
-    residual[0] += 1.0
-    residual /= np.linalg.norm(residual)
-    delta = np.sqrt(max(0.0, 1.0 - epsilon * epsilon))
-    amps = delta * psi.amplitudes + np.sqrt(1.0 - delta * delta) * residual
-    return Statevector(psi.n_qubits, amps / np.linalg.norm(amps))
+    return perturb_stack([psi], epsilon)[0]
+
+
+def perturb_stack(states, epsilons) -> StateStack:
+    """``perturb`` of each row of a stack (or sequence of states): row b is
+    states[b] moved to trace distance epsilons[b]; one epsilon serves every row.
+
+    Every epsilon is checked before any state: an epsilon outside (0, 1]
+    (NaN included), then a row that is |0...0> up to phase, raises a
+    ``ValidationError`` naming its row when there is more than one.
+    """
+    states = StateStack.of(states)
+    amps, rows = states.amplitudes, len(states)
+    eps = np.asarray(epsilons, dtype=np.float64)
+    if eps.ndim and eps.shape != (rows,):
+        raise ValidationError(f"expected one epsilon or {rows}, got shape {eps.shape}")
+    bad = ~((eps > 0.0) & (eps <= 1.0))
+    if bad.any():
+        b = int(np.argmax(bad))
+        where = _row(b, rows) if eps.ndim else ""
+        raise ValidationError(f"{where}epsilon must lie in (0, 1], got {float(eps.flat[b])}")
+    c0 = amps[:, 0]
+    vanishing = np.abs(c0) >= 1.0 - 1e-12
+    if vanishing.any():
+        b = int(np.argmax(vanishing))
+        raise ValidationError(
+            f"{_row(b, rows)}psi is |0...0> up to phase; the projected |0> vanishes"
+        )
+    residual = -np.conj(c0)[:, None] * amps
+    residual[:, 0] += 1.0
+    residual /= _norms(residual)
+    delta = np.sqrt(np.maximum(0.0, 1.0 - eps * eps))[..., None]
+    mixed = delta * amps + np.sqrt(1.0 - delta * delta) * residual
+    return StateStack(states.n_qubits, mixed / _norms(mixed))
 
 
 def permute_qubits(psi: Statevector, permutation: Sequence[int]) -> Statevector:

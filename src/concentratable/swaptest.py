@@ -50,7 +50,15 @@ import numpy as np
 from . import limits
 from .errors import ConsistencyError, ValidationError
 from .reductions import _plan, _state_purities
-from .states import QubitSet, StateStack, Statevector, _wrap_checked, paired_stacks, require_same_qubits
+from .states import (
+    QubitSet,
+    StateStack,
+    Statevector,
+    _row,
+    _wrap_checked,
+    paired_stacks,
+    require_same_qubits,
+)
 
 PROB_CLAMP_FLOOR = -1e-12
 #: ``post_measurement`` refuses to condition on an outcome this likely or less.
@@ -179,11 +187,6 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
         raise ValidationError(f"probabilities sum to {float(totals[off][0])!r}, expected 1")
     probs.setflags(write=False)
     return probs
-
-
-def _row(b: int, rows: int) -> str:
-    """Error-message prefix naming row ``b`` of ``rows`` rows; empty for one row."""
-    return f"row {b}: " if rows > 1 else ""
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,9 +14,13 @@ in trial order:
 - nested-monotonicity, subadditivity and continuity build each group's
   states with one ``make_haar_random_stack``; they, error-bound,
   closed-forms and w-projection take all 2^n purities, or C(s) for every
-  s, of each group from one ``purity_arrays`` call; error-bound also takes
-  the two-state values of each epsilon group from ``ce_two_states``, one
-  ``cross_purities`` call per subset of s;
+  s, of each group from one ``purity_arrays`` call; continuity and
+  error-bound perturb each group with one ``perturb_stack`` call,
+  continuity takes its trace distances from one ``trace_distances_pure``
+  call, and error-bound the two-state values of each epsilon group from
+  ``ce_two_states``, one ``cross_purities`` call per subset of s;
+- w-projection measures the W and GHZ states of each n with one
+  ``apply_local_kraus_stack`` call;
 - ce- and purity-locc-monotonicity build each group's states
   (``make_haar_random_stack``), Kraus pairs (``random_local_kraus_stack``)
   and branches (``apply_local_kraus_stack``) in one call each, and read
@@ -29,7 +33,8 @@ in trial order:
   ``exact_distributions`` call per n and its even-weight route from the
   purity+Walsh laws of one ``purity_arrays`` call, both by ``ce_all_subsets``;
 - tangle-identity takes p(1...1) of each group from one
-  ``outcome_probabilities`` call;
+  ``outcome_probabilities`` call and its n-tangles from one ``n_tangles``
+  call;
 - singlet-projection takes its laws from one ``exact_distributions`` call
   per n, draws its outcomes with one ``draw_outcomes``, and conditions on
   them and takes every pair marginal with one ``post_measurements`` and one
@@ -37,11 +42,11 @@ in trial order:
 
 The package's single-state functions are row 0 of these stacked forms
 (one state's purities may run by levels or by a program, each
-bit-identical to that row; see ``reductions``). What stays per state:
+bit-identical to that row; see ``reductions``). What stays per state is
 route-agreement's purity sum (``ce_purity``), the one single-state route,
-which the stacked routes are held against; tangle-identity's ``n_tangle``;
-and ``perturb``. A state reads only ``default_rng(state_seed)``, never a
-check's generator, so trials are drawn before their states are built.
+which the stacked routes are held against. A state reads only
+``default_rng(state_seed)``, never a check's generator, so trials are
+drawn before their states are built.
 """
 
 from __future__ import annotations
@@ -58,16 +63,11 @@ from .measures import (
     ce_purity,
     ce_two_states,
     ghz_closed_form,
-    n_tangle,
+    n_tangles,
     w_closed_form,
     w_post_projection_ce,
 )
-from .oracle import (
-    LocalKrausPair,
-    apply_local_kraus,
-    apply_local_kraus_stack,
-    random_local_kraus_stack,
-)
+from .oracle import apply_local_kraus_stack, random_local_kraus_stack
 from .reductions import purity_arrays
 from .states import (
     QubitSet,
@@ -76,8 +76,8 @@ from .states import (
     make_ghz,
     make_haar_random_stack,
     make_w,
-    perturb,
-    trace_distance_pure,
+    perturb_stack,
+    trace_distances_pure,
 )
 from .swaptest import (
     CONDITION_FLOOR,
@@ -300,7 +300,7 @@ def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-
     """For even n, the all-ones outcome carries the n-tangle: 2^n p(1...1) = tau.
 
     Per n, p(1...1) of every state comes from one ``outcome_probabilities``
-    call; ``n_tangle`` runs per state.
+    call and its n-tangle from one ``n_tangles`` call.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -308,9 +308,8 @@ def check_tangle_identity(trials=40, n_values=(2, 4, 6), seed=404, tolerance=1e-
         seeds = [_state_seed(rng) for _ in range(per_n)]
         stack = make_haar_random_stack(n, seeds)
         p_ones = outcome_probabilities(stack, stack, "1" * n)
-        tangles = np.array([n_tangle(psi) for psi in stack])
         worst.update_first_max(
-            np.abs((1 << n) * p_ones - tangles), lambda b: f"n={n} state_seed={seeds[b]}"
+            np.abs((1 << n) * p_ones - n_tangles(stack)), lambda b: f"n={n} state_seed={seeds[b]}"
         )
     return worst.report("tangle-identity", trials, tolerance)
 
@@ -468,41 +467,75 @@ def check_subadditivity(trials=200, n_values=(2, 3, 4, 5, 6), seed=909, toleranc
 
 
 def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-9):
-    """|C(psi) - C(phi)| <= 2 * ||psi psi+ - phi phi+||_1 on perturbed pairs."""
+    """|C(psi) - C(phi)| <= 2 * ||psi psi+ - phi phi+||_1 on perturbed pairs.
+
+    Per n, the perturbed states come from one ``perturb_stack`` call, the
+    C(s) of both sides from one ``purity_arrays`` call and the trace
+    distances from one ``trace_distances_pure`` call.
+    """
     rng = np.random.default_rng(seed)
-    worst = _Worst()
     drawn = _draw(
         rng,
         trials,
         n_values,
         lambda n: (n, _state_seed(rng), float(rng.uniform(1e-4, 0.9)), _nonempty_mask(rng, n)),
     )
-    violations = [None] * len(drawn)
+    violations = np.empty(len(drawn))
     for n, indices in _grouped(trial[0] for trial in drawn):
-        states = list(make_haar_random_stack(n, [drawn[i][1] for i in indices]))
-        perturbed = [perturb(psi, drawn[i][2]) for i, psi in zip(indices, states)]
-        ce = ce_all_subsets(purity_arrays(states + perturbed))
-        for row, i in enumerate(indices):
-            mask = drawn[i][3]
-            one_norm = 2.0 * trace_distance_pure(states[row], perturbed[row])
-            gap = abs(float(ce[row, mask]) - float(ce[len(indices) + row, mask]))
-            violations[i] = gap - 2.0 * one_norm
-    for (n, state_seed, epsilon, mask), violation in zip(drawn, violations):
-        worst.update(violation, f"n={n} state_seed={state_seed} eps={epsilon:.6f} mask={mask:#b}")
+        states = make_haar_random_stack(n, [drawn[i][1] for i in indices])
+        perturbed = perturb_stack(states, [drawn[i][2] for i in indices])
+        ce = ce_all_subsets(purity_arrays(join_stacks(states, perturbed)))
+        rows, masks = np.arange(len(indices)), np.array([drawn[i][3] for i in indices])
+        gaps = np.abs(ce[rows, masks] - ce[len(indices) + rows, masks])
+        one_norms = 2.0 * trace_distances_pure(states, perturbed)
+        violations[indices] = gaps - 2.0 * one_norms
+    worst = _Worst()
+    worst.update_first_max(
+        violations,
+        lambda t: "n={} state_seed={} eps={:.6f} mask={:#b}".format(*drawn[t]),
+    )
     return worst.report("continuity", trials, tolerance)
+
+
+#: The smallest epsilon error-bound takes. The excess it bounds is a
+#: difference of values near 1, with rounding near 1e-16, and perturb's
+#: delta = sqrt(1 - eps^2) keeps fewer digits of eps as eps shrinks. On
+#: 2,000 Haar n = 3 pairs (state seeds 0-1999) the excess stays at
+#: 0.09-0.33 of 4 eps^2 for every eps >= 1e-7, turns negative at 3e-8 and
+#: reaches 2.2x the bound at 1e-8, where a report would read rounding as a
+#: violation. 1e-6 keeps a decade of margin.
+EPSILON_FLOOR = 1e-6
+
+
+def _require_epsilons(epsilons) -> None:
+    """Raise ValidationError unless every epsilon lies in [EPSILON_FLOOR, 1]."""
+    for epsilon in epsilons:
+        if not 0.0 < epsilon <= 1.0:
+            raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+        if epsilon < EPSILON_FLOOR:
+            raise ValidationError(
+                f"epsilon {epsilon} is below the error-bound floor {EPSILON_FLOOR}: there the "
+                "bound 4 eps^2 falls under the rounding of the excess it bounds"
+            )
 
 
 def check_error_bound(
     trials=600, epsilons=(0.1, 0.001, 0.0001), n=3, seed=1111, tolerance=1e-9
 ):
-    """Unequal copies: 0 <= [C_xy - C_x] + [C_xy - C_y] < 4 eps^2 on every pair."""
+    """Unequal copies: 0 <= [C_xy - C_x] + [C_xy - C_y] < 4 eps^2 on every pair.
+
+    Every epsilon is held to (0, 1] and to ``EPSILON_FLOOR`` before any
+    state is built. Per epsilon, the perturbed states come from one
+    ``perturb_stack`` call.
+    """
+    _require_epsilons(epsilons)
     rng = np.random.default_rng(seed)
     worst = _Worst()
     s = QubitSet.full(n)
     for epsilon, per_eps in _split(trials, epsilons):
         seeds = [_state_seed(rng) for _ in range(per_eps)]
         states = make_haar_random_stack(n, seeds)
-        primes = StateStack.of([perturb(psi, epsilon) for psi in states])
+        primes = perturb_stack(states, epsilon)
         cross = ce_two_states(states, primes, s)
         singles = ce_all_subsets(purity_arrays(join_stacks(states, primes)))
         excess = (cross - singles[:per_eps, s.mask]) + (cross - singles[per_eps:, s.mask])
@@ -544,12 +577,8 @@ def check_closed_forms(n_max=8, seed=1212, tolerance=1e-10):
     return worst.report("closed-forms", count, tolerance)
 
 
-def _projective_pair(qubit: int) -> LocalKrausPair:
-    return LocalKrausPair(
-        qubit,
-        np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-        np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    )
+# The computational-basis measurement of one qubit as a Kraus pair [|0><0|, |1><1|].
+_PROJECTIVE = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], dtype=complex)
 
 
 def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
@@ -557,16 +586,16 @@ def check_w_projection(n_values=(3, 4, 5, 6), seed=1313, tolerance=1e-10):
     with the advertised residual entanglement; GHZ loses everything either way.
 
     The measured qubit is left in |0>, a product factor, so each tested s is
-    also tested with that qubit added: C(s) must not change.
+    also tested with that qubit added: C(s) must not change. Per n, the W
+    and GHZ branches come from one ``apply_local_kraus_stack`` call and
+    their C(s) from one ``purity_arrays`` call.
     """
     worst = _Worst()
     count = 0
     for n in n_values:
-        measure = _projective_pair(n - 1)
-        branches = apply_local_kraus(make_w(n), measure) + apply_local_kraus(make_ghz(n), measure)
-        zero_branch, one_branch, *ghz_branches = ce_all_subsets(
-            purity_arrays([b.post_state for b in branches])
-        )
+        states = StateStack.of([make_w(n), make_ghz(n)])
+        _, branches = apply_local_kraus_stack(states, [_PROJECTIVE, _PROJECTIVE], n - 1)
+        zero_branch, one_branch, *ghz_branches = ce_all_subsets(purity_arrays(branches))
         measured = 1 << (n - 1)
         for cardinality in range(1, n - 1 + 1):
             expected, _quoted_prob = w_post_projection_ce(n, cardinality)
@@ -649,9 +678,12 @@ def run_suite(
     unknown = set(names) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
+    # Arguments a selected check would refuse are refused before any check runs.
     if "closed-forms" in names:
-        # The other checks clip n to their own sizes; refuse before any of them runs.
+        # The other checks clip n to their own sizes.
         limits.require("purity-terms", _SUITE_ARGS["closed-forms"](trials, n_max, epsilons)["n_max"])
+    if "error-bound" in names:
+        _require_epsilons(epsilons)
     return [
         CHECKS[name](**_SUITE_ARGS[name](trials, n_max, epsilons), seed=seed) for name in names
     ]

@@ -474,6 +474,32 @@ class TestVerify:
         assert out == ""
         assert "error: trials must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--property", "error-bound"]])
+    @pytest.mark.parametrize("epsilon", ["0", "-0.1", "1.5", "nan", "inf"])
+    def test_epsilon_outside_the_unit_interval_is_refused_first(self, capsys, epsilon, extra):
+        # Refused before the first check runs, with error-bound's own message.
+        code, out, err = run_cli(capsys, "verify", "--epsilon", epsilon, "--trials", "200", *extra)
+        assert code == 2
+        assert out == ""
+        assert f"error: epsilon must lie in (0, 1], got {float(epsilon)}" in err
+
+    def test_epsilon_below_the_floor_is_a_validation_error(self, capsys):
+        # 4 eps^2 = 4e-16 lies under the rounding of the excess: refused, not a violation.
+        code, out, err = run_cli(
+            capsys, "verify", "--property", "error-bound", "--epsilon", "1e-8", "--trials", "200"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: epsilon 1e-08 is below the error-bound floor 1e-06" in err
+        assert "rounding" in err
+
+    def test_epsilon_is_not_checked_without_error_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--property", "closed-forms", "--epsilon", "0", "--n-max", "3"
+        )
+        assert code == 0
+        assert out.startswith("[PASS] closed-forms")
+
     def test_n_max_below_two_is_a_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "1")
         assert code == 2

@@ -4,7 +4,9 @@ Each stacked function is checked row by row against its single-state
 counterpart and against an independent reference: the per-seed Kraus
 construction written out below, the per-seed Haar draw, dense Kronecker
 products for local operations, the explicit ancilla+Fredkin circuit for
-SWAP-test laws, and dense reduced density matrices for cross purities.
+SWAP-test laws, dense reduced density matrices for cross purities, and
+dense density matrices and Pauli-Y products for trace distances and
+n-tangles.
 Where the single-state function is the stacked one on one row, the rows
 must match it bit for bit.
 """
@@ -31,14 +33,20 @@ from concentratable import (
     full_circuit_oracle,
     make_haar_random,
     make_haar_random_stack,
+    n_tangle,
+    n_tangles,
     outcome_probabilities,
     outcome_probability,
     pair_marginal,
     pair_marginals,
+    perturb,
+    perturb_stack,
     post_measurement,
     post_measurements,
     singlet_fidelities,
     singlet_fidelity,
+    trace_distance_pure,
+    trace_distances_pure,
     zero_outcome_probabilities,
     zero_outcome_probability,
 )
@@ -330,3 +338,82 @@ def test_stacked_row_below_the_condition_floor_is_named():
         pair_marginals(np.stack([np.eye(64)[0], np.zeros(64)]), 3, [0])
     with pytest.raises(ValidationError, match="qubit 3 out of range"):
         pair_marginal(JointState(3, np.eye(64)[0]), 3)
+
+
+@st.composite
+def perturbed_cases(draw):
+    """A Haar stack (n = 1..6, B = 1..8) with one epsilon or one per row, at or above 1e-6."""
+    n, seed_list = draw(st.integers(1, 6)), draw(seed_lists)
+    epsilon = st.floats(1e-6, 1.0)
+    rows = len(seed_list)
+    epsilons = draw(st.one_of(epsilon, st.lists(epsilon, min_size=rows, max_size=rows)))
+    return make_haar_random_stack(n, seed_list), epsilons
+
+
+def dense_trace_distance(a, b):
+    """Half the trace norm of |a><a| - |b><b|, from its eigenvalues."""
+    difference = np.outer(a, a.conj()) - np.outer(b, b.conj())
+    return 0.5 * np.abs(np.linalg.eigvalsh(difference)).sum()
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_cases())
+def test_perturbed_rows_match_single_calls_and_sit_at_epsilon(case):
+    states, epsilons = case
+    row_epsilons = np.broadcast_to(epsilons, len(states))
+    perturbed = perturb_stack(states, epsilons)
+    distances = trace_distances_pure(states, perturbed)
+    assert perturbed.n_qubits == states.n_qubits and len(perturbed) == len(states)
+    for b, epsilon in enumerate(row_epsilons.tolist()):
+        single = perturb(states[b], epsilon)
+        assert np.array_equal(perturbed.amplitudes[b], single.amplitudes)
+        assert distances[b] == trace_distance_pure(states[b], perturbed[b])
+        assert abs(distances[b] - epsilon) <= 1e-9
+        dense = dense_trace_distance(states.amplitudes[b], perturbed.amplitudes[b])
+        assert abs(dense - epsilon) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6), seed_lists)
+def test_n_tangle_rows_match_single_calls_and_the_dense_product(n, seed_list):
+    states = make_haar_random_stack(n, seed_list)
+    tangles = n_tangles(states)
+    y_n = np.ones((1, 1))
+    for _ in range(n):
+        y_n = np.kron(y_n, np.array([[0.0, -1j], [1j, 0.0]]))
+    for b, psi in enumerate(states):
+        assert tangles[b] == n_tangle(psi)
+        overlap = np.vdot(psi.amplitudes, y_n @ psi.amplitudes.conj())
+        assert abs(tangles[b] - abs(overlap) ** 2) <= 1e-12
+
+
+def test_perturb_stack_validation_names_the_row():
+    states = make_haar_random_stack(3, [1, 2, 3])
+    zero = np.zeros((3, 8), dtype=complex)
+    zero[:, 0] = 1j
+    with_zero = StateStack(3, np.concatenate([states.amplitudes[:2], zero[:1]]))
+    with pytest.raises(ValidationError, match=r"^row 1: epsilon must lie in \(0, 1\], got nan$"):
+        perturb_stack(states, [0.1, np.nan, 0.2])
+    with pytest.raises(ValidationError, match=r"^row 2: epsilon must lie in \(0, 1\], got 1.5$"):
+        perturb_stack(states, [0.1, 0.2, 1.5])
+    # One epsilon for every row, or one row, names none.
+    with pytest.raises(ValidationError, match=r"^epsilon must lie in \(0, 1\], got 0.0$"):
+        perturb_stack(states, 0.0)
+    with pytest.raises(ValidationError, match=r"^epsilon must lie in \(0, 1\], got inf$"):
+        perturb_stack(StateStack.of([states[0]]), [np.inf])
+    with pytest.raises(ValidationError, match=r"^row 2: psi is \|0...0> up to phase"):
+        perturb_stack(with_zero, 0.1)
+    with pytest.raises(ValidationError, match=r"^psi is \|0...0> up to phase"):
+        perturb_stack(StateStack(3, zero[:1]), 0.1)
+    # The epsilon range is checked before the |0...0> test.
+    with pytest.raises(ValidationError, match=r"^row 0: epsilon must lie"):
+        perturb_stack(with_zero, [-1.0, 0.1, 0.1])
+    with pytest.raises(ValidationError, match="expected one epsilon or 3"):
+        perturb_stack(states, [0.1, 0.2])
+
+
+def test_stacked_trace_distance_validation():
+    with pytest.raises(ValidationError, match="second state is over 2 qubits"):
+        trace_distances_pure(make_haar_random_stack(3, [1]), make_haar_random_stack(2, [1]))
+    with pytest.raises(ValidationError, match="2 states against 1 second copies"):
+        trace_distances_pure(make_haar_random_stack(3, [1, 2]), make_haar_random_stack(3, [1]))

@@ -9,17 +9,23 @@ import concentratable.swaptest as swaptest_module
 import concentratable.verify as verify_module
 from concentratable import (
     QubitSet,
+    StateStack,
+    ValidationError,
     ce_purity,
     exact_distribution,
     full_circuit_oracle,
     make_haar_random,
-    n_tangle,
+    n_tangles,
     purity_array,
 )
 from concentratable.oracle import dense_reduced_purity
+from concentratable.states import _wrap_checked
 from concentratable.verify import (
     CHECKS,
+    EPSILON_FLOOR,
     PropertyReport,
+    check_continuity,
+    check_error_bound,
     check_singlet_projection,
     run_suite,
 )
@@ -242,17 +248,64 @@ def test_injected_batched_purity_bug_is_caught(monkeypatch, fault):
 
 
 def test_nan_violation_is_kept_and_fails(monkeypatch):
-    # After one finite trial, a NaN n-tangle makes the next violations NaN;
+    # After one finite trial, NaN n-tangles make the next violations NaN;
     # the worst must be NaN with its witness, and the check must fail.
     calls = []
 
-    def tangle(psi):
-        calls.append(psi)
-        return n_tangle(psi) if len(calls) == 1 else math.nan
+    def tangles(stack):
+        calls.append(len(stack))
+        values = n_tangles(stack)
+        values[1:] = math.nan
+        return values
 
-    monkeypatch.setattr(verify_module, "n_tangle", tangle)
+    monkeypatch.setattr(verify_module, "n_tangles", tangles)
     (report,) = run_suite(trials=3, n_max=2, seed=10, properties=["tangle-identity"])
-    assert len(calls) == 3
+    assert calls == [3]
     assert math.isnan(report.max_violation)
     assert report.witness.startswith("n=2 state_seed=")
     assert not report.passed
+
+
+def test_injected_perturbed_row_bug_is_caught(monkeypatch):
+    # Harness self-test: one row of the perturbed stack comes back as its
+    # input state, unperturbed and 1e-6 too long (past the stack's checks).
+    # The pair is then at trace distance 0 while C(s) moves, so continuity
+    # must fail with that row's trial as its witness.
+    original = verify_module.perturb_stack
+    corrupted = []
+
+    def one_row_dropped(states, epsilons):
+        perturbed = original(states, epsilons)
+        if corrupted:
+            return perturbed
+        row = len(states) // 2
+        corrupted.append((states[row].amplitudes, float(epsilons[row])))
+        amps = perturbed.amplitudes.copy()
+        amps[row] = states.amplitudes[row] * (1.0 + 1e-6)
+        return _wrap_checked(StateStack, perturbed.n_qubits, amps)
+
+    monkeypatch.setattr(verify_module, "perturb_stack", one_row_dropped)
+    report = check_continuity(trials=12, n_values=(3,), seed=4)
+    assert not report.passed
+    ((amplitudes, epsilon),) = corrupted
+    fields = dict(part.split("=") for part in report.witness.split())
+    assert fields["n"] == "3"
+    assert fields["eps"] == f"{epsilon:.6f}"
+    assert np.array_equal(make_haar_random(3, int(fields["state_seed"])).amplitudes, amplitudes)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, math.nan, math.inf, 1e-8])
+def test_bad_epsilons_are_refused_before_any_check_runs(monkeypatch, epsilon):
+    ran = []
+    for name, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, name, lambda *a, _check=check, **k: ran.append(_check))
+    with pytest.raises(ValidationError, match="epsilon"):
+        run_suite(trials=5, epsilons=(0.1, epsilon))
+    with pytest.raises(ValidationError, match="epsilon"):
+        check_error_bound(trials=5, epsilons=(0.1, epsilon))
+    assert ran == []
+
+
+def test_epsilons_at_the_floor_pass():
+    report = check_error_bound(trials=20, epsilons=(EPSILON_FLOOR, 1.0))
+    assert report.passed, (report.max_violation, report.witness)
