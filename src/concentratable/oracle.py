@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .states import QubitSet, StateStack, Statevector, require_same_qubits
+from .states import QubitSet, StateStack, Statevector, _wrap_checked, require_same_qubits
 from .swaptest import MeasurementOutcome
 
 
@@ -230,7 +230,7 @@ def apply_local_kraus_stack(states: StateStack, ops: np.ndarray, qubits):
     _require_complete(ops)
     qubits = _check_qubits(qubits, n, len(states))
     probabilities, branches = _branches(states.amplitudes, ops, qubits, n)
-    return probabilities, StateStack(n, branches.reshape(-1, 1 << n))
+    return probabilities, _wrap_checked(StateStack, n, branches.reshape(-1, 1 << n))
 
 
 def apply_separable_sequence(

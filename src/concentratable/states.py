@@ -8,6 +8,12 @@ qubit k on axis k.
 ``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere,
 one body per object. (One state's purities may also run by levels or by a
 program, each bit-identical to row 0 of the stack; see ``reductions``.)
+
+Amplitudes from outside are checked once, when a ``Statevector`` or
+``StateStack`` is built. A builder wraps the rows it normalized itself
+(``_wrap_checked``) and does not check them again: the Haar stack, the
+perturbed stack and ``oracle.apply_local_kraus_stack``'s post-states are
+finite, unit-norm rows by construction.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ def _wrap_checked(cls, n: int, amplitudes: np.ndarray):
     """``cls(n, amplitudes)`` for a frozen state class, without its ``__post_init__``.
 
     Only for amplitudes that already passed that class's checks: rows of a
-    checked stack, checked states or stacks stacked, and post-states whose
-    norms ``post_measurements`` bounded. They are made read-only here.
+    checked stack, checked states or stacks stacked, post-states whose
+    norms ``post_measurements`` bounded, and finite rows a builder divided
+    by their own norms itself. They are made read-only here.
     """
     amplitudes.setflags(write=False)
     wrapped = object.__new__(cls)
@@ -257,8 +264,10 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
 
     Each row keeps its own seed's stream, so a state does not depend on
     which other seeds share its stack. Only the generator seeding and the
-    draw run once per row; the complex rows, the norms and the checks run
-    once for the stack.
+    draw run once per row; the complex rows and the norms run once for the
+    stack, and the rows, normalized here, are wrapped without a second check.
+    The norms are ``np.linalg.norm(..., axis=-1)``, not ``_norms``, which
+    differs in the last bit on some rows (see ``_norms``).
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -266,11 +275,15 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
     limits.require("state", n)
+    if not len(seeds):
+        raise ValidationError(
+            f"expected a nonempty stack of rows of 2^{n} amplitudes, got shape (0, {1 << n})"
+        )
     draws = np.empty((len(seeds), 2, 1 << n))
     for row, seed in zip(draws, seeds):
         np.random.default_rng(seed).standard_normal(out=row)
     amps = draws[:, 0] + 1j * draws[:, 1]
-    return StateStack(n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+    return _wrap_checked(StateStack, n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
 
 
 def make_graph_state(adjacency) -> Statevector:
@@ -308,7 +321,14 @@ def _row(b: int, rows: int) -> str:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """Each complex row's 2-norm as a column, bit-identical to ``np.linalg.norm`` of the row."""
+    """Each complex row's 2-norm as a column, bit-identical to ``np.linalg.norm`` of the row.
+
+    That holds for ``np.linalg.norm`` of one 1-D row, not for
+    ``np.linalg.norm(rows, axis=-1)``, which sums in another order and
+    differs in the last bit on 16-32% of Gaussian rows at n = 1..8 (1,000
+    rows each); the Haar stack divides by the latter, so swapping the two
+    would move every such state.
+    """
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
 
 
@@ -369,7 +389,7 @@ def perturb_stack(states, epsilons) -> StateStack:
     residual /= _norms(residual)
     delta = np.sqrt(np.maximum(0.0, 1.0 - eps * eps))[..., None]
     mixed = delta * amps + np.sqrt(1.0 - delta * delta) * residual
-    return StateStack(states.n_qubits, mixed / _norms(mixed))
+    return _wrap_checked(StateStack, states.n_qubits, mixed / _norms(mixed))
 
 
 def permute_qubits(psi: Statevector, permutation: Sequence[int]) -> Statevector:

@@ -413,9 +413,10 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     h = 1
     while h < size:
         a = a.reshape(lead + (-1, 2 * h))
-        left = a[..., :h].copy()
-        a[..., :h] = left + a[..., h:]
-        a[..., h:] = left - a[..., h:]
+        left, right = a[..., :h], a[..., h:]
+        total = left + right
+        np.subtract(left, right, out=right)
+        left[...] = total
         h *= 2
     return a.reshape(lead + (-1,))
 

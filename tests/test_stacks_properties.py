@@ -23,6 +23,7 @@ from concentratable import (
     JointState,
     QubitSet,
     StateStack,
+    Statevector,
     ValidationError,
     ce_two_state,
     ce_two_states,
@@ -58,6 +59,7 @@ from concentratable.oracle import (
     random_local_kraus_stack,
     reduced_density_matrix,
 )
+from concentratable.states import NORM_ATOL
 from concentratable.swaptest import CONDITION_FLOOR
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
@@ -107,6 +109,43 @@ def test_haar_stack_rows_match_each_seed(n, seed_list):
     for row, seed in zip(stack.amplitudes, seed_list):
         np.testing.assert_allclose(row, make_haar_random(n, seed).amplitudes, rtol=0, atol=1e-15)
         np.testing.assert_allclose(row, reference_haar(n, seed), rtol=0, atol=1e-15)
+
+
+def _rows_pass_statevector_checks(stack):
+    """Every row of a builder's stack is one ``Statevector`` accepts as it is."""
+    assert isinstance(stack, StateStack) and not stack.amplitudes.flags.writeable
+    assert np.isfinite(stack.amplitudes).all()
+    for row in stack.amplitudes:
+        assert abs(np.linalg.norm(row) - 1.0) <= NORM_ATOL
+        checked = Statevector(stack.n_qubits, row)
+        assert np.array_equal(checked.amplitudes, row)
+    rechecked = StateStack(stack.n_qubits, stack.amplitudes)
+    assert np.array_equal(rechecked.amplitudes, stack.amplitudes)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6), seed_lists, st.floats(1e-6, 1.0), st.data())
+def test_builder_rows_pass_the_checks_they_skip(n, seed_list, epsilon, data):
+    # The Haar, perturbed and post-measurement stacks wrap the rows they normalized
+    # without checking them again; each row must still pass Statevector's checks.
+    states = make_haar_random_stack(n, seed_list)
+    _rows_pass_statevector_checks(states)
+    _rows_pass_statevector_checks(perturb_stack(states, epsilon))
+    rows = len(states)
+    qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+    ops = random_local_kraus_stack(data.draw(st.lists(seeds, min_size=rows, max_size=rows)))
+    _, posts = apply_local_kraus_stack(states, ops, qubits)
+    assert len(posts) == 2 * len(states)
+    _rows_pass_statevector_checks(posts)
+
+
+def test_empty_haar_stack_is_refused():
+    # The message a checked StateStack gives an empty stack.
+    message = r"^expected a nonempty stack of rows of 2\^3 amplitudes, got shape \(0, 8\)$"
+    with pytest.raises(ValidationError, match=message):
+        make_haar_random_stack(3, [])
+    with pytest.raises(ValidationError, match=message):
+        StateStack(3, np.empty((0, 8)))
 
 
 @st.composite

@@ -282,6 +282,35 @@ class TestPurityRouteDistribution:
             )
             assert transformed[z] == pytest.approx(explicit, abs=1e-12)
 
+    @staticmethod
+    def _fwht_five_ops(values):
+        """The butterfly as first written: copy the left half, then two sums and two stores."""
+        a = np.array(values, dtype=float)
+        lead, size = a.shape[:-1], a.shape[-1]
+        h = 1
+        while h < size:
+            a = a.reshape(lead + (-1, 2 * h))
+            left = a[..., :h].copy()
+            a[..., :h] = left + a[..., h:]
+            a[..., h:] = left - a[..., h:]
+            h *= 2
+        return a.reshape(lead + (-1,))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 10])
+    def test_walsh_kernel_equals_the_five_op_butterfly_bitwise(self, lead, m):
+        rng = np.random.default_rng(1000 + m)
+        values = rng.standard_normal(lead + (1 << m,))
+        before = values.copy()
+        transformed = swaptest_module._fwht(values)
+        expected = self._fwht_five_ops(values)
+        assert transformed.shape == values.shape
+        assert np.array_equal(transformed.view(np.uint64), expected.view(np.uint64))
+        # The input is left as it was; integer input is read as float.
+        assert np.array_equal(values, before)
+        ints = rng.integers(-9, 10, lead + (1 << m,))
+        assert np.array_equal(swaptest_module._fwht(ints), self._fwht_five_ops(ints))
+
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(limits, "PURITY_DISTRIBUTION_MAX_QUBITS", 2)
         with pytest.raises(BudgetError):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concentratable.reductions as reductions_module
 import concentratable.swaptest as swaptest_module
@@ -13,8 +15,10 @@ from concentratable import (
     ValidationError,
     ce_purity,
     exact_distribution,
+    exact_distributions,
     full_circuit_oracle,
     make_haar_random,
+    make_haar_random_stack,
     n_tangles,
     purity_array,
 )
@@ -55,6 +59,68 @@ def test_trials_split_over_groups_sum_to_the_request():
             assert sum(counts) == trials
             assert counts == sorted(counts, reverse=True)
             assert counts[0] - counts[-1] <= 1 and counts[-1] >= 1
+
+
+def _draw_by_choice(rng, trials, n_values, trial):
+    """The draw of n that ``_draw`` must match: numpy's ``Generator.choice``."""
+    return [trial(int(rng.choice(n_values))) for _ in range(trials)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.booleans(),
+    st.integers(1, 30),
+)
+def test_draw_reads_the_stream_of_generator_choice(seed, sizes, as_tuple, trials):
+    # _draw picks n by rng.integers(len(n_values)); a numpy whose choice reads the
+    # stream differently would move every drawn report, so it must fail here first.
+    n_values = tuple(sizes) if as_tuple else list(sizes)
+
+    def drawer(rng):
+        return lambda n: (n, verify_module._state_seed(rng), verify_module._nonempty_mask(rng, n))
+
+    fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = verify_module._draw(fast, trials, n_values, drawer(fast))
+    assert drawn == _draw_by_choice(reference, trials, n_values, drawer(reference))
+    assert all(type(n) is int for n, *_ in drawn)
+    assert fast.integers(2**63) == reference.integers(2**63)
+
+
+def _biseparable_by_cut(trials, n_values, seed):
+    """bi-separable-zero as it was first written: one factor stack per (n, cut)
+    group, outcomes formatted as bitstrings for every trial."""
+    rng = np.random.default_rng(seed)
+    worst = verify_module._Worst()
+
+    def trial(n):
+        cut = int(rng.integers(1, n)) if n > 1 else 1
+        return n, cut, verify_module._state_seed(rng), verify_module._state_seed(rng)
+
+    drawn = _draw_by_choice(rng, trials, n_values, trial)
+    for n, cut, seed_a, seed_b in drawn:
+        left = make_haar_random_stack(cut, [seed_a]).amplitudes[0]
+        right = make_haar_random_stack(n - cut, [seed_b]).amplitudes[0]
+        psi = StateStack(n, np.outer(left, right).reshape(1, -1))
+        table = exact_distributions(psi, psi, QubitSet.full(n))[0]
+        pairs = [(k, k_prime) for k in range(cut) for k_prime in range(cut, n)]
+        bits = ["".join("1" if j in pair else "0" for j in range(n)) for pair in pairs]
+        worst.update_first_max(
+            table[[int(z, 2) for z in bits]],
+            lambda i: f"n={n} cut={cut} seeds=({seed_a},{seed_b}) z={bits[i]}",
+        )
+    return worst.report("bi-separable-zero", trials, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 303, 2024])
+def test_biseparable_zero_equals_one_state_per_trial(seed):
+    # One factor stack per size and outcomes read by table index give the report
+    # one state per trial gives, witness and last bit included.
+    expected = _biseparable_by_cut(40, (2, 3, 4, 5, 6), seed)
+    report = CHECKS["bi-separable-zero"](trials=40, n_values=(2, 3, 4, 5, 6), seed=seed)
+    assert report.to_dict() == expected.to_dict()
+    assert repr(report.max_violation) == repr(expected.max_violation)
 
 
 def test_singlet_projection_tests_a_pair_on_every_trial():
