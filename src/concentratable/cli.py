@@ -6,7 +6,8 @@ distribution), sample (sampled runs), verify (property suite), compare
 
 Exit codes: 0 success, 1 property violation, 2 usage or validation error
 (including an output file that cannot be written), 3 budget (size cap)
-error. File outputs are written atomically.
+error, 141 stdout closed by its reader (128 + SIGPIPE). A regular output
+file is replaced atomically; see ``_write_atomic``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ from .swaptest import (
     draw_outcomes,
     outcome_distribution,
     outcome_table_json,
+    outcome_table_text,
     pair_marginal,
     post_measurement,
     sample,
@@ -39,19 +42,55 @@ from .swaptest import (
 from .verify import CHECKS, run_suite
 
 SINGLET_FIDELITY_FLOOR = 1.0 - 1e-9
+#: Exit code when stdout's reader has gone: 128 + SIGPIPE, as a shell reports it.
+EXIT_BROKEN_PIPE = 141
+
+
+def _replaced_path(path: str) -> str | None:
+    """The regular file that writing ``path`` should replace, or None when
+    ``path`` is an existing FIFO, device or other special file.
+
+    A symlink is followed to its target (created there when dangling), so
+    the link survives. One ``lstat`` for a path that is not a link.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return path
+    if not stat.S_ISLNK(mode):
+        return path if stat.S_ISREG(mode) else None
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a dangling link: its target is created
+    return os.path.realpath(path) if stat.S_ISREG(mode) else None
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # A unique sibling temp file, so concurrent writers never share one and a
-    # failed write leaves neither a partial target nor a stray temp file.
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    """Write ``text`` to ``path`` as UTF-8 bytes, an OSError becoming a
+    ValidationError.
+
+    A regular file, new or old, is replaced through a unique temp sibling, so
+    concurrent writers never share one and a failed write leaves neither a
+    partial target nor a stray temp file. Any other existing path (a FIFO, a
+    device) is written in place, as a shell redirection would.
+    """
+    data = text.encode("utf-8")
+    tmp = None
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        target = _replaced_path(path)
+        if target is None:
+            with open(path, "wb") as handle:
+                handle.write(data)
+            return
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+        os.replace(tmp, target)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError):
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
@@ -149,8 +188,10 @@ def _resolve_subsets(args, n: int) -> list[QubitSet]:
 def cmd_ce(args) -> int:
     psi = _resolve_state(args)
     results = ce_sweep(psi, _resolve_subsets(args, psi.n_qubits), args.method)
-    for r in results:
-        print(f"C(mask={r.s.mask:#b}, c={r.s.cardinality}) = {r.value:.12g}  [{r.method}]")
+    print("\n".join([
+        f"C(mask={r.s.mask:#b}, c={r.s.cardinality}) = {r.value:.12g}  [{r.method}]"
+        for r in results
+    ]))
     if args.output:
         if args.format == "json":
             _write_json(args.output, {"n": psi.n_qubits, "results": [r.to_dict() for r in results]})
@@ -168,12 +209,11 @@ def cmd_dist(args) -> int:
     psi = _resolve_state(args)
     tested = _single_subset(args, psi.n_qubits)
     dist = outcome_distribution(psi, psi, tested)
-    probabilities = dist.probabilities.tolist()
-    print("\n".join(f"{z}  {p:.12g}" for z, p in zip(dist.bitstrings(), probabilities)))
+    print(outcome_table_text(dist))
     if args.output:
         _write_atomic(args.output, outcome_table_json(dist))
     if args.check_odd_zero:
-        odd = np.bitwise_count(np.arange(len(probabilities))) % 2 == 1
+        odd = np.bitwise_count(np.arange(dist.probabilities.size)) % 2 == 1
         worst = float(dist.probabilities[odd].max())
         if worst > 1e-10:
             print(f"odd-weight outcome probability {worst:.3e} exceeds 1e-10", file=sys.stderr)
@@ -186,11 +226,11 @@ def cmd_sample(args) -> int:
     psi = _resolve_state(args)
     tested = _single_subset(args, psi.n_qubits)
     hist = sample(psi, psi, tested, args.shots, args.seed)
-    for z, count in sorted(hist.counts.items()):
-        print(f"{z}  {count}")
     estimate = ce_from_histogram(hist)
     stderr = estimate.detail["stderr"]
-    print(f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)")
+    lines = [f"{z}  {count}" for z, count in sorted(hist.counts.items())]
+    lines.append(f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)")
+    print("\n".join(lines))
     if args.output:
         _write_atomic(args.output, outcome_table_json(hist, estimate=estimate.to_dict()))
     return 0
@@ -334,16 +374,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at devnull, so the
+    interpreter's last flush of the closed pipe raises nothing."""
     try:
-        return args.run(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 3
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.run(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except BudgetError as exc:
+            print(f"budget error: {exc}", file=sys.stderr)
+            code = 3
+        # Output still buffered meets a reader that has gone here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

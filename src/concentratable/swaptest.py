@@ -37,6 +37,13 @@ vector, so ``distill`` keeps the two-copy cap.
 Outcome bitstrings are written with the lowest tested qubit label
 leftmost, matching the package-wide "qubit 0 is the most significant bit"
 convention; a bitstring and its table index are related by int(z, 2).
+
+A law's table is rendered in one call per form: ``outcome_table_text``
+(the lines ``dist`` prints) and ``outcome_table_json`` (the file ``dist``
+writes) each fill a cached per-m ``%``-format, built once from the 2^m
+labels, with the tuple of the law's values. ``%.12g`` and ``%r`` write a
+finite float as ``f"{p:.12g}"`` and ``repr(p)`` do, -0.0 included, so the
+bytes equal those of one f-string per outcome.
 """
 
 from __future__ import annotations
@@ -193,10 +200,24 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
 def _outcome_labels(m: int) -> tuple[str, ...]:
     """Bitstring z of every outcome of m tested qubits, at table index int(z, 2).
 
-    Kept per m: the outcomes cap (m <= 14) leaves at most 14 tuples, 1.2 MB
-    at m = 14, and ``dist`` formats its 2^m labels once per process.
+    Kept per m, as are the two table formats built from it
+    (``_outcome_lines_format`` and ``_outcome_entries_format``): the outcomes
+    cap (m <= 14) leaves at most 14 of each, 1.2 MB of labels and about
+    1.1 MB of formats at m = 14, and ``dist`` builds them once per process.
     """
     return tuple(format(i, f"0{m}b") for i in range(1 << m))
+
+
+@functools.lru_cache(maxsize=16)
+def _outcome_lines_format(m: int) -> str:
+    """``%``-format of the 2^m lines "z  p" of a law, p written by ``%.12g``."""
+    return "\n".join(["%s  %%.12g" % z for z in _outcome_labels(m)])
+
+
+@functools.lru_cache(maxsize=16)
+def _outcome_entries_format(m: int) -> str:
+    """``%``-format of the 2^m JSON entries of a law, p written by ``%r``."""
+    return ", ".join(['{"p_or_count": %%r, "z": "%s"}' % z for z in _outcome_labels(m)])
 
 
 def _check_bitstring(z: str, length: int) -> None:
@@ -693,10 +714,18 @@ def full_circuit_oracle(
 
 
 # ---------------------------------------------------------------------------
-# JSON forms. The ``*_to_dict`` and ``*_from_dict`` pairs are the public
-# record forms; the CLI writes its outcome-table files with
+# Text and JSON forms. The ``*_to_dict`` and ``*_from_dict`` pairs are the
+# public record forms; the CLI writes its outcome-table files with
 # ``outcome_table_json``, which renders the same record straight to text,
 # byte for byte what ``json.dumps(to_dict(...), sort_keys=True)`` gives.
+
+
+def outcome_table_text(dist: OutcomeDistribution) -> str:
+    """The 2^m lines "z  p" that ``dist`` prints, p by ``%.12g``, with no
+    final newline: one ``%`` of the law's values into the cached per-m
+    format, the same text as one f-string ``f"{z}  {p:.12g}"`` per outcome.
+    """
+    return _outcome_lines_format(dist.tested.cardinality) % tuple(dist.probabilities.tolist())
 
 
 def outcome_table_json(
@@ -706,22 +735,23 @@ def outcome_table_json(
 
     Equals ``json.dumps(distribution_to_dict(table), sort_keys=True) + "\\n"``
     (``histogram_to_dict`` for a histogram, with an ``"estimate"`` key when
-    ``estimate`` is given) without building a dict per entry: the entries are
-    one join of fragments, each value written by ``repr`` as ``json`` writes a
-    finite float or an int, and the other keys go through ``json.dumps``.
-    "entries" sorts before each of them.
+    ``estimate`` is given) without building a dict per entry. Each value is
+    written by ``repr``, as ``json`` writes a finite float or an int: a law's
+    2^m entries are one ``%`` of its values into the cached per-m format, a
+    histogram's (whose labels vary) one join of fragments. The other keys go
+    through ``json.dumps``; "entries" sorts before each of them.
     """
     if isinstance(table, OutcomeDistribution):
-        labels = _outcome_labels(table.tested.cardinality)
-        values = table.probabilities.tolist()
+        values = tuple(table.probabilities.tolist())
+        entries = _outcome_entries_format(table.tested.cardinality) % values
         rest = {"tested_mask": table.tested.mask}
     else:
-        labels = sorted(table.counts)
-        values = [int(table.counts[z]) for z in labels]
+        entries = ", ".join(
+            [f'{{"p_or_count": {int(c)}, "z": "{z}"}}' for z, c in sorted(table.counts.items())]
+        )
         rest = {"tested_mask": table.tested.mask, "shots": table.shots, "seed": table.seed}
     if estimate is not None:
         rest["estimate"] = estimate
-    entries = ", ".join([f'{{"p_or_count": {p!r}, "z": "{z}"}}' for z, p in zip(labels, values)])
     return f'{{"entries": [{entries}], {json.dumps(rest, sort_keys=True)[1:]}\n'
 
 

@@ -1,6 +1,12 @@
 import csv
 import hashlib
 import json
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +21,11 @@ from concentratable import (
     statevector_to_dict,
     w_closed_form,
 )
+import concentratable
 import concentratable.cli as cli_module
 from concentratable import reductions, verify
 from concentratable.cli import main
-from concentratable.swaptest import distribution_from_dict, histogram_from_dict
+from concentratable.swaptest import distribution_from_dict, distribution_to_dict, histogram_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +115,11 @@ class TestCe:
             assert int(row["cardinality"]) == expected.s.cardinality
             assert abs(float(row["value"]) - expected.value) <= tolerance
             assert line.endswith(f" = {expected.value:.12g}  [{expected.method}]")
+        # The bytes of one print per result, from the exact values the CSV holds.
+        assert out == "".join(
+            f"C(mask={int(r['mask']):#b}, c={r['cardinality']}) = {float(r['value']):.12g}  [{r['method']}]\n"
+            for r in rows
+        )
 
     def test_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "ce.json"
@@ -307,6 +319,48 @@ class TestDist:
         assert "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_output_through_a_symlink_updates_its_target(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to("target.json")
+        code, _, _ = run_cli(capsys, "dist", "--ghz", "3", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == "target.json"
+        text = target.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert distribution_from_dict(json.loads(text), 3).probability("000") == pytest.approx(5 / 8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_output_through_a_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to("target.json")
+        code, _, _ = run_cli(capsys, "dist", "--ghz", "2", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads((tmp_path / "target.json").read_text())["tested_mask"] == 3
+
+    def test_output_to_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as handle:
+                received.append(handle.read())
+
+        # A daemon: were the FIFO replaced, the reader would wait on it forever.
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, "dist", "--ghz", "3", "--output", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        dist = distribution_from_dict(json.loads(received[0]), 3)
+        assert received[0] == json.dumps(distribution_to_dict(dist), sort_keys=True) + "\n"
+        assert list(tmp_path.iterdir()) == [fifo]
 
     def test_identical_copies_answer_past_the_two_copy_cap(self, capsys):
         code, out, _ = run_cli(
@@ -637,3 +691,60 @@ class TestSeeds:
         assert code == 2
         assert out == ""
         assert err == "error: seed must be >= 0, got -1\n"
+
+
+class TestClosedStdout:
+    @staticmethod
+    def run_with_reader(tmp_path, argv, read_first_line):
+        """Exit code, first stdout line and stderr of one CLI process whose
+        reader closes stdout after one line, or before reading anything."""
+        src = str(Path(concentratable.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout keeps its default block buffer
+        with open(tmp_path / "stderr.txt", "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "concentratable.cli", *argv],
+                stdout=subprocess.PIPE, stderr=err_file, env=env,
+            )
+            first = proc.stdout.readline() if read_first_line else b""
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        return code, first, (tmp_path / "stderr.txt").read_text()
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_reader_that_closes_early_gets_exit_141_and_no_traceback(self, tmp_path, output):
+        # 4,096 lines of about 21 bytes overrun a 64 KiB pipe buffer, so the
+        # write after the reader has gone fails with EPIPE.
+        path = tmp_path / "dist.json"
+        argv = ["dist", "--haar", "12", "--state-seed", "3"]
+        if output:
+            argv += ["--output", str(path)]
+        code, first, err = self.run_with_reader(tmp_path, argv, read_first_line=True)
+        assert first.startswith(b"000000000000  ")
+        assert code == cli_module.EXIT_BROKEN_PIPE == 141
+        assert err == ""
+        # The table is printed before the file is written: it is absent or whole.
+        if path.exists():
+            assert len(json.loads(path.read_text())["entries"]) == 1 << 12
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failing_command_with_buffered_output_prints_only_its_error(self, tmp_path):
+        # The table fits the stdout buffer; the closed pipe shows at the flush
+        # after the validation error, which must not end in "Exception ignored".
+        path = tmp_path / "missing" / "dist.json"
+        argv = ["dist", "--ghz", "3", "--output", str(path)]
+        code, _, err = self.run_with_reader(tmp_path, argv, read_first_line=False)
+        assert code == 141
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_in_process_stdout_without_a_descriptor(self, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["ce", "--ghz", "3"]) == 141
+        assert capsys.readouterr().err == ""

@@ -10,8 +10,13 @@ outcome-table writer is checked against ``json.dumps`` of the record forms
 on laws and histograms with extreme values.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -39,6 +44,7 @@ from concentratable import (
     singlet_fidelity,
     zero_outcome_probability,
 )
+import concentratable.cli as cli_module
 from concentratable.measures import ce_from_histogram
 from concentratable.swaptest import (
     distribution_from_dict,
@@ -214,8 +220,8 @@ def test_sample_matches_circuit_oracle(case):
 
 # -- the outcome-table writer -----------------------------------------------------
 
-# Zero, the smallest subnormal and values near 1e-17; one-hot laws add 1.0.
-EXTREME_PROBABILITIES = (0.0, 5e-324, 1.2345678901234567e-17, 1e-17)
+# Zero, negative zero, subnormals and values near 1e-17; one-hot laws add 1.0.
+EXTREME_PROBABILITIES = (0.0, -0.0, 5e-324, 1.2345678901234567e-310, 1.2345678901234567e-17, 1e-17)
 
 
 @st.composite
@@ -282,3 +288,58 @@ def test_histogram_text_is_sorted_json_dumps(hist):
     assert text == json.dumps(payload, sort_keys=True) + "\n"
     assert outcome_table_json(hist) == json.dumps(histogram_to_dict(hist), sort_keys=True) + "\n"
     assert histogram_from_dict(json.loads(text), hist.tested.n_qubits) == hist
+
+
+# -- the CLI's rendered tables ----------------------------------------------------
+
+
+def run_with_output(argv, **patched):
+    """stdout and the --output file of one CLI call, with cli functions patched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        out = io.StringIO()
+        with mock.patch.multiple(cli_module, **patched), contextlib.redirect_stdout(out):
+            code = cli_module.main([*argv, "--output", str(path)])
+        assert code == 0
+        return out.getvalue(), path.read_text(encoding="utf-8")
+
+
+def check_dist_bytes(dist):
+    # ``dist`` printed one f-string per outcome; its file is the sorted json.dumps.
+    out, text = run_with_output(
+        ["dist", "--ghz", str(dist.tested.n_qubits)], outcome_distribution=lambda *_: dist
+    )
+    probabilities = dist.probabilities.tolist()
+    assert out == "\n".join(f"{z}  {p:.12g}" for z, p in zip(dist.bitstrings(), probabilities)) + "\n"
+    assert text == json.dumps(distribution_to_dict(dist), sort_keys=True) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(outcome_laws())
+def test_dist_prints_and_writes_the_f_string_bytes(dist):
+    check_dist_bytes(dist)
+
+
+def test_dist_prints_and_writes_the_f_string_bytes_at_m_14():
+    rng = np.random.default_rng(14)
+    probabilities = rng.random(1 << 14) * 1e-5
+    extreme = rng.choice(1 << 14, 6 * 40, replace=False).reshape(6, 40)
+    for positions, value in zip(extreme, EXTREME_PROBABILITIES):
+        probabilities[positions] = value
+    probabilities[0] = 0.0
+    probabilities[0] = 1.0 - probabilities.sum()
+    check_dist_bytes(OutcomeDistribution(QubitSet.full(14), probabilities))
+
+
+@PROPERTY_SETTINGS
+@given(histograms())
+def test_sample_prints_and_writes_the_line_by_line_bytes(hist):
+    argv = ["sample", "--ghz", str(hist.tested.n_qubits), "--shots", "1", "--seed", "0"]
+    out, text = run_with_output(argv, sample=lambda *_: hist)
+    estimate = ce_from_histogram(hist)
+    lines = "".join(f"{z}  {count}\n" for z, count in sorted(hist.counts.items()))
+    stderr = estimate.detail["stderr"]
+    tally = f"CE estimate = {estimate.value:.6g} +/- {stderr:.3g} ({hist.shots} shots)\n"
+    assert out == lines + tally
+    payload = histogram_to_dict(hist) | {"estimate": estimate.to_dict()}
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
