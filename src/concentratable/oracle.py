@@ -6,8 +6,9 @@ targets. The random local operations come in stacks for ``verify``:
 ``random_local_kraus_stack`` builds many seeds' Kraus pairs with batched
 ``np.linalg`` calls, and ``apply_local_kraus_stack`` applies them to a
 ``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are their
-row 0, as elsewhere (one state's purities may run by levels or by a
-program, each bit-identical to that row; see ``reductions``).
+row 0, as elsewhere (a purity plan may run gathered or, for one state,
+by a program, each bit-identical to its per-node walk; see
+``reductions``).
 """
 
 from __future__ import annotations

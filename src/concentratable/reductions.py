@@ -26,22 +26,28 @@ purity per node that fills or feeds a cut, each one numpy call for the
 whole stack. ``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs
 of states with one gather, Gram product and overlap for the whole stack.
 
-One state (``_state_purities``) takes one of three forms. Each reads every
-cut from the node the walk reads it from, by the same Gram product and
-partial traces, so each equals row 0 of the walk bit for bit:
+A plan's first run, one state or a stack, is the walk (on a one-row stack
+for one state): a one-shot command builds nothing beyond the plan. From its
+second run on, a plan runs in one of two other forms, each of which reads
+every cut from the node the walk reads it from, by the same Gram product,
+the same single add per entry and the same contiguous ``vecdot``, so each
+equals the walk bit for bit:
 
-- By levels (``_level_purities``), when ``_runs_by_levels`` gives the plan
-  ``levels``: every level of the tops' complete subset trees in one batched
-  call per step. It pays where the walk's time is call overhead, the full
-  plans at n = 5..8; larger trees recompute too many nodes and the traces
-  turn memory-bound.
-- By program (``_program_purities``), from a plan's second one-state call
-  on, up to ``_PROGRAM_MAX_QUBITS``: the walk with every view bound once to
-  row buffers kept with the plan. A build costs what two or three calls
-  save, so a plan run once builds none.
-- Row 0 of the walk on a one-row stack: a plan's first one-state call, a
-  call that finds the program in use by another thread, and plans past
-  ``_PROGRAM_MAX_QUBITS``.
+- Gathered (``_gathered_purities``), one state or a stack, for a plan that
+  has the form ``_gathered`` builds: the walk's own nodes one qubit count
+  at a time, in chunks of tops of at most 1 MiB of node data. Per chunk and
+  level there is one stacked Gram product for the level's tops, one
+  ``take`` of precompiled flat indices into the level above and one ``add``
+  for all the partial traces into it, and one ``vecdot`` for the level's
+  purities. A plan has the form when its ``uint16`` indices take at most
+  ``_GATHERED_MAX_BYTES`` and its levels hold at least
+  ``_GATHERED_MIN_NODES`` nodes each on average: the full plans from n = 5
+  to 10 and the single-top plans of four to seven qubits, among others.
+- By program (``_program_purities``), one state of any other plan up to
+  ``_PROGRAM_MAX_QUBITS``: the walk with every view bound once to row
+  buffers kept with the plan. Stacks of such plans, plans past
+  ``_PROGRAM_MAX_QUBITS`` and a call that finds the program in use by
+  another thread take the walk.
 
 The measurements behind these rules are in CHANGES.md and the
 ``BENCH_*.json`` files.
@@ -145,21 +151,50 @@ _PLAN_CACHE_SIZE = 128
 # per qubit: the plan cache then keeps at most 128 programs of this n.
 _PROGRAM_MAX_QUBITS = 12
 
+# A plan runs gathered when its compiled indices take at most this many bytes
+# (the full plan at n = 10 takes 0.81 MB), so the plan cache holds at most
+# 128 x 0.92 MB of indices, as it holds at most 128 programs of n = 12.
+# The gathered form still won at n = 11 (2.3 MB) and lost from n = 12 on.
+_GATHERED_MAX_BYTES = 7 << 17
+
+# A plan runs gathered only when its levels hold at least this many nodes each
+# on average: a level costs about ten numpy calls, a node of the program about three.
+_GATHERED_MIN_NODES = 3
+
+# A gathered chunk holds at most this many node entries (1 MiB of complex128),
+# so indices into any of its levels fit uint16.
+_CHUNK_ENTRIES = 1 << 16
+
 # A one-state program keeps at most this many bytes of rows per qubit count
 # (and at least one row), so its rows are read while still in cache.
 _PROGRAM_LEVEL_BYTES = 1 << 16
 
 
-class _Scratch:
-    """A plan's one-state program (``_program``), built on its second
-    one-state call (``walked`` marks the first), and the lock that keeps two
-    calls from writing its rows at once."""
+_threads = threading.local()
 
-    __slots__ = ("lock", "program", "walked")
+
+def _workspace(size: int) -> np.ndarray:
+    """This thread's buffer of at least ``size`` complex entries for
+    ``_gathered_purities``: reused from call to call, because a fresh buffer
+    of a megabyte costs a page fault per 4 KiB written."""
+    space = getattr(_threads, "space", None)
+    if space is None or len(space) < size:
+        space = _threads.space = np.empty(size, dtype=complex)
+    return space
+
+
+class _Scratch:
+    """What a plan builds on its second run (``walked`` marks the first):
+    its gathered form (``_gathered``; False when it has none) and its
+    one-state program (``_program``), with the lock that keeps two calls
+    from writing the program's rows at once."""
+
+    __slots__ = ("lock", "program", "gathered", "walked")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.program = None
+        self.gathered = None
         self.walked = False
 
 
@@ -177,9 +212,7 @@ class _Plan:
     purity. No top or step computes cut 0, so cut 0 there means only the
     rho is needed, to feed later steps. ``subsets`` lists every
     subset of the mask in ascending order and ``cut_of`` the cut of each.
-    ``levels`` holds what ``_levels`` builds when ``_runs_by_levels``
-    selects the plan, else None; ``scratch`` holds the one-state program of
-    a plan without levels (none past ``_PROGRAM_MAX_QUBITS``).
+    ``scratch`` holds what the plan builds for its later runs.
     """
 
     n: int
@@ -188,7 +221,6 @@ class _Plan:
     cuts: int
     subsets: np.ndarray
     cut_of: np.ndarray
-    levels: tuple | None
     scratch: _Scratch = field(default_factory=_Scratch, compare=False, repr=False)
 
 
@@ -275,7 +307,6 @@ def _plan(n: int, mask: int) -> _Plan:
     traces: dict[tuple[int, int], int] = {}
     seen: set[int] = set()  # every subset of a walked set has its cut indexed
     tops = []
-    source: dict[tuple[int, int], int] = {}  # (top position, set) -> the cut it fills
 
     def visit(node):
         # None for a set already walked; else the cut it fills, 0 for none.
@@ -285,7 +316,7 @@ def _plan(n: int, mask: int) -> _Plan:
         cut = min(node, node ^ full)
         if cut not in needed or cut in index:
             return 0
-        index[cut] = source[len(tops), node] = len(index)
+        index[cut] = len(index)
         return index[cut]
 
     def grow(top):
@@ -315,57 +346,118 @@ def _plan(n: int, mask: int) -> _Plan:
     cut_of = np.array([index[cut] for cut in keys], dtype=np.intp)
     subset_array = np.array(subsets, dtype=np.int64)
     cut_of.flags.writeable = subset_array.flags.writeable = False
-    levels = _levels(n, tops, source, len(index)) if _runs_by_levels(tops, len(index)) else None
-    return _Plan(n, tuple(tops), tuple(traces), len(index), subset_array, cut_of, levels)
+    return _Plan(n, tuple(tops), tuple(traces), len(index), subset_array, cut_of)
 
 
-def _runs_by_levels(tops: list, cuts: int) -> bool:
-    """Whether a plan runs one state by levels: two or more tops whose
-    complete subset trees hold at most two nonempty nodes per cut.
+@functools.cache
+def _trace_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the partial traces of a k-qubit rho read it, as flat offsets.
 
-    Full plans qualify from n = 5 to 8; see the module docstring for why
-    no other plan does.
+    Row i of the first array lists, in the order of the (k - 1)-qubit
+    result's entries, the offset of the entry of the traced qubit i's block
+    0 that the walk's ``np.add`` reads; block 1 lies ``shift[i]`` further on.
     """
-    nodes = sum((1 << len(labels)) - 1 for labels, *_ in tops)
-    return len(tops) > 1 and nodes <= 2 * cuts
+    inner = 1 << np.arange(k - 1, -1, -1)
+    flat = np.arange(1 << 2 * k, dtype=np.uint16)
+    block0 = np.array([flat.reshape(1 << i, 2, m, 1 << i, 2, m)[:, 0, :, :, 0].ravel() for i, m in enumerate(inner)])
+    return block0, inner * ((1 << k) + 1)
 
 
-def _levels(n: int, tops: list, source: dict, spare: int) -> tuple:
-    """Every level of the complete subset trees of ``tops``, for ``_level_purities``.
+def _gathered(plan: _Plan) -> tuple | None:
+    """The plan's walk nodes by chunk and level, for ``_gathered_purities``.
 
-    A level holds the nonempty nodes of one qubit count j, as (j, gather,
-    prefixes, fills). A node is a subset of a top, reached as in ``_walk`` by
-    removing labels from its start on; the tops of j qubits come first and
-    start at 0, then the children that trace axis i of a (j + 1)-qubit node,
-    which start at i, for i = 0, 1, ... So a level is ordered by start, and
-    the nodes that may trace axis i, those starting at i or before, are the
-    first ``prefixes[i]`` of the level above. ``gather`` indexes the
-    amplitudes into the 2^j x 2^(n-j) matrices of the j-qubit tops (None
-    without any), and node r fills cut ``fills[r]``: the cut whose value the
-    per-node walk takes from that node, or ``spare`` for none.
+    Tops join a chunk, in plan order, while its nodes hold at most
+    ``_CHUNK_ENTRIES`` entries. A level of a chunk holds the chunk's nodes
+    of one qubit count j: first its j-qubit tops, in plan order, then the
+    nodes the walk traces into j qubits, in walk order. A level is (j, at,
+    end, tops, gather, take0, take1, first, last): its rows fill entries
+    ``at:end`` of the chunk's node buffer; ``gather`` indexes the amplitudes
+    into its tops' 2^j x 2^(n-j) matrices (None without tops); ``take0`` and
+    ``take1`` index the level above at the entries that the walk's
+    ``np.add`` reads from the traced qubit's blocks 0 and 1, for all its
+    traced nodes in turn (None without any); and its purities are nodes
+    ``first:last`` of the run.
+
+    Returns (batch, spaces, nodes, chunks, read): a stack runs ``batch``
+    states at a time, so its node buffer too stays within
+    ``_CHUNK_ENTRIES`` entries; ``spaces`` holds the workspace entries one
+    state needs for its node buffer, and for that buffer and the block-1
+    entries of one level; entry ``nodes`` of a run is the empty cut's 1.0;
+    ``read`` gives the entry of each subset.
+
+    None when the plan's indices would take more than ``_GATHERED_MAX_BYTES``
+    or not fit ``uint16``, or when its levels hold fewer than
+    ``_GATHERED_MIN_NODES`` nodes each on average.
     """
+    n, traces = plan.n, plan.traces
+    groups: list[tuple[list, set]] = []  # the tops of each chunk, and the qubit counts of its nodes
+    entries = _CHUNK_ENTRIES
+    nodes = traced = 0
+    for top in plan.tops:
+        labels, _, step_traces, _ = top
+        counts = [traces[t][0] - 1 for t in step_traces]
+        below = sum(1 << 2 * j for j in counts)
+        if entries + (1 << 2 * len(labels)) + below > _CHUNK_ENTRIES:
+            groups.append(([], set()))
+            entries = 0
+        groups[-1][0].append(top)
+        groups[-1][1].update(counts, (len(labels),))
+        entries += (1 << 2 * len(labels)) + below
+        nodes += 1 + len(counts)
+        traced += below
+    levels = sum(len(counts) for _, counts in groups)
+    index_bytes = 2 * (len(plan.tops) << n) + 4 * traced + 8 * len(plan.cut_of)
+    if index_bytes > _GATHERED_MAX_BYTES or n > 16 or not nodes or nodes < _GATHERED_MIN_NODES * levels:
+        return None
     positions = np.arange(1 << n)
-    levels = []
-    parent: list = []  # (top position, set, labels, start), ascending start
-    for j in range(max((len(labels) for labels, *_ in tops), default=0), 0, -1):
-        roots = [(t, labels) for t, (labels, *_) in enumerate(tops) if len(labels) == j]
-        level = [(t, sum(1 << k for k in labels), labels, 0) for t, labels in roots]
-        prefixes = []
-        for i in range(j + 1) if parent else ():
-            prefix = parent[: sum(start <= i for *_, start in parent)]
-            prefixes.append(len(prefix))
-            for t, node, labels, _ in prefix:
-                level.append((t, node ^ 1 << labels[i], labels[:i] + labels[i + 1 :], i))
-        gather = None
-        if roots:
-            matrices = [_gather_matrix(positions[None], n, labels) for _, labels in roots]
-            gather = np.concatenate(matrices)
-            gather.flags.writeable = False
-        fills = np.array([source.get((t, node), spare) for t, node, *_ in level], dtype=np.intp)
-        fills.flags.writeable = False
-        levels.append((j, gather, tuple(prefixes), fills))
-        parent = level
-    return tuple(levels)
+    node_of_cut = np.full(plan.cuts, nodes)
+    chunks, node_space, trace_space, node = [], 1, 0, 0
+    for group, _ in groups:
+        depth = max(len(labels) for labels, *_ in group)
+        roots: list[list] = [[] for _ in range(depth + 1)]  # (labels, cut) per top
+        for labels, cut, *_ in group:
+            roots[len(labels)].append((labels, cut))
+        links: list[list] = [[] for _ in range(depth + 1)]  # (parent row, axis, cut) per traced node
+        tops_seen = [0] * (depth + 1)
+        for labels, _, step_traces, step_cuts in group:
+            current = [0] * (depth + 1)
+            current[len(labels)] = tops_seen[len(labels)]
+            tops_seen[len(labels)] += 1
+            for trace, cut in zip(step_traces, step_cuts):
+                j, i = traces[trace]
+                current[j - 1] = len(roots[j - 1]) + len(links[j - 1])
+                links[j - 1].append((current[j], i, cut))
+        chunk, at = [], 0
+        for j in range(depth, 0, -1):
+            fills = [cut for _, cut in roots[j]] + [cut for *_, cut in links[j]]
+            if not fills:
+                continue
+            size = len(fills) << 2 * j
+            if size > 1 << 16:
+                return None
+            gather = take0 = take1 = None
+            if roots[j]:
+                matrices = [_gather_matrix(positions[None], n, labels).ravel() for labels, _ in roots[j]]
+                gather = np.concatenate(matrices).astype(np.uint16)
+            if links[j]:
+                parents, axes, _ = map(np.array, zip(*links[j]))
+                block0, shift = _trace_offsets(j + 1)
+                base = (parents << 2 * (j + 1))[:, None] + block0[axes]
+                take0 = base.ravel().astype(np.uint16)
+                take1 = (base + shift[axes, None]).ravel().astype(np.uint16)
+                trace_space = max(trace_space, len(take1))
+            for row, cut in enumerate(fills, node):
+                if cut:
+                    node_of_cut[cut] = row
+            chunk.append((j, at, at + size, len(roots[j]), gather, take0, take1, node, node + len(fills)))
+            at += size
+            node += len(fills)
+        chunks.append(tuple(chunk))
+        node_space = max(node_space, at)
+    read = node_of_cut[plan.cut_of]
+    for array in (read, *(a for chunk in chunks for level in chunk for a in level[4:7] if a is not None)):
+        array.flags.writeable = False
+    return max(1, _CHUNK_ENTRIES // node_space), (node_space, node_space + trace_space), nodes, tuple(chunks), read
 
 
 def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -402,15 +494,29 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     return out[:, plan.cut_of]
 
 
+def _gathered_form(plan: _Plan) -> tuple | None:
+    """The plan's gathered form, built on its second run (the first walks);
+    None before then and for a plan without one (see ``_gathered``)."""
+    scratch = plan.scratch
+    if scratch.gathered is None and scratch.walked:
+        scratch.gathered = _gathered(plan) or False
+    scratch.walked = True
+    return scratch.gathered or None
+
+
 def _state_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     """Run ``plan`` on one state's 2^n amplitudes: row 0 of ``_subset_purities``.
 
-    By levels if the plan has them, else by its program when
-    ``_program_purities`` runs one, else by the walk on a one-row stack.
+    A plan's first run walks a one-row stack. Later runs take its gathered
+    form if it has one, else its program when ``_program_purities`` runs
+    one, else the walk.
     """
-    if plan.levels is not None:
-        return _level_purities(amps, plan)
-    values = _program_purities(amps, plan)
+    scratch = plan.scratch
+    walked = scratch.walked
+    gathered = _gathered_form(plan) if scratch.gathered is None else scratch.gathered
+    if gathered:
+        return _gathered_purities(amps[None], gathered)[0]
+    values = _program_purities(amps, plan) if walked else None
     return _subset_purities(amps[None], plan)[0] if values is None else values
 
 
@@ -496,16 +602,13 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
     Each cut reads the node the per-node walk reads, by the same Gram
     product and partial traces, so the values agree with the walk's bit for
     bit. Returns None, for the caller to walk a one-row stack, on plans
-    past ``_PROGRAM_MAX_QUBITS``, on the plan's first one-state call and on
-    a call that finds the rows in use by another thread; the second call
-    builds the program and later calls reuse it.
+    past ``_PROGRAM_MAX_QUBITS`` and on a call that finds the rows in use by
+    another thread. The first call builds the program and later calls reuse
+    it; ``_state_purities`` makes none on a plan's first run.
     """
     if plan.n > _PROGRAM_MAX_QUBITS:
         return None
     scratch = plan.scratch
-    if not scratch.walked:
-        scratch.walked = True
-        return None
     if not scratch.lock.acquire(blocking=False):
         return None
     try:
@@ -527,35 +630,40 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
     return out[plan.cut_of]
 
 
-def _level_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Run ``plan.levels`` on one state: the batched form of ``_subset_purities``.
+def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:
+    """Run a plan's gathered form (``_gathered``) on a (B, 2^n) stack:
+    ``_subset_purities``, bit for bit.
 
-    Per level, one gather and one stacked Gram product for its tops, one
-    strided ``np.add`` per traced axis over a prefix of the level above, one
-    ``np.vecdot`` for its purities and one scatter into the cuts. Each cut
-    reads the node the per-node walk reads, by the same Gram product and
-    partial traces, so the values agree with that walk's bit for bit.
+    Per batch of states, chunk and level: one gather and one stacked Gram
+    product for the level's tops; one ``take`` of block 0 into the level,
+    one of block 1 into the workspace and one ``add`` for all its traced
+    nodes; one ``vecdot`` for its purities. Each node is the walk's Gram
+    product or the walk's sum of the same two entries, and each purity the
+    walk's ``vecdot`` of one contiguous row. The nodes live in this
+    thread's workspace; the result shares no memory with it.
     """
-    out = np.empty(plan.cuts + 1)  # the last entry takes the nodes that fill no cut
-    out[0] = 1.0
-    parent = None
-    for j, gather, prefixes, fills in plan.levels:
-        level = np.empty((len(fills), 1 << j, 1 << j), dtype=complex)
-        at = 0
-        if gather is not None:
-            matrices = amps[gather]
-            at = len(gather)
-            np.matmul(matrices, matrices.conj().swapaxes(-1, -2), out=level[:at])
-        for i, count in enumerate(prefixes):
-            inner = 1 << (j - i)
-            tensor = parent[:count].reshape(count, 1 << i, 2, inner, 1 << i, 2, inner)
-            into = level[at : at + count].reshape(count, 1 << i, inner, 1 << i, inner)
-            np.add(tensor[:, :, 0, :, :, 0], tensor[:, :, 1, :, :, 1], out=into)
-            at += count
-        flat = level.reshape(len(fills), -1)
-        out[fills] = np.vecdot(flat, flat).real
-        parent = level
-    return out[plan.cut_of]
+    batch, (node_space, space), nodes, chunks, read = gathered
+    out = np.empty((len(amps), nodes + 1), dtype=complex)  # the last entry is the empty cut's
+    out[:, nodes] = 1.0
+    for start in range(0, len(amps), batch):
+        stack, values = amps[start : start + batch], out[start : start + batch]
+        count = len(stack)
+        work = _workspace(count * space)
+        block1 = work[count * node_space :]
+        for chunk in chunks:
+            for j, at, end, tops, gather, take0, take1, first, last in chunk:
+                level = work[count * at : count * end].reshape(count, last - first, 1 << j, 1 << j)
+                if gather is not None:
+                    matrices = stack.take(gather, 1).reshape(count, tops, 1 << j, -1)
+                    np.matmul(matrices, matrices.conj().mT, out=level[:, :tops])
+                if take0 is not None:
+                    traced = level[:, tops:].reshape(count, -1)
+                    parent.take(take0, 1, traced, "clip")
+                    np.add(traced, parent.take(take1, 1, block1[: count * len(take1)].reshape(count, -1), "clip"), out=traced)
+                parent = level.reshape(count, -1)
+                flat = level.reshape(count, last - first, -1)
+                values[:, first:last] = np.vecdot(flat, flat)
+    return out.real.take(read, 1)
 
 
 def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:
@@ -576,7 +684,10 @@ def purity_arrays(states: StateStack | Sequence[Statevector]) -> np.ndarray:
     """All 2^n purities of each state as a (B, 2^n) array; row b is ``purity_array(states[b])``.
 
     ``states`` is a ``StateStack`` or a nonempty sequence of states sharing
-    n; the plan runs once for all of them.
+    n; the plan runs once for all of them, by its gathered form from its
+    second run on if it has one.
     """
     stack = StateStack.of(states)
-    return _subset_purities(stack.amplitudes, _plan(stack.n_qubits, (1 << stack.n_qubits) - 1))
+    plan = _plan(stack.n_qubits, (1 << stack.n_qubits) - 1)
+    gathered = _gathered_form(plan)
+    return _subset_purities(stack.amplitudes, plan) if gathered is None else _gathered_purities(stack.amplitudes, gathered)

@@ -6,8 +6,9 @@ significant bit and basis state |q0 q1 ... q_{n-1}> sits at index
 int("q0 q1 ... q_{n-1}", 2). Reshaping amplitudes to shape (2,)*n puts
 qubit k on axis k.
 ``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere,
-one body per object. (One state's purities may also run by levels or by a
-program, each bit-identical to row 0 of the stack; see ``reductions``.)
+one body per object. (A purity plan may also run gathered or, for one
+state, by a program, each bit-identical to its per-node walk; see
+``reductions``.)
 
 Amplitudes from outside are checked once, when a ``Statevector`` or
 ``StateStack`` is built. A builder wraps the rows it normalized itself

@@ -43,8 +43,8 @@ in trial order:
   ``pair_marginals`` call.
 
 The package's single-state functions are row 0 of these stacked forms
-(one state's purities may run by levels or by a program, each
-bit-identical to that row; see ``reductions``). What stays per state is
+(a purity plan may run gathered or, for one state, by a program, each
+bit-identical to its per-node walk; see ``reductions``). What stays per state is
 route-agreement's purity sum (``ce_purity``), the one single-state route,
 which the stacked routes are held against. A state reads only
 ``default_rng(state_seed)``, never a check's generator, so trials are

@@ -198,42 +198,46 @@ def cli_outputs(capsys, tmp_path, *argv):
 
 
 class TestOutputBytes:
-    """``dist`` and ``sample`` write the bytes they wrote before one state's plans ran
-    by levels or by programs."""
+    """``dist`` and ``sample`` write the bytes they wrote when every plan ran by the
+    per-node walk, whether a plan runs gathered or by a program."""
 
     COMMANDS = [
         ("dist", "--haar", "8", "--state-seed", "3"),
         ("dist", "--haar", "7", "--state-seed", "5", "--subset-mask", "0b1101111"),
         ("dist", "--haar", "6", "--state-seed", "1"),
+        ("dist", "--haar", "10", "--state-seed", "3"),
+        ("dist", "--haar", "9", "--state-seed", "5", "--subset-mask", "0b110111011"),
         ("sample", "--haar", "8", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
         ("sample", "--haar", "5", "--state-seed", "2", "--shots", "500", "--seed", "1"),
     ]
 
-    def test_level_form_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
-        levels = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
-        assert reductions._plan(8, 255).levels is not None
-        # Plans built from here on run one state by the per-node walk, never by a program.
-        monkeypatch.setattr(reductions, "_runs_by_levels", lambda tops, cuts: False)
+    def test_gathered_form_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
+        # A plan's first run walks it; the second and later runs take its gathered form.
+        first = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
+        gathered = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
+        assert reductions._plan(8, 255).scratch.gathered and reductions._plan(10, 1023).scratch.gathered
+        # Plans built from here on run one state by the per-node walk, never gathered or by a program.
+        monkeypatch.setattr(reductions, "_gathered", lambda plan: None)
         monkeypatch.setattr(reductions, "_program_purities", lambda amps, plan: None)
         reductions._plan.cache_clear()
         try:
-            assert reductions._plan(8, 255).levels is None
-            walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS]
+            walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.COMMANDS * 2]
         finally:
             reductions._plan.cache_clear()
-        assert walked == levels
+        assert walked == first + gathered
 
     PROGRAM_COMMANDS = [
-        ("dist", "--haar", "10", "--state-seed", "3"),
-        ("dist", "--haar", "9", "--state-seed", "5", "--subset-mask", "0b110111011"),
-        ("sample", "--haar", "10", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
+        ("dist", "--haar", "11", "--state-seed", "3"),
+        ("dist", "--haar", "7", "--state-seed", "5", "--subset-mask", "0b101"),
+        ("sample", "--haar", "11", "--state-seed", "3", "--shots", "1000", "--seed", "7"),
     ]
 
     def test_program_matches_per_node_walk(self, capsys, tmp_path, monkeypatch):
         # The first one-state call of a plan walks it; the second builds its program.
         first = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
         programs = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
-        assert reductions._plan(10, 1023).scratch.program is not None
+        assert reductions._plan(11, 2047).scratch.program is not None
+        assert reductions._plan(7, 0b101).scratch.program is not None
         monkeypatch.setattr(reductions, "_program_purities", lambda amps, plan: None)
         walked = [cli_outputs(capsys, tmp_path, *argv) for argv in self.PROGRAM_COMMANDS]
         assert walked == programs == first
@@ -255,7 +259,7 @@ class TestOutputBytes:
     )
     def test_ghz8_bytes_are_pinned(self, capsys, tmp_path, argv, stdout_sha256, output_sha256):
         # GHZ purities come out the same in any summation order, so these digests,
-        # taken before plans ran by levels, hold on any BLAS.
+        # taken when every plan ran by the per-node walk, hold on any BLAS.
         out, data = cli_outputs(capsys, tmp_path, *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
         assert hashlib.sha256(data).hexdigest() == output_sha256

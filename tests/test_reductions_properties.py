@@ -15,15 +15,16 @@ which the plan answers from (n/2 + 1)-qubit tops, are checked exactly.
 purity kernel and the subset-sum transform, and from the Walsh law, is
 checked against the same formula up to n = 14.
 
-One state (``_state_purities``) runs its plan by levels
-(``_level_purities``) or by its program (``_program_purities``); both are
-checked bit for bit against the per-node walk on a one-row stack, and with
-the selection rule forced on, the level form also against the dense oracle
-for n up to 9. A plan's first one-state call, a call that finds the
-program's lock taken, and every call on a plan past n = 12 run row 0 of
-that stacked walk; the second call builds the program. The program is
-checked with rows that are read after every node, across repeated and
-interleaved calls, with its lock held and from several threads at once.
+A plan's first run walks; from its second run on, one state or a stack
+takes its gathered form (``_gathered_purities``) if it has one, and one
+state otherwise takes its program (``_program_purities``). The gathered form
+is checked bit for bit against the per-node walk (``_subset_purities``) for
+one state at n = 1..11 and for stacks, on random masks, against the dense
+oracle, and on first, repeated and interleaved calls and from eight threads
+at once; its indices are checked against their byte cap. The program is
+checked with rows that are read after every node, with its lock held and
+from several threads at once. A call that finds the program's lock taken,
+and every call on a plan past n = 12, runs row 0 of the stacked walk.
 """
 
 import sys
@@ -51,7 +52,8 @@ from concentratable import (
 from concentratable import reductions
 from concentratable.oracle import dense_reduced_purity
 from concentratable.reductions import (
-    _level_purities,
+    _gathered,
+    _gathered_purities,
     _plan,
     _program_purities,
     _state_purities,
@@ -123,82 +125,143 @@ def test_purity_arrays_match_each_state(stack):
         np.testing.assert_allclose(row, dense, rtol=0, atol=TOL)
 
 
-@st.composite
-def states_and_masks(draw):
-    psi = draw(states(n_max=9))
-    full = (1 << psi.n_qubits) - 1
-    return psi, draw(st.just(full) | st.integers(1, full))
-
-
-@PROPERTY_SETTINGS
-@given(states_and_masks())
-def test_level_form_matches_per_node_walk_and_dense_oracle(case):
-    psi, mask = case
-    n = psi.n_qubits
-    # Built outside the cache with the selection rule forced on, so every plan has levels.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reductions, "_runs_by_levels", lambda tops, cuts: True)
-        plan = _plan.__wrapped__(n, mask)
-    levels = _level_purities(psi.amplitudes, plan)
-    walked = _subset_purities(psi.amplitudes[None], plan)[0]
-    np.testing.assert_allclose(levels, walked, rtol=0, atol=1e-12)
-    dense = [dense_reduced_purity(psi, QubitSet(n, sub)) for sub in plan.subsets.tolist()]
-    np.testing.assert_allclose(levels, dense, rtol=0, atol=TOL)
-
-
 def haar_amplitudes(n, seed=0):
     return make_haar_random(n, seed).amplitudes
 
 
-def run_one(plan, amps):
-    """One state's purities by ``plan``, and whether that call built its program."""
-    built = plan.scratch.program is None
-    values = _state_purities(amps, plan)
-    return values, built and plan.scratch.program is not None
+def haar_stack(n, seeds):
+    """The states of ``seeds`` as a list, and their (B, 2^n) amplitudes."""
+    states = [make_haar_random(n, seed) for seed in seeds]
+    return states, np.stack([psi.amplitudes for psi in states])
 
 
-def test_selection_rule_sends_multi_top_plans_up_to_n8_to_levels():
-    # One state: full plans at n = 5..8 run by levels, all others by row 0 of
-    # the stacked walk on their first call and by their program, built on the
-    # second, from then on.
-    for n, mask, levels in (
-        [(n, (1 << n) - 1, True) for n in (5, 6, 7, 8)]
-        + [(n, (1 << n) - 1, False) for n in (2, 3, 4, 9, 10, 12)]
-        + [(4, 0b1111, False), (6, 0b111, False), (8, 0b1111, False), (8, 0b10110001, False)]
-    ):
-        plan = _plan.__wrapped__(n, mask)
-        assert (plan.levels is not None) == levels
-        # A stack never builds a program.
-        _subset_purities(haar_amplitudes(n)[None], plan)
-        assert plan.scratch.program is None
-        _, built = run_one(plan, haar_amplitudes(n))
-        assert not built and plan.scratch.walked != levels
-        _, built = run_one(plan, haar_amplitudes(n))
-        assert built != levels
-    for n, mask in ((4, 0b1111), (6, 0b111), (8, 0b1111), (8, 0b10110001)):
-        assert len(_plan(n, mask).tops) == 1
+def gathered_form(n, mask):
+    """A fresh plan for (n, mask) and its gathered form (None if it has none)."""
+    plan = _plan.__wrapped__(n, mask)
+    return plan, _gathered(plan)
+
+
+def index_bytes(gathered):
+    *_, chunks, read = gathered
+    arrays = [a for chunk in chunks for level in chunk for a in level[4:7] if a is not None]
+    return sum(a.nbytes for a in arrays) + read.nbytes
 
 
 @st.composite
-def amplitudes_and_masks(draw):
-    n = draw(st.integers(1, 12))
+def masks(draw, n_min=1, n_max=11):
+    n = draw(st.integers(n_min, n_max))
     full = (1 << n) - 1
-    mask = draw(st.just(full) | st.integers(1, full))
-    return haar_amplitudes(n, draw(seeds)), n, mask
+    return n, draw(st.just(full) | st.integers(1, full))
+
+
+@settings(max_examples=60, deadline=None)
+@given(masks(), seeds)
+@example((10, 1023), 1)
+@example((9, 0b10111111), 2)
+@example((14, 0b1111111), 3)
+def test_gathered_form_equals_walk_bit_for_bit(case, seed):
+    n, mask = case
+    plan, gathered = gathered_form(n, mask)
+    amps = haar_amplitudes(n, seed)
+    walked = _subset_purities(amps[None], plan)
+    if gathered is not None:
+        one = _gathered_purities(amps[None], gathered)
+        assert one.dtype == walked.dtype and one.shape == walked.shape
+        assert one.tobytes() == walked.tobytes()
+    # First, second and third one-state calls: the walk, then the gathered form or the program.
+    for _ in range(3):
+        assert _state_purities(amps, plan).tobytes() == walked[0].tobytes()
+    assert bool(plan.scratch.gathered) == (gathered is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(masks(n_max=7), st.lists(seeds, min_size=1, max_size=8))
+@example((9, 0b10111111), [1, 2, 3, 4, 5])
+def test_gathered_stacks_equal_walk_bit_for_bit(case, seed_list):
+    n, mask = case
+    plan, gathered = gathered_form(n, mask)
+    states, stack = haar_stack(n, seed_list)
+    walked = _subset_purities(stack, plan)
+    if gathered is not None:
+        assert _gathered_purities(stack, gathered).tobytes() == walked.tobytes()
+    if mask == (1 << n) - 1:
+        # purity_arrays walks a plan's first run and takes its gathered form from the second.
+        for _ in range(2):
+            assert purity_arrays(states).tobytes() == walked.tobytes()
+
+
+def test_stacks_run_in_blocks_of_rows():
+    # Levels that hold both tops and traced nodes, in blocks of two states and
+    # (the full plan at n = 10) one state at a time.
+    for n, mask, block in ((9, 0b10111111, 2), (10, 1023, 1)):
+        plan, gathered = gathered_form(n, mask)
+        assert gathered[0] == block
+        assert any(level[4] is not None and level[5] is not None for chunk in gathered[3] for level in chunk)
+        _, stack = haar_stack(n, range(5))
+        assert _gathered_purities(stack, gathered).tobytes() == _subset_purities(stack, plan).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(states(n_min=5, n_max=9), st.integers(1, 511))
+def test_gathered_form_matches_dense_oracle(psi, mask):
+    n = psi.n_qubits
+    mask = mask & ((1 << n) - 1) or (1 << n) - 1
+    plan, gathered = gathered_form(n, mask)
+    if gathered is not None:
+        dense = [dense_reduced_purity(psi, QubitSet(n, sub)) for sub in plan.subsets.tolist()]
+        np.testing.assert_allclose(_gathered_purities(psi.amplitudes[None], gathered)[0], dense, rtol=0, atol=TOL)
+
+
+def test_which_plans_are_gathered():
+    # Dense plans under the byte cap are gathered; sparse ones (c <= 3 on one
+    # top), the full plans past n = 10 and plans with no Gram product are not.
+    gathered = [(n, (1 << n) - 1) for n in range(5, 11)] + [(8, 0b1111), (10, 0b11111), (14, 0b1111111)]
+    others = [(n, (1 << n) - 1) for n in (1, 2, 3, 4, 11, 12, 13)] + [(6, 0b111), (10, 1), (12, 0b11)]
+    for n, mask in gathered + others:
+        assert (gathered_form(n, mask)[1] is not None) == ((n, mask) in gathered), (n, mask)
+    # Single-top plans of eight qubits are past the cap.
+    assert gathered_form(16, 0xFF)[1] is None
+
+
+def test_index_bytes_stay_under_the_cap():
+    rng = np.random.default_rng(22)
+    cases = [(n, (1 << n) - 1) for n in range(1, 11)] + [(14, 0x7F), (16, 0x7F)]
+    cases += [(n, int(rng.integers(1, 1 << n))) for n in range(2, 13) for _ in range(6)]
+    largest = 0
+    for n, mask in cases:
+        gathered = gathered_form(n, mask)[1]
+        if gathered is not None:
+            largest = max(largest, index_bytes(gathered))
+    assert 0.8e6 < largest <= reductions._GATHERED_MAX_BYTES
+    # 128 cached plans hold at most about 118 MB of indices.
+    assert 128 * reductions._GATHERED_MAX_BYTES <= 118e6
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_full_plans_past_n10_take_the_program_and_equal_the_walk(n):
+    plan = _plan.__wrapped__(n, (1 << n) - 1)
+    amps = haar_amplitudes(n, 7)
+    walked = _subset_purities(amps[None], plan)[0].tobytes()
+    for _ in range(3):
+        assert _state_purities(amps, plan).tobytes() == walked
+    assert plan.scratch.gathered is False and plan.scratch.program is not None
+    states, stack = haar_stack(n, (7, 8))
+    assert purity_arrays(states).tobytes() == _subset_purities(stack, plan).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
-@given(amplitudes_and_masks(), st.sampled_from([None, 16]))
-@example((haar_amplitudes(12), 12, 4095), None)
-@example((haar_amplitudes(11), 11, 2047), 16)
-def test_one_state_equals_stacked_walk_bit_for_bit(case, level_bytes):
-    amps, n, mask = case
+@given(masks(n_max=12), seeds, st.sampled_from([None, 16]))
+@example((12, 4095), 0, None)
+@example((11, 2047), 0, 16)
+def test_one_state_equals_stacked_walk_bit_for_bit(case, seed, level_bytes):
+    n, mask = case
+    amps = haar_amplitudes(n, seed)
     with pytest.MonkeyPatch.context() as patch:
         if level_bytes is not None:
             # One row per qubit count: the program reads every node as soon as the next one comes.
             patch.setattr(reductions, "_PROGRAM_LEVEL_BYTES", level_bytes)
         plan = _plan.__wrapped__(n, mask)
-        # The first call runs the one-row stacked walk, the second the program (or levels).
+        # The first call runs the one-row stacked walk, the second the gathered form or the program.
         first, second = (_state_purities(amps, plan) for _ in range(2))
     walked = _subset_purities(amps[None], plan)[0]
     for one in (first, second):
@@ -207,7 +270,7 @@ def test_one_state_equals_stacked_walk_bit_for_bit(case, level_bytes):
 
 
 def test_repeated_and_interleaved_calls_agree():
-    cases = [(n, (1 << n) - 1) for n in (9, 10)] + [(10, 0b1011011), (12, 0b111111), (3, 0b101)]
+    cases = [(n, (1 << n) - 1) for n in (9, 10, 11)] + [(10, 0b1011011), (12, 0b111111), (3, 0b101)]
     plans = [_plan.__wrapped__(n, mask) for n, mask in cases]
     states = [[haar_amplitudes(n, seed) for seed in (1, 2)] for n, _ in cases]
     first = [[_subset_purities(amps[None], plan)[0] for amps in pair] for plan, pair in zip(plans, states)]
@@ -226,19 +289,29 @@ def program_views(plan):
             yield from (rows for rows, _ in reads)
 
 
-@pytest.mark.parametrize("n, mask", [(10, 1023), (12, 0b111111), (9, 0b110101101)])
+@pytest.mark.parametrize("n, mask", [(11, 2047), (12, 0b11), (9, 0b101)])
 def test_result_shares_no_memory_with_the_program(n, mask):
     plan = _plan.__wrapped__(n, mask)
-    values = [_state_purities(haar_amplitudes(n, seed), plan) for seed in (1, 2)]
+    values = [_state_purities(haar_amplitudes(n, seed), plan) for seed in (1, 2, 3)]
+    assert plan.scratch.program is not None
     assert not any(np.shares_memory(v, view) for v in values for view in program_views(plan))
 
 
-def test_busy_scratch_falls_back_to_the_per_node_walk():
+def test_result_shares_no_memory_with_the_workspace():
     plan = _plan.__wrapped__(10, 1023)
-    amps = haar_amplitudes(10, 4)
+    values = [_state_purities(haar_amplitudes(10, seed), plan) for seed in (1, 2, 3)]
+    stacked = purity_arrays([make_haar_random(10, 4)])
+    assert plan.scratch.gathered
+    workspace = reductions._workspace(0)
+    assert not any(np.shares_memory(v, workspace) for v in values + [stacked])
+
+
+def test_busy_scratch_falls_back_to_the_per_node_walk():
+    plan = _plan.__wrapped__(11, 2047)
+    amps = haar_amplitudes(11, 4)
     walked = _subset_purities(amps[None], plan)[0].tobytes()
-    # The first one-state call declines, so the caller runs the one-row stacked walk.
-    assert _program_purities(amps, plan) is None
+    # The first one-state call walks and builds nothing.
+    assert _state_purities(amps, plan).tobytes() == walked
     assert plan.scratch.walked and plan.scratch.program is None
     with plan.scratch.lock:
         assert _program_purities(amps, plan) is None
@@ -257,22 +330,33 @@ def test_plans_past_n12_build_no_program():
     # Every one-state call, the second and third included, runs the one-row stacked walk.
     for _ in range(3):
         assert _state_purities(amps, plan).tobytes() == walked
-    assert plan.scratch.program is None
+    assert plan.scratch.program is None and plan.scratch.gathered is False
 
 
-def test_threads_on_one_plan_agree():
-    # More threads than cores and a short switch interval, so calls overlap on
-    # the plan's rows unless its lock sends all but one to the fallback.
-    plan = _plan.__wrapped__(10, 1023)
-    states = [haar_amplitudes(10, seed) for seed in range(16)]
+@pytest.mark.parametrize("n, mask", [(10, 1023), (11, 2047), (7, 0b1011)])
+def test_threads_on_one_plan_agree(n, mask):
+    # More threads than cores and a short switch interval, so calls overlap:
+    # each thread's gathered run has its own workspace, and the program's lock
+    # sends all but one program call to the walk.
+    plan = _plan.__wrapped__(n, mask)
+    states = [haar_amplitudes(n, seed) for seed in range(16)]
     expected = [_subset_purities(amps[None], plan)[0].tobytes() for amps in states]
+    rows, stack = haar_stack(n, range(3))
+    stacked = _subset_purities(stack, plan).tobytes()
+    full = mask == (1 << n) - 1
+
+    def run(amps):
+        if full and amps is states[0]:
+            # purity_arrays reads the cached plan of (n, full), not this one.
+            assert purity_arrays(rows).tobytes() == stacked
+        return _state_purities(amps, plan).tobytes()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(3):
-                got = pool.map(lambda amps: _state_purities(amps, plan).tobytes(), states, timeout=60)
-                assert list(got) == expected
+                assert list(pool.map(run, states, timeout=60)) == expected
     finally:
         sys.setswitchinterval(interval)
 
