@@ -63,28 +63,35 @@ SEPARABLE_BRANCH_MAX = 2**20
 DENSE_ORACLE_MAX_QUBITS = 10
 DEFAULT_MAX_SIM_QUBITS = 20
 
+
+def _power(k: int, less: int = 0) -> str:
+    """2^k - less in decimal, or written as a power past 2^64: the decimal of
+    2^(10^6) passes Python's 4,300-digit limit and 2^(10^30) cannot be built."""
+    return str((1 << k) - less) if k <= 64 else f"2^{k}" + (f" - {less}" if less else "")
+
+
 # kind -> (name of its cap constant, or None for the register cap; message).
 _KINDS = {
     "subsets": (
         "OUTCOME_ENUM_MAX_QUBITS",
-        lambda n, cap: f"--all-subsets would enumerate {(1 << n) - 1} subsets (cap n <= {cap})",
+        lambda n, cap: f"--all-subsets would enumerate {_power(n, 1)} subsets (cap n <= {cap})",
     ),
     "purity-table": (
         "PURITY_TABLE_MAX_CARDINALITY",
-        lambda c, cap: f"purity table over c(s)={c} would hold 2^{c} = {1 << c} entries "
+        lambda c, cap: f"purity table over c(s)={c} would hold 2^{c} = {_power(c)} entries "
         f"(cap: c(s) <= {cap})",
     ),
     "cross-purity": (
         "PURITY_TABLE_MAX_CARDINALITY",
-        lambda c, cap: f"{1 << c} cross-purity terms (cap 2^{cap})",
+        lambda c, cap: f"{_power(c)} cross-purity terms (cap 2^{cap})",
     ),
     "outcomes": (
         "OUTCOME_ENUM_MAX_QUBITS",
-        lambda m, cap: f"{1 << m} outcomes for {m} tested qubits (cap {cap})",
+        lambda m, cap: f"{_power(m)} outcomes for {m} tested qubits (cap {cap})",
     ),
     "purity-terms": (
         "PURITY_DISTRIBUTION_MAX_QUBITS",
-        lambda n, cap: f"{1 << n} purity terms for n={n} (cap {cap})",
+        lambda n, cap: f"{_power(n)} purity terms for n={n} (cap {cap})",
     ),
     "compare": (
         "COMPARE_MAX_QUBITS",

@@ -26,6 +26,16 @@ purity per node that fills or feeds a cut, each one numpy call for the
 whole stack. ``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs
 of states with one gather, Gram product and overlap for the whole stack.
 
+The loop order of a partial trace. The walk and the program trace a qubit
+by one ``np.add`` over the views ``_trace_views`` builds. When the traced
+qubit's inner block 2^(k-1-i) is narrower than its outer 2^i, the views
+swap their last two axes and the add runs in C order, so numpy's innermost
+loop runs over the 2^i outer columns, not over the shorter runs of 2^(k-1-i)
+entries. Each entry is still the sum of the same two entries. Warm, on a
+2-vCPU x86 host, the full plans took 0.97x their former time at n = 11,
+0.91x at n = 12 and 0.93x at n = 13; at n = 14, where 8-qubit tops swap
+some axes that run slower, 1.02x.
+
 A plan's first run, one state or a stack, is the walk (on a one-row stack
 for one state): a one-shot command builds nothing beyond the plan. From its
 second run on, a plan runs in one of two other forms, each of which reads
@@ -363,6 +373,26 @@ def _trace_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return block0, inner * ((1 << k) + 1)
 
 
+def _trace_views(parent: np.ndarray, child: np.ndarray, k: int, i: int) -> tuple:
+    """Views (diag0, diag1, into) that trace qubit i out of the k-qubit rho
+    ``parent`` into ``child`` by ``np.add(diag0, diag1, out=into, order="C")``.
+
+    Both arrays may carry leading stack axes. Tr_i keeps the two diagonal
+    blocks of the traced qubit, each a (2^i, inner, 2^i, inner) view with
+    inner = 2^(k-1-i). Where inner is narrower than 2^i, all three views
+    swap their last two axes, so a C-order add runs its innermost loop over
+    the 2^i outer columns rather than over runs of inner entries (see the
+    module docstring).
+    """
+    outer, inner = 1 << i, 1 << (k - 1 - i)
+    lead = parent.shape[:-2]
+    tensor = parent.reshape(lead + (outer, 2, inner, outer, 2, inner))
+    views = tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], child.reshape(lead + (outer, inner, outer, inner))
+    if inner < outer:
+        return tuple(view.swapaxes(-1, -2) for view in views)
+    return views
+
+
 def _gathered(plan: _Plan) -> tuple | None:
     """The plan's walk nodes by chunk and level, for ``_gathered_purities``.
 
@@ -473,13 +503,7 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     depth = max((len(top[0]) for top in plan.tops), default=0)
     slots = [np.empty((count, 1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
     flats = [slot.reshape(count, -1) for slot in slots]
-    views = []
-    for k, i in plan.traces:
-        inner = 1 << (k - 1 - i)
-        tensor = slots[k].reshape(count, 1 << i, 2, inner, 1 << i, 2, inner)
-        into = slots[k - 1].reshape(count, 1 << i, inner, 1 << i, inner)
-        # Tr_i keeps the two diagonal blocks of the traced qubit.
-        views.append((tensor[:, :, 0, :, :, 0], tensor[:, :, 1, :, :, 1], into, flats[k - 1]))
+    views = [_trace_views(slots[k], slots[k - 1], k, i) + (flats[k - 1],) for k, i in plan.traces]
     for labels, cut, step_traces, step_cuts in plan.tops:
         k = len(labels)
         matrix = _gather_matrix(amps, plan.n, labels)
@@ -488,7 +512,7 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
             out[:, cut] = np.vecdot(flats[k], flats[k]).real
         for trace, cut in zip(step_traces, step_cuts):
             diag0, diag1, into, flat = views[trace]
-            np.add(diag0, diag1, out=into)
+            np.add(diag0, diag1, out=into, order="C")
             if cut:
                 out[:, cut] = np.vecdot(flat, flat).real
     return out[:, plan.cut_of]
@@ -553,10 +577,7 @@ def _program(plan: _Plan) -> tuple:
 
     @functools.cache
     def add(j, i, parent, child):
-        inner = 1 << (j - 1 - i)
-        tensor = rows[j][parent].reshape(1 << i, 2, inner, 1 << i, 2, inner)
-        into = rows[j - 1][child].reshape(1 << i, inner, 1 << i, inner)
-        return tensor[:, 0, :, :, 0, :], tensor[:, 1, :, :, 1, :], into
+        return _trace_views(rows[j][parent], rows[j - 1][child], j, i)
 
     @functools.cache
     def flat(j, used):
@@ -622,7 +643,7 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
             np.matmul(matrix, matrix.conj().T, out=gram)
             for adds, reads in segments:
                 for diag0, diag1, into in adds:
-                    np.add(diag0, diag1, out=into)
+                    np.add(diag0, diag1, out=into, order="C")
                 for flat, fills in reads:
                     out[fills] = np.vecdot(flat, flat).real
     finally:

@@ -525,12 +525,12 @@ def check_continuity(trials=200, n_values=(2, 3, 4, 5), seed=1010, tolerance=1e-
 
 
 #: The smallest epsilon error-bound takes. The excess it bounds is a
-#: difference of values near 1, with rounding near 1e-16, and perturb's
-#: delta = sqrt(1 - eps^2) keeps fewer digits of eps as eps shrinks. On
-#: 2,000 Haar n = 3 pairs (state seeds 0-1999) the excess stays at
-#: 0.09-0.33 of 4 eps^2 for every eps >= 1e-7, turns negative at 3e-8 and
-#: reaches 2.2x the bound at 1e-8, where a report would read rounding as a
-#: violation. 1e-6 keeps a decade of margin.
+#: difference of values near 1, with rounding near 1e-16; the perturbed
+#: state itself keeps its distance eps to about 1e-16. On 2,000 Haar n = 3
+#: pairs (state seeds 0-1999) the excess stays at 0.09-0.33 of 4 eps^2 for
+#: every eps >= 1e-7, turns negative at 3e-8 and reaches 1.7x the bound at
+#: 1e-8, where a report would read rounding as a violation. 1e-6 keeps a
+#: decade of margin.
 EPSILON_FLOOR = 1e-6
 
 

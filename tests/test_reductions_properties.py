@@ -25,8 +25,14 @@ at once; its indices are checked against their byte cap. The program is
 checked with rows that are read after every node, with its lock held and
 from several threads at once. A call that finds the program's lock taken,
 and every call on a plan past n = 12, runs row 0 of the stacked walk.
+
+The walk and the program share one helper for the views of a partial trace
+(``_trace_views``), so they are also held to references that do not use
+it: the plain sum of the two diagonal blocks for every (k, i), and a
+per-node walk written out below for the full plans at n = 11 and 12.
 """
 
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,6 +64,7 @@ from concentratable.reductions import (
     _program_purities,
     _state_purities,
     _subset_purities,
+    _trace_views,
     submasks,
 )
 
@@ -247,6 +254,58 @@ def test_full_plans_past_n10_take_the_program_and_equal_the_walk(n):
     assert plan.scratch.gathered is False and plan.scratch.program is not None
     states, stack = haar_stack(n, (7, 8))
     assert purity_arrays(states).tobytes() == _subset_purities(stack, plan).tobytes()
+
+
+def plain_partial_trace(rho, k, i):
+    """Tr_i of a (..., 2^k, 2^k) rho: the sum of the traced qubit's diagonal blocks."""
+    inner = 1 << (k - 1 - i)
+    t = rho.reshape(rho.shape[:-2] + (1 << i, 2, inner, 1 << i, 2, inner))
+    return (t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :]).reshape(rho.shape[:-2] + (1 << (k - 1),) * 2)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_trace_views_equal_the_plain_partial_trace(k, rows):
+    lead = () if rows is None else (rows,)
+    rng = np.random.default_rng(k)
+    rho = rng.standard_normal(lead + (1 << k, 1 << k)) + 1j * rng.standard_normal(lead + (1 << k, 1 << k))
+    for i in range(k):
+        child = np.full(lead + (1 << (k - 1),) * 2, np.nan, dtype=complex)
+        diag0, diag1, into = _trace_views(rho, child, k, i)
+        np.add(diag0, diag1, out=into, order="C")
+        assert child.tobytes() == plain_partial_trace(rho, k, i).tobytes(), (k, i)
+
+
+def reference_walk(amps, plan):
+    """One state's purities by the plan's per-node walk, one plain partial trace a step."""
+    n = plan.n
+    out = np.empty(plan.cuts)
+    out[0] = 1.0
+    for labels, cut, step_traces, step_cuts in plan.tops:
+        k = len(labels)
+        axes = list(labels) + [q for q in range(n) if q not in labels]
+        matrix = amps.reshape((2,) * n).transpose(axes).reshape(1 << k, -1)
+        nodes = {k: matrix @ matrix.conj().T}
+        if cut:
+            out[cut] = np.vecdot(nodes[k].ravel(), nodes[k].ravel()).real
+        for trace, cut in zip(step_traces, step_cuts):
+            j, i = plan.traces[trace]
+            nodes[j - 1] = plain_partial_trace(nodes[j], j, i)
+            if cut:
+                out[cut] = np.vecdot(nodes[j - 1].ravel(), nodes[j - 1].ravel()).real
+    return out[plan.cut_of]
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_full_plans_equal_a_plain_walk(n, monkeypatch):
+    # A fresh plan cache: the first call walks, the third runs the program.
+    monkeypatch.setattr(reductions, "_plan", functools.lru_cache(maxsize=4)(_plan.__wrapped__))
+    psi = make_haar_random(n, 11)
+    expected = reference_walk(psi.amplitudes, reductions._plan(n, (1 << n) - 1)).tobytes()
+    first, _, third = (purity_array(psi) for _ in range(3))
+    assert reductions._plan(n, (1 << n) - 1).scratch.program is not None
+    assert first.tobytes() == expected
+    assert third.tobytes() == expected
 
 
 @settings(max_examples=30, deadline=None)

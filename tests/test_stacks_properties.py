@@ -13,7 +13,7 @@ must match it bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import concentratable.oracle as oracle_module
@@ -410,6 +410,20 @@ def test_perturbed_rows_match_single_calls_and_sit_at_epsilon(case):
         assert abs(distances[b] - epsilon) <= 1e-9
         dense = dense_trace_distance(states.amplitudes[b], perturbed.amplitudes[b])
         assert abs(dense - epsilon) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 10), seed_lists, st.floats(-12.0, 0.0))
+@example(3, [1], -8.0)  # read 0.0 when the distance came from 1 - |<a|b>|^2
+def test_perturbed_distance_keeps_small_epsilons(n, seed_list, exponent):
+    # A stored amplitude carries rounding of about 1e-16, so no stored pair
+    # sits at a distance known better than that: the distance must equal eps
+    # to a relative 1e-12, or to 1e-15 where eps < 1e-3 puts the relative
+    # bound below that rounding.
+    epsilon = 10.0**exponent
+    states = make_haar_random_stack(n, seed_list)
+    distances = trace_distances_pure(states, perturb_stack(states, epsilon))
+    assert np.abs(distances - epsilon).max() <= max(1e-12 * epsilon, 1e-15), (epsilon, distances)
 
 
 @PROPERTY_SETTINGS
