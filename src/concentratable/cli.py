@@ -208,6 +208,13 @@ def cmd_ce(args) -> int:
 def cmd_dist(args) -> int:
     psi = _resolve_state(args)
     tested = _single_subset(args, psi.n_qubits)
+    if args.check_odd_zero and tested.cardinality < psi.n_qubits:
+        # Short of the register P(odd) = (1 - Tr rho_s^2) / 2, zero only if s is a product factor.
+        raise ValidationError(
+            "--check-odd-zero needs the whole register tested: odd-weight outcomes of "
+            f"identical copies vanish only then, but {tested.cardinality} of "
+            f"{psi.n_qubits} qubits are tested"
+        )
     dist = outcome_distribution(psi, psi, tested)
     print(outcome_table_text(dist))
     if args.output:
@@ -337,7 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact SWAP-test outcome distribution")
     _add_state_args(p)
     _add_subset_args(p, sweeps=False)
-    p.add_argument("--check-odd-zero", action="store_true", help="assert odd-weight outcomes vanish")
+    p.add_argument(
+        "--check-odd-zero", action="store_true",
+        help="assert odd-weight outcomes vanish (whole register only)",
+    )
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(run=cmd_dist)
 

@@ -3,7 +3,8 @@
 The references materialize dense density matrices or expand full branch
 trees; size caps keep them at test scale, and they are not optimization
 targets. The random local operations come in stacks for ``verify``:
-``random_local_kraus_stack`` builds many seeds' Kraus pairs with batched
+``random_local_kraus_stack`` seeds many seeds' generators in one pass
+(``states._generators``) and builds their Kraus pairs with batched
 ``np.linalg`` calls, and ``apply_local_kraus_stack`` applies them to a
 ``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are their
 row 0, as elsewhere (a purity plan may run gathered or, for one state,
@@ -19,7 +20,14 @@ import numpy as np
 
 from . import limits
 from .errors import ConsistencyError, ValidationError
-from .states import QubitSet, StateStack, Statevector, _wrap_checked, require_same_qubits
+from .states import (
+    QubitSet,
+    StateStack,
+    Statevector,
+    _generators,
+    _wrap_checked,
+    require_same_qubits,
+)
 from .swaptest import MeasurementOutcome
 
 
@@ -131,16 +139,17 @@ def random_local_kraus(seed: int, qubit: int) -> LocalKrausPair:
 def random_local_kraus_stack(seeds) -> np.ndarray:
     """Kraus pairs for many seeds: entry [b, j] is m_j of ``random_local_kraus(seeds[b], .)``.
 
-    Each seed gets its own ``default_rng`` and one draw of the 16 normals
-    that ``random_local_kraus`` reads; the SVD, eigh and QR then run
+    Each seed gets a generator in the state of its own ``default_rng``, all
+    of them seeded in one pass (``states._generators``), and one draw of the
+    16 normals that ``random_local_kraus`` reads; the SVD, eigh and QR then run
     batched over the (B, 2, 2) stacks. Returns a read-only (B, 2, 2, 2)
     array whose pairs are each complete to 1e-10, like ``LocalKrausPair``.
     The qubit is chosen when the pairs are applied
     (``apply_local_kraus_stack``).
     """
     draws = np.empty((len(seeds), 4, 2, 2))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    for row, rng in zip(draws, _generators(seeds)):
+        rng.standard_normal(out=row)
     gaussian = draws[:, 0] + 1j * draws[:, 1]
     m0 = gaussian / np.linalg.svd(gaussian, compute_uv=False)[:, :1, None]
     remainder = np.eye(2) - m0.conj().swapaxes(-1, -2) @ m0

@@ -8,7 +8,10 @@ qubit k on axis k.
 ``make_haar_random`` is row 0 of ``make_haar_random_stack``: as elsewhere,
 one body per object. (A purity plan may also run gathered or, for one
 state, by a program, each bit-identical to its per-node walk; see
-``reductions``.)
+``reductions``.) The seeded stacks, the Haar stack here and
+``oracle.random_local_kraus_stack``, take their rows' generators from
+``_generators``, which hashes all of a stack's seeds in one vectorized
+pass; row b still reads the stream of ``np.random.default_rng(seeds[b])``.
 
 Amplitudes from outside are checked once, when a ``Statevector`` or
 ``StateStack`` is built. A builder wraps the rows it normalized itself
@@ -19,6 +22,7 @@ finite, unit-norm rows by construction.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
@@ -250,6 +254,54 @@ def make_w(n: int) -> Statevector:
     return Statevector(n, amps)
 
 
+# numpy's ``SeedSequence.generate_state`` hash: output word i mixes pool word
+# i % 4 with the running constant h_i, h_0 = _HASH_INIT, h_(i+1) = h_i * _HASH_MULT
+# mod 2^32, as ((pool ^ h_i) * h_(i+1)) ^ (that >> 16). PCG64 takes the first
+# eight words, read little-endian as four uint64: its state, then its increment.
+_HASH_INIT, _HASH_MULT = 0x8B51F9DD, 0x58F38DED
+_HASH_XOR = np.array([_HASH_INIT * _HASH_MULT**i % 2**32 for i in range(8)], np.uint32).reshape(2, 4)
+_HASH_TIMES = np.array([_HASH_INIT * _HASH_MULT**i % 2**32 for i in range(1, 9)], np.uint32).reshape(2, 4)
+_LITTLE_WORD, _LITTLE_PAIR, _PAIR = np.dtype("<u4"), np.dtype("<u8"), np.dtype(np.uint64)
+
+
+@functools.cache
+def _seed_words():
+    """The ``ISeedSequence`` that hands each new PCG64 the next row of precomputed words.
+
+    Every generator of one ``_generators`` call keeps the one instance as its
+    ``seed_seq``, so none of them can spawn. Built on first use, so importing
+    the package does not load ``numpy.random``.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, rows):
+            self._rows = iter(rows)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return next(self._rows)
+
+    return SeedWords
+
+
+def _generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """One Generator per seed, each in the state ``np.random.default_rng(seed)`` starts in.
+
+    numpy mixes each seed's entropy itself (``SeedSequence(seed).pool``), so
+    a seed of any size is read, and a bad one refused, as ``default_rng``
+    does. The hash that turns a pool into PCG64's seed words, which
+    ``default_rng`` runs as a Python loop over numpy scalars, runs here once
+    for all rows. Each generator's words are one contiguous uint64 row,
+    since PCG64 reads the buffer directly.
+    """
+    words = np.array([np.random.SeedSequence(seed).pool for seed in seeds], np.uint32)
+    words = words.reshape(-1, 1, 4) ^ _HASH_XOR
+    words *= _HASH_TIMES
+    words ^= words >> 16
+    words = words.reshape(-1, 8).astype(_LITTLE_WORD, copy=False)
+    rows = _seed_words()(words.view(_LITTLE_PAIR).astype(_PAIR, copy=False))
+    return [np.random.Generator(np.random.PCG64(rows)) for _ in range(len(words))]
+
+
 def make_haar_random(n: int, seed: int) -> Statevector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian vector.
 
@@ -264,8 +316,9 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
     """Haar-random states as a stack: row b is ``make_haar_random(n, seeds[b])``.
 
     Each row keeps its own seed's stream, so a state does not depend on
-    which other seeds share its stack. Only the generator seeding and the
-    draw run once per row; the complex rows and the norms run once for the
+    which other seeds share its stack. The seeds are hashed once for the
+    stack (``_generators``); only building each row's generator and its
+    draw run once per row. The complex rows and the norms run once for the
     stack, and the rows, normalized here, are wrapped without a second check.
     The norms are ``np.linalg.norm(..., axis=-1)``, not ``_norms``, which
     differs in the last bit on some rows (see ``_norms``).
@@ -281,8 +334,8 @@ def make_haar_random_stack(n: int, seeds: Sequence[int]) -> StateStack:
             f"expected a nonempty stack of rows of 2^{n} amplitudes, got shape (0, {1 << n})"
         )
     draws = np.empty((len(seeds), 2, 1 << n))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    for row, rng in zip(draws, _generators(seeds)):
+        rng.standard_normal(out=row)
     amps = draws[:, 0] + 1j * draws[:, 1]
     return _wrap_checked(StateStack, n, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
 

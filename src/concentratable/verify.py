@@ -46,14 +46,16 @@ The package's single-state functions are row 0 of these stacked forms
 (a purity plan may run gathered or, for one state, by a program, each
 bit-identical to its per-node walk; see ``reductions``). What stays per state is
 route-agreement's purity sum (``ce_purity``), the one single-state route,
-which the stacked routes are held against. A state reads only
-``default_rng(state_seed)``, never a check's generator, so trials are
-drawn before their states are built.
+which the stacked routes are held against. A state reads only the stream
+of ``default_rng(state_seed)``, never a check's generator, so trials are
+drawn before their states are built. The stacked builders hash all of a
+stack's seeds in one vectorized pass (``states._generators``), so per
+state they only mix its seed's entropy and build its generator.
 
 What still runs once per trial is Python: drawing the trial from the
 check's generator (``_draw`` picks n with ``rng.integers``, which reads the
-stream ``Generator.choice`` reads at a fifth of its cost), seeding one
-``default_rng`` per state inside the stacked builders, and, in the checks
+stream ``Generator.choice`` reads at a fifth of its cost), each state's
+generator in the stacked builders, and, in the checks
 that score each trial on its own (odd-weight-zero, bi-separable-zero,
 purity-locc-monotonicity, nested-monotonicity, subadditivity), one
 ``_Worst`` update per trial; nested-monotonicity and subadditivity also

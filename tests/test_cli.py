@@ -280,6 +280,25 @@ class TestDist:
         for z in ("001", "010", "100", "111"):
             assert table[z] == 0.0
 
+    @pytest.mark.parametrize("subset", [("--cardinality", "2"), ("--subset-mask", "0b10110")])
+    def test_check_odd_zero_refuses_part_of_the_register(self, capsys, subset):
+        # Short of the whole register P(odd) = (1 - Tr rho_s^2) / 2 > 0: no law is computed.
+        code, out, err = run_cli(
+            capsys, "dist", "--haar", "5", "--state-seed", "4192", "--check-odd-zero", *subset
+        )
+        tested = 2 if subset[0] == "--cardinality" else 3
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --check-odd-zero needs the whole register tested")
+        assert f"{tested} of 5 qubits" in err
+
+    @pytest.mark.parametrize("subset", [(), ("--cardinality", "5"), ("--subset-mask", "0b11111")])
+    def test_check_odd_zero_passes_on_the_whole_register(self, capsys, subset):
+        code, out, err = run_cli(
+            capsys, "dist", "--haar", "5", "--state-seed", "4192", "--check-odd-zero", *subset
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "odd-weight outcomes all vanish (<= 1e-10)"
+
     def test_w4_weight_two_rows(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "--w", "4")
         assert code == 0

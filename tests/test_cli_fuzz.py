@@ -12,6 +12,11 @@ the wrong JSON type; an ``--output`` in a missing directory, on a directory
 or on a dangling or looping symlink; no state source or two; a dropped
 required flag, a stray token, or a stdout whose reader has gone.
 
+``dist --check-odd-zero`` is also drawn with ``--cardinality`` or
+``--subset-mask``: short of the whole register identical copies do give
+odd-weight outcomes, so the check must refuse the set (exit 2), not report
+a violation (exit 1).
+
 Valid counts stay small: ``distill --runs``, ``verify --trials`` and state
 sizes between 7 and the register cap have no work budget, so a large one
 would run for minutes. The run is derandomized with a fixed example budget.
@@ -31,8 +36,10 @@ from concentratable.cli import main
 from concentratable.verify import CHECKS
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 141}
-# Only these commands report a property violation (exit 1).
-VIOLATION_COMMANDS = {"verify", "dist", "distill"}
+# Only these commands report a property violation (exit 1). dist has none to
+# report: identical copies tested on the whole register have no odd-weight
+# outcome, and its check refuses any other set.
+VIOLATION_COMMANDS = {"verify", "distill"}
 
 WEIRD = ["", "-", "--", "abc", "nan", "inf", "-inf", "1e400", "1.5", "0x10", "1_000", "٣", "2 3", "\x00"]
 HUGE = [str(10**3), str(10**11), str(2**63), str(2**64), str(10**30)]
@@ -83,6 +90,7 @@ FLAGS = {
         {**SUBSET_FLAGS, "--all-cardinalities": None, "--all-subsets": None, "--method": "method", "--format": "format"},
     ),
     "dist": ({}, {**SUBSET_FLAGS, "--check-odd-zero": None}),
+    "dist --check-odd-zero": ({}, SUBSET_FLAGS),
     "sample": ({"--shots": "shots", "--seed": "seed"}, SUBSET_FLAGS),
     "verify": (
         {"--trials": "count"},
@@ -100,9 +108,10 @@ def parts(command):
     """The parts of a command that a case may make invalid: its value slots and the rest."""
     required, optional = FLAGS[command]
     slots = {slot for slot in [*required.values(), *optional.values()] if slot is not None}
-    if command in TAKES_STATE:
+    name = command.split()[0]
+    if name in TAKES_STATE:
         slots |= {"size", "state-seed", "source", "file", "file-path"}
-    if command in TAKES_OUTPUT:
+    if name in TAKES_OUTPUT:
         slots.add("output")
     if required:
         slots.add("required")
@@ -158,12 +167,13 @@ def fuzz_dir(tmp_path_factory):
 
 
 def draw_argv(data, fuzz_dir):
-    """A command with one or two parts made invalid; returns it, its argv and whether stdout is closed."""
+    """A command with one or two parts made invalid; returns its name, its argv and whether stdout is closed."""
     command = data.draw(st.sampled_from(sorted(FLAGS)), "command")
     bad = data.draw(st.sets(st.sampled_from(parts(command)), min_size=1, max_size=2), "invalid parts")
     if "command" in bad:
         command = data.draw(st.sampled_from(["bogus", "--version", "--help", ""]), "invalid command")
-    argv = [command]
+    argv = command.split() or [command]
+    name = argv[0]
 
     def pick(slot, valid, invalid):
         return data.draw(invalid if slot in bad else valid, slot)
@@ -173,7 +183,7 @@ def draw_argv(data, fuzz_dir):
         if slot is not None:
             argv.append(pick(slot, *VALUES[slot]))
 
-    if command in TAKES_STATE:
+    if name in TAKES_STATE:
         sources = pick("source", st.sampled_from(SOURCES).map(lambda s: [s]), st.sampled_from([[], ["--ghz", "--file"], ["--w", "--haar"]]))
         if bad & {"file", "file-path"}:
             sources = ["--file"]
@@ -199,13 +209,13 @@ def draw_argv(data, fuzz_dir):
     chosen.update(data.draw(st.lists(st.sampled_from(sorted(optional)), max_size=2) if optional else st.just([]), "optional"))
     for flag in sorted(chosen):
         add(flag, optional[flag])
-    if command in TAKES_OUTPUT and ("output" in bad or data.draw(st.booleans(), "output?")):
+    if name in TAKES_OUTPUT and ("output" in bad or data.draw(st.booleans(), "output?")):
         valid = st.sampled_from([str(fuzz_dir / "out.json"), os.devnull])
         names = ("missing/out.json", "a-directory", "dangling.json", "loop-a", "")
         argv += ["--output", pick("output", valid, st.sampled_from([str(fuzz_dir / name) for name in names]))]
     if "junk" in bad:
         argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.sampled_from(WEIRD + ["--ghz", "--output", "-h"])))
-    return command, argv, "stdout" in bad
+    return name, argv, "stdout" in bad
 
 
 @settings(

@@ -1,8 +1,9 @@
 """Property tests of the stacked producers and the stacked pair-basis kernel.
 
 Each stacked function is checked row by row against its single-state
-counterpart and against an independent reference: the per-seed Kraus
-construction written out below, the per-seed Haar draw, dense Kronecker
+counterpart and against an independent reference: the per-seed generators
+of ``np.random.default_rng``, the per-seed Kraus construction written out
+below, the per-seed Haar draw, dense Kronecker
 products for local operations, the explicit ancilla+Fredkin circuit for
 SWAP-test laws, dense reduced density matrices for cross purities, and
 dense density matrices and Pauli-Y products for trace distances and
@@ -10,6 +11,8 @@ n-tangles.
 Where the single-state function is the stacked one on one row, the rows
 must match it bit for bit.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -59,11 +62,13 @@ from concentratable.oracle import (
     random_local_kraus_stack,
     reduced_density_matrix,
 )
-from concentratable.states import NORM_ATOL
+from concentratable.states import NORM_ATOL, _generators
 from concentratable.swaptest import CONDITION_FLOOR
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
-seeds = st.integers(0, 2**32 - 1)
+# Seeds of one, two, three and more uint32 words of entropy, and the edges between them.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64]
+seeds = st.integers(0, 2**130) | st.sampled_from(EDGE_SEEDS)
 seed_lists = st.lists(seeds, min_size=1, max_size=8)
 
 
@@ -82,9 +87,37 @@ def reference_kraus(seed):
 
 
 def reference_haar(n, seed):
+    """The per-seed draw, divided by the norm the stack divides its rows by."""
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return amps / np.linalg.norm(amps)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(seeds, min_size=1, max_size=40))
+@example(EDGE_SEEDS + EDGE_SEEDS[::-1] + [2**130, 7, 7])
+def test_generators_start_where_default_rng_starts(seed_list):
+    generators = _generators(seed_list)
+    assert len(generators) == len(seed_list)
+    for rng, seed in zip(generators, seed_list):
+        reference = np.random.default_rng(seed)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.standard_normal(64).tobytes() == reference.standard_normal(64).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**70), 1.5, 2.0, np.float64(3.0)])
+def test_bad_seeds_raise_what_they_raised_before(bad):
+    # The Kraus stack raises what default_rng raises; the Haar stack refuses a
+    # negative seed itself and passes any other bad seed on to numpy.
+    with pytest.raises((TypeError, ValueError)) as numpy_error:
+        np.random.default_rng(bad)
+    expected = numpy_error.type, f"^{re.escape(str(numpy_error.value))}$"
+    with pytest.raises(expected[0], match=expected[1]):
+        random_local_kraus_stack([3, bad])
+    if bad < 0:
+        expected = ValidationError, f"^seed must be >= 0, got {bad}$"
+    with pytest.raises(expected[0], match=expected[1]):
+        make_haar_random_stack(2, [3, bad])
 
 
 @PROPERTY_SETTINGS
@@ -107,8 +140,8 @@ def test_haar_stack_rows_match_each_seed(n, seed_list):
     stack = make_haar_random_stack(n, seed_list)
     assert stack.amplitudes.shape == (len(seed_list), 1 << n)
     for row, seed in zip(stack.amplitudes, seed_list):
-        np.testing.assert_allclose(row, make_haar_random(n, seed).amplitudes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(row, reference_haar(n, seed), rtol=0, atol=1e-15)
+        assert row.tobytes() == make_haar_random(n, seed).amplitudes.tobytes()
+        assert row.tobytes() == reference_haar(n, seed).tobytes()
 
 
 def _rows_pass_statevector_checks(stack):
