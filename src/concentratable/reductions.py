@@ -55,7 +55,9 @@ equals the walk bit for bit:
   to 10 and the single-top plans of four to seven qubits, among others.
 - By program (``_program_purities``), one state of any other plan up to
   ``_PROGRAM_MAX_QUBITS``: the walk with every view bound once to row
-  buffers kept with the plan. Stacks of such plans, plans past
+  buffers kept with the plan, as many rows per qubit count as the largest
+  top has nodes of that count, and one ``vecdot`` per top and count for
+  its purities. Stacks of such plans, plans past
   ``_PROGRAM_MAX_QUBITS`` and a call that finds the program in use by
   another thread take the walk.
 
@@ -157,14 +159,15 @@ class PurityTable:
 # looks up (121) fits, and a sweep over many masks cannot pile plans up.
 _PLAN_CACHE_SIZE = 128
 
-# Plans past this n build no program, since a full plan's program about doubles
-# per qubit: the plan cache then keeps at most 128 programs of this n.
+# Plans past this n build no program. The full plans' programs take 0.38, 0.46
+# and 1.7 MB at n = 10, 11 and 12 (a top of n//2 + 1 qubits sets the rows), so
+# the plan cache keeps at most about 240 MB of programs.
 _PROGRAM_MAX_QUBITS = 12
 
 # A plan runs gathered when its compiled indices take at most this many bytes
 # (the full plan at n = 10 takes 0.81 MB), so the plan cache holds at most
-# 128 x 0.92 MB of indices, as it holds at most 128 programs of n = 12.
-# The gathered form still won at n = 11 (2.3 MB) and lost from n = 12 on.
+# 128 x 0.92 MB = 118 MB of indices. The gathered form still won at n = 11
+# (2.3 MB) and lost from n = 12 on.
 _GATHERED_MAX_BYTES = 7 << 17
 
 # A plan runs gathered only when its levels hold at least this many nodes each
@@ -174,10 +177,6 @@ _GATHERED_MIN_NODES = 3
 # A gathered chunk holds at most this many node entries (1 MiB of complex128),
 # so indices into any of its levels fit uint16.
 _CHUNK_ENTRIES = 1 << 16
-
-# A one-state program keeps at most this many bytes of rows per qubit count
-# (and at least one row), so its rows are read while still in cache.
-_PROGRAM_LEVEL_BYTES = 1 << 16
 
 
 _threads = threading.local()
@@ -377,17 +376,16 @@ def _trace_views(parent: np.ndarray, child: np.ndarray, k: int, i: int) -> tuple
     """Views (diag0, diag1, into) that trace qubit i out of the k-qubit rho
     ``parent`` into ``child`` by ``np.add(diag0, diag1, out=into, order="C")``.
 
-    Both arrays may carry leading stack axes. Tr_i keeps the two diagonal
-    blocks of the traced qubit, each a (2^i, inner, 2^i, inner) view with
-    inner = 2^(k-1-i). Where inner is narrower than 2^i, all three views
-    swap their last two axes, so a C-order add runs its innermost loop over
-    the 2^i outer columns rather than over runs of inner entries (see the
-    module docstring).
+    Both arrays may carry leading stack axes, each of its own length. Tr_i
+    keeps the two diagonal blocks of the traced qubit, each a (2^i, inner,
+    2^i, inner) view with inner = 2^(k-1-i). Where inner is narrower than
+    2^i, all three views swap their last two axes, so a C-order add runs
+    its innermost loop over the 2^i outer columns rather than over runs of
+    inner entries (see the module docstring).
     """
     outer, inner = 1 << i, 1 << (k - 1 - i)
-    lead = parent.shape[:-2]
-    tensor = parent.reshape(lead + (outer, 2, inner, outer, 2, inner))
-    views = tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], child.reshape(lead + (outer, inner, outer, inner))
+    tensor = parent.reshape(parent.shape[:-2] + (outer, 2, inner, outer, 2, inner))
+    views = tensor[..., 0, :, :, 0, :], tensor[..., 1, :, :, 1, :], child.reshape(child.shape[:-2] + (outer, inner, outer, inner))
     if inner < outer:
         return tuple(view.swapaxes(-1, -2) for view in views)
     return views
@@ -547,85 +545,82 @@ def _state_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
 def _program(plan: _Plan) -> tuple:
     """The per-node walk of ``plan`` for one state, bound to buffers once.
 
-    Nodes of j qubits live in the rows of one (r_j, 2^j, 2^j) buffer that
-    all tops share; a top's nodes take rows in the walk's order, so the
+    Nodes of j qubits live in the rows of one (r_j, 2^j, 2^j) buffer, r_j
+    being the most nodes of j qubits that any one top has. Each top starts
+    again at row 0 and gives its nodes rows in the walk's order, so the
     partial trace of each step reads its parent's row and writes its own.
     A top runs as one Gram product into its row, its steps' ``np.add``
-    calls, and one ``np.vecdot`` per qubit count over the rows it filled,
-    scattered into the cuts (a node that fills no cut writes the spare
-    entry ``plan.cuts``). When a count's rows are all taken, the next node
-    of that count first reads them, so r_j stays within
-    ``_PROGRAM_LEVEL_BYTES``; the walk has finished with them by then.
+    calls, and one ``np.vecdot`` per qubit count whose nodes fill a cut,
+    over all the top's rows of that count, into consecutive entries of one
+    complex buffer of values.
 
-    Returns, per top, (axes, shape, gram, segments): the transpose of the
-    amplitude tensor and the matrix shape that gather the top, the row its
-    Gram product fills, and (adds, reads) pairs to run in order, each add a
-    (diag0, diag1, into) view triple and each read a (rows, fills) pair.
-    Views are made once per (count, axis, parent row, child row).
+    Returns (tops, values, read): per top, (axes, shape, gram, adds, reads)
+    holds the transpose of the amplitude tensor and the matrix shape that
+    gather the top, the row its Gram product fills, its steps' (diag0,
+    diag1, into) view triples and its (rows, into) reads; ``read`` gives
+    the entry of ``values`` that holds each subset's purity, entry 0 being
+    the empty cut's 1.0. Views are made once per (count, axis, parent row,
+    child row).
     """
-    n, spare = plan.n, plan.cuts
+    n = plan.n
     depth = max((len(labels) for labels, *_ in plan.tops), default=0)
-    limit = [max(1, _PROGRAM_LEVEL_BYTES >> (4 + 2 * j)) for j in range(depth + 1)]
-    count = [1] * (depth + 1)
-    for labels, _, step_traces, _ in plan.tops:
-        nodes = [0] * (depth + 1)
-        nodes[len(labels)] = 1
-        for trace in step_traces:
-            nodes[plan.traces[trace][0] - 1] += 1
-        count = [max(c, min(m, cap)) for c, m, cap in zip(count, nodes, limit)]
-    rows = [np.empty((r, 1 << j, 1 << j), dtype=complex) for j, r in enumerate(count)]
+    walks = []  # per top: its labels, the cut of each row per qubit count, and its steps' (j, i, parent row, child row)
+    size = [0] * (depth + 1)
+    for labels, cut, step_traces, step_cuts in plan.tops:
+        fills: list[list[int]] = [[] for _ in range(depth + 1)]
+        fills[len(labels)].append(cut)
+        steps = []
+        for trace, cut in zip(step_traces, step_cuts):
+            j, i = plan.traces[trace]
+            steps.append((j, i, len(fills[j]) - 1, len(fills[j - 1])))
+            fills[j - 1].append(cut)
+        walks.append((labels, fills, steps))
+        size = list(map(max, size, map(len, fills)))
+    rows = [np.empty((r, 1 << j, 1 << j), dtype=complex) for j, r in enumerate(size)]
+    values = np.empty(1 + sum(len(cuts) for _, fills, _ in walks for cuts in fills if any(cuts)), dtype=complex)
+    values[0] = 1.0
+    entry_of_cut = np.zeros(plan.cuts, dtype=np.intp)
+
+    blocks = {(j, i): _trace_views(rows[j], rows[j - 1], j, i) for j, i in plan.traces}
 
     @functools.cache
     def add(j, i, parent, child):
-        return _trace_views(rows[j][parent], rows[j - 1][child], j, i)
+        diag0, diag1, into = blocks[j, i]
+        return diag0[parent], diag1[parent], into[child]
 
     @functools.cache
     def flat(j, used):
         return rows[j][:used].reshape(used, -1)
 
-    program = []
-    for labels, cut, step_traces, step_cuts in plan.tops:
+    tops, entry = [], 1
+    for labels, fills, steps in walks:
+        reads = []
+        for j, cuts in enumerate(fills):
+            if any(cuts):
+                reads.append((flat(j, len(cuts)), values[entry : entry + len(cuts)]))
+                for at, cut in enumerate(cuts, entry):
+                    if cut:
+                        entry_of_cut[cut] = at
+                entry += len(cuts)
         k = len(labels)
-        fills: list[list[int]] = [[] for _ in range(depth + 1)]
-        segments, adds = [], []
-
-        def read(j):
-            # The pending rows of j qubits, as one read if any fills a cut.
-            pending, fills[j] = fills[j], []
-            if any(fill != spare for fill in pending):
-                return ((flat(j, len(pending)), np.array(pending, dtype=np.intp)),)
-            return ()
-
-        def take(j, cut):
-            # The next row of j qubits for a node filling ``cut``.
-            nonlocal adds
-            if len(fills[j]) == count[j]:
-                segments.append((tuple(adds), read(j)))
-                adds = []
-            fills[j].append(cut or spare)
-            return len(fills[j]) - 1
-
-        current = [0] * (depth + 1)
-        current[k] = take(k, cut)
-        for trace, cut in zip(step_traces, step_cuts):
-            j, i = plan.traces[trace]
-            current[j - 1] = take(j - 1, cut)
-            adds.append(add(j, i, current[j], current[j - 1]))
-        segments.append((tuple(adds), sum(map(read, range(depth, 0, -1)), ())))
         axes = tuple(labels) + tuple(q for q in range(n) if q not in labels)
-        program.append((axes, (1 << k, 1 << (n - k)), rows[k][0], tuple(segments)))
-    return tuple(program)
+        tops.append((axes, (1 << k, 1 << (n - k)), rows[k][0], tuple(add(*step) for step in steps), tuple(reads)))
+    read = entry_of_cut[plan.cut_of]
+    read.flags.writeable = False
+    return tuple(tops), values, read
 
 
 def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
     """Run ``plan``'s program (``_program``) on one state's amplitudes.
 
     Each cut reads the node the per-node walk reads, by the same Gram
-    product and partial traces, so the values agree with the walk's bit for
-    bit. Returns None, for the caller to walk a one-row stack, on plans
-    past ``_PROGRAM_MAX_QUBITS`` and on a call that finds the rows in use by
+    product and partial traces and the same ``vecdot`` of one contiguous
+    row, so the values agree with the walk's bit for bit. Returns None, for
+    the caller to walk a one-row stack, on plans past
+    ``_PROGRAM_MAX_QUBITS`` and on a call that finds the program in use by
     another thread. The first call builds the program and later calls reuse
-    it; ``_state_purities`` makes none on a plan's first run.
+    it; ``_state_purities`` makes none on a plan's first run. The result
+    shares no memory with the program.
     """
     if plan.n > _PROGRAM_MAX_QUBITS:
         return None
@@ -635,20 +630,18 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
     try:
         if scratch.program is None:
             scratch.program = _program(plan)
-        out = np.empty(plan.cuts + 1)  # the last entry takes the nodes that fill no cut
-        out[0] = 1.0
+        tops, values, read = scratch.program
         tensor = amps.reshape((2,) * plan.n)
-        for axes, shape, gram, segments in scratch.program:
+        for axes, shape, gram, adds, reads in tops:
             matrix = tensor.transpose(axes).reshape(shape)
             np.matmul(matrix, matrix.conj().T, out=gram)
-            for adds, reads in segments:
-                for diag0, diag1, into in adds:
-                    np.add(diag0, diag1, out=into, order="C")
-                for flat, fills in reads:
-                    out[fills] = np.vecdot(flat, flat).real
+            for diag0, diag1, into in adds:
+                np.add(diag0, diag1, out=into, order="C")
+            for rows, into in reads:
+                np.vecdot(rows, rows, out=into)
+        return values.real[read]
     finally:
         scratch.lock.release()
-    return out[plan.cut_of]
 
 
 def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:

@@ -22,8 +22,8 @@ is checked bit for bit against the per-node walk (``_subset_purities``) for
 one state at n = 1..11 and for stacks, on random masks, against the dense
 oracle, and on first, repeated and interleaved calls and from eight threads
 at once; its indices are checked against their byte cap. The program is
-checked with rows that are read after every node, with its lock held and
-from several threads at once. A call that finds the program's lock taken,
+checked for the rows it keeps, the reads each top makes and its size,
+with its lock held and from several threads at once. A call that finds the program's lock taken,
 and every call on a plan past n = 12, runs row 0 of the stacked walk.
 
 The walk and the program share one helper for the views of a partial trace
@@ -34,6 +34,7 @@ per-node walk written out below for the full plans at n = 11 and 12.
 
 import functools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -242,6 +243,17 @@ def test_index_bytes_stay_under_the_cap():
     assert 0.8e6 < largest <= reductions._GATHERED_MAX_BYTES
     # 128 cached plans hold at most about 118 MB of indices.
     assert 128 * reductions._GATHERED_MAX_BYTES <= 118e6
+    # The largest program, the full plan's at n = 12, takes about 1.7 MB (1.25 MB of
+    # rows): 128 cached plans hold at most about 240 MB of programs.
+    plan = _plan.__wrapped__(12, 4095)
+    reductions._program(plan)  # measure a second build: the first also counts one-time allocations
+    tracemalloc.start()
+    try:
+        program = reductions._program(plan)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert program and 1.25e6 < size and 128 * size <= 240e6
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -309,19 +321,15 @@ def test_full_plans_equal_a_plain_walk(n, monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(masks(n_max=12), seeds, st.sampled_from([None, 16]))
-@example((12, 4095), 0, None)
-@example((11, 2047), 0, 16)
-def test_one_state_equals_stacked_walk_bit_for_bit(case, seed, level_bytes):
+@given(masks(n_max=12), seeds)
+@example((12, 4095), 0)
+@example((11, 2047), 0)
+def test_one_state_equals_stacked_walk_bit_for_bit(case, seed):
     n, mask = case
     amps = haar_amplitudes(n, seed)
-    with pytest.MonkeyPatch.context() as patch:
-        if level_bytes is not None:
-            # One row per qubit count: the program reads every node as soon as the next one comes.
-            patch.setattr(reductions, "_PROGRAM_LEVEL_BYTES", level_bytes)
-        plan = _plan.__wrapped__(n, mask)
-        # The first call runs the one-row stacked walk, the second the gathered form or the program.
-        first, second = (_state_purities(amps, plan) for _ in range(2))
+    plan = _plan.__wrapped__(n, mask)
+    # The first call runs the one-row stacked walk, the second the gathered form or the program.
+    first, second = (_state_purities(amps, plan) for _ in range(2))
     walked = _subset_purities(amps[None], plan)[0]
     for one in (first, second):
         assert one.dtype == walked.dtype and one.shape == walked.shape
@@ -340,12 +348,46 @@ def test_repeated_and_interleaved_calls_agree():
 
 
 def program_views(plan):
-    """Every array a plan's program writes: Gram rows, partial-trace targets and read rows."""
-    for _, _, gram, segments in plan.scratch.program:
+    """Every array a plan's program writes: Gram rows, partial-trace targets, read rows and values."""
+    tops, values, _ = plan.scratch.program
+    yield values
+    for _, _, gram, adds, reads in tops:
         yield gram
-        for adds, reads in segments:
-            yield from (into for *_, into in adds)
-            yield from (rows for rows, _ in reads)
+        yield from (into for *_, into in adds)
+        for rows, into in reads:
+            yield from (rows, into)
+
+
+def top_nodes(plan, top):
+    """Per qubit count, the cuts that the walk's nodes of that count fill for one top (0: none)."""
+    labels, cut, step_traces, step_cuts = top
+    fills = [[] for _ in range(len(labels) + 1)]
+    fills[len(labels)].append(cut)
+    for trace, cut in zip(step_traces, step_cuts):
+        fills[plan.traces[trace][0] - 1].append(cut)
+    return fills
+
+
+@pytest.mark.parametrize("n, mask", [(11, 2047), (12, 4095), (12, 0b111), (11, 0b10110111011), (10, 0b1101101011)])
+def test_program_rows_fit_the_largest_top_and_each_top_reads_each_count_once(n, mask):
+    plan = _plan.__wrapped__(n, mask)
+    fills = [top_nodes(plan, top) for top in plan.tops]
+    largest = {}
+    for top in fills:
+        for j, cuts in enumerate(top):
+            if cuts:
+                largest[j] = max(largest.get(j, 0), len(cuts))
+    tops, _, _ = reductions._program(plan)
+    # Every array the program writes is a view of one row buffer per qubit count.
+    buffers = {}
+    for _, _, gram, adds, reads in tops:
+        for view in (gram, *(into for *_, into in adds), *(rows for rows, _ in reads)):
+            buffers[id(view.base)] = view.base
+    assert sorted((base.shape[-1].bit_length() - 1, len(base)) for base in buffers.values()) == sorted(largest.items())
+    # Each top reads, once, every count whose nodes fill a cut: all its rows of that count.
+    for top, cuts in zip(tops, fills):
+        read = [(rows.shape[-1].bit_length() // 2, len(rows)) for rows, _ in top[4]]
+        assert read == [(j, len(row_cuts)) for j, row_cuts in enumerate(cuts) if any(row_cuts)]
 
 
 @pytest.mark.parametrize("n, mask", [(11, 2047), (12, 0b11), (9, 0b101)])
