@@ -13,12 +13,17 @@ The kernel runs on stacks: ``exact_distributions``,
 ``zero_outcome_probabilities``, ``outcome_probabilities`` and
 ``post_measurements`` take B pairs of copies as (B, 2^m) ``StateStack``s
 and hold their joint vectors as one contiguous (B, 4^m) array, whose rows
-fold into the high axis of each pair view. Every pair-basis step and one
-``bincount`` (with each row's outcomes offset by one table) then serve a
-whole chunk of rows. A single outcome is kept by zeroing every joint entry
-whose singlet pattern differs from it, one pattern per row, so any outcome
-probability and any post-measurement state come from one helper,
-``_kept``. Each single-state function is row 0 of its stacked form,
+fold into the high axis of each pair view. Every pair-basis step, and in
+``exact_distributions`` one ``bincount`` (with each row's outcomes offset
+by one table), then serve a whole chunk of rows. A single outcome is kept
+by a projection that goes pair by pair in label order (``_project``): a 1
+that every row of the chunk shares keeps only the pair's singlet slot and
+drops the pair's two axes, a shared 0 keeps its symmetric slots, and a pair
+whose outcome differs between rows is rotated whole and masked per row at
+the end. The kept entries go back into the zeroed joint rows, bit for bit
+what rotating every pair and zeroing each entry off the outcome leaves, so
+any outcome probability and any post-measurement state come from one
+helper, ``_kept``. Each single-state function is row 0 of its stacked form,
 so checks and budgets run only in the stacked forms, validation first.
 
 Two copies of one n-qubit state need no joint vector: on a tested set s
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +244,32 @@ def _pair_view(amps: np.ndarray, m: int, k: int) -> np.ndarray:
     return amps.reshape(-1, 2, 1 << (m - 1), 2, 1 << (m - 1 - k))
 
 
+def _butterfly(amps: np.ndarray, m: int, k: int, outcome=None) -> np.ndarray:
+    """Pair k of ``amps`` into the pair basis, kept on control ``outcome``.
+
+    ``amps`` holds joint vectors of m qubits per copy, one vector or a
+    contiguous (B, 4^m) stack of them. Slots x01 = (a_k=0, b_k=1) and x10 =
+    (a_k=1, b_k=0) are each scaled by 1/sqrt(2) into a copy, and the
+    copies' sum is the symmetric amplitude, their difference the singlet
+    one. With no ``outcome`` both are written in place, the sum over x01 and
+    the difference over x10, and ``amps`` is returned. On outcome 0 the sum
+    is written and the singlet slot zeroed; on outcome 1 the singlet
+    amplitudes are returned as a new array without the pair's two axes,
+    holding m - 1 qubits per copy.
+    """
+    view = _pair_view(amps, m, k)
+    up, down = view[:, 0, :, 1], view[:, 1, :, 0]
+    up_scaled, down_scaled = up * _INV_SQRT2, down * _INV_SQRT2
+    if outcome == 1:
+        return np.subtract(up_scaled, down_scaled)
+    np.add(up_scaled, down_scaled, out=up)
+    if outcome == 0:
+        down[...] = 0.0
+    else:
+        np.subtract(up_scaled, down_scaled, out=down)
+    return amps
+
+
 def _pair_hadamard(amps: np.ndarray, m: int, labels) -> None:
     """Self-inverse, in-place map of each listed pair into the pair basis.
 
@@ -246,47 +278,94 @@ def _pair_hadamard(amps: np.ndarray, m: int, labels) -> None:
     ``amps`` is one joint vector or a contiguous (B, 4^m) stack of them.
     """
     for k in labels:
-        view = _pair_view(amps, m, k)
-        up, down = view[:, 0, :, 1], view[:, 1, :, 0]
-        # Scaled contiguous copies: 2 strided reads + 2 writes, freed before the next pair.
-        up_scaled, down_scaled = up * _INV_SQRT2, down * _INV_SQRT2
-        np.add(up_scaled, down_scaled, out=up)
-        np.subtract(up_scaled, down_scaled, out=down)
-        del up_scaled, down_scaled
+        _butterfly(amps, m, k)
 
 
-def _pair_basis_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels):
+def _project(joint: np.ndarray, m: int, labels, outcomes: np.ndarray) -> None:
+    """Keep each row of a contiguous (B, 4^m) joint stack, in place, on its
+    control outcome in the pair basis of ``labels`` (ascending); row b's
+    outcome is the table index ``outcomes[b, 0]`` over ``labels``.
+
+    Pair by pair, in label order (``_butterfly``): a 1 that every row shares
+    keeps only the singlet slot, and the pair's two axes go, so the work
+    shrinks 4x; a shared 0 keeps the symmetric slots and zeroes the singlet
+    one. Where the rows differ, both slots are written, and at the end one
+    mask zeroes each row's entries off its pattern on those pairs. The kept
+    entries are then written back into the zeroed rows. Each kept entry goes
+    through the float operations ``_pair_hadamard`` would apply, and every
+    other entry is +0.0, so ``joint`` ends bit for bit as rotating every
+    pair and zeroing each entry off the outcome would leave it.
+    """
+    rows, width = len(joint), len(labels)
+    # Python ints: a chunk has few rows, and numpy's reductions cost more per call.
+    values = outcomes.ravel().tolist()
+    ones = functools.reduce(operator.and_, values)
+    differ = functools.reduce(operator.or_, values) ^ ones
+    work, singlets, places = joint, [], {}
+    for j, k in enumerate(labels):
+        bit = 1 << (width - 1 - j)
+        outcome = None if differ & bit else int(ones & bit > 0)
+        # The dropped pairs all precede k, so ``work`` holds m - d qubits per
+        # copy and k is its (k - d)-th.
+        d = len(singlets)
+        work = _butterfly(work, m - d, k - d, outcome)
+        if outcome == 1:
+            singlets.append(k)
+        elif outcome is None:
+            places[k - d] = bit
+    work = work.reshape(rows, -1)
+    if differ:
+        index = _outcome_index(m - len(singlets), tuple(places), tuple(places.values()))
+        work[index != outcomes & differ] = 0.0
+    if singlets:
+        index = [slice(None)] * (2 * m + 1)
+        for k in singlets:
+            index[1 + k], index[1 + m + k] = 1, 0
+        joint.fill(0.0)
+        kept = joint.reshape((rows,) + (2,) * (2 * m))[tuple(index)]
+        kept[...] = work.reshape(kept.shape)
+
+
+def _joint_chunks(amps: np.ndarray, amps_prime: np.ndarray, m: int, out=None):
     """Yield (rows, joint) per chunk of rows of (B, 2^m) copy stacks: ``joint``
-    holds the chunk's joint vectors A (x) B in the pair basis of ``labels``.
+    is a contiguous (rows, 4^m) array of the chunk's joint vectors A (x) B,
+    new or, when a (B, 4^m) ``out`` is given, its rows.
     """
     step = max(1, JOINT_CHUNK_AMPLITUDES >> (2 * m))
     for start in range(0, len(amps), step):
         rows = slice(start, start + step)
-        joint = (amps[rows, :, None] * amps_prime[rows, None, :]).reshape(-1, 1 << (2 * m))
-        _pair_hadamard(joint, m, labels)
-        yield rows, joint
+        into = None if out is None else out[rows].reshape(-1, 1 << m, 1 << m)
+        joint = np.multiply(amps[rows, :, None], amps_prime[rows, None, :], out=into)
+        yield rows, joint.reshape(-1, 1 << (2 * m))
 
 
 # Each entry holds 2^m ints (8 KiB at the 10-qubit copies the default cap
 # allows), so the cache stays under 1 MB; the 4^m outcome index built from it
 # is not kept.
 @functools.lru_cache(maxsize=64)
-def _packed(m: int, labels) -> np.ndarray:
-    """Read-only bits of each copy index on ``labels`` (hashable), packed in label order."""
+def _packed(m: int, labels, places=None) -> np.ndarray:
+    """Read-only bits of each copy index on ``labels`` (hashable), packed: the
+    bit of ``labels[i]`` has value ``places[i]``, by default 2^(len - 1 - i).
+    """
     labels = np.array(labels, dtype=int)
     tested_bits = (np.arange(1 << m)[:, None] >> (m - 1 - labels)) & 1
-    packed = tested_bits @ (1 << np.arange(len(labels))[::-1])
+    if places is None:
+        places = 1 << np.arange(len(labels))[::-1]
+    packed = tested_bits @ np.array(places, dtype=np.intp)
     packed.setflags(write=False)
     return packed
 
 
-def _outcome_index(m: int, labels) -> np.ndarray:
+def _outcome_index(m: int, labels, places=None) -> np.ndarray:
     """Control outcome of each joint index in the pair basis, as a table index.
 
     Slot (a_k=1, b_k=0) holds the singlet, so the outcome of joint index
-    (A, B) is the pattern A & ~B on ``labels``, packed in label order.
+    (A, B) is the pattern A & ~B on ``labels``, packed in label order (or at
+    ``places``, as ``_packed``). ``exact_distributions``, which needs every
+    outcome, builds it over every tested pair; ``_project`` only over the
+    pairs on which the rows of a chunk have different outcomes, if any.
     """
-    packed = _packed(m, labels)
+    packed = _packed(m, labels, places)
     # Packing commutes with bitwise logic, so pack(A & ~B) = pack(A) & ~pack(B).
     return (packed[:, None] & ~packed[None, :]).reshape(-1)
 
@@ -294,20 +373,19 @@ def _outcome_index(m: int, labels) -> np.ndarray:
 def _kept(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes, posts=None):
     """Unchecked probability of each row's control outcome, for (B, 2^m) copy stacks.
 
-    Row b keeps the entries of its pair-basis joint vector on control
-    outcome ``outcomes[b]`` (a table index over ``labels``; one index serves
-    every row) and zeroes the rest; its probability is the kept norm^2. A
-    (B, 4^m) ``posts`` array receives the kept joint rows.
+    Row b's joint vector is projected by ``_project`` onto control outcome
+    ``outcomes[b]`` (a table index over ``labels``; one index serves every
+    row), chunk by chunk; its probability is the kept norm^2, read off the
+    whole 4^m row. A (B, 4^m) ``posts`` array, if given, holds each chunk
+    as it is built and projected, so it ends with the kept joint rows in the
+    pair basis.
     """
-    index = _outcome_index(m, labels)
     column = np.empty((len(amps), 1), dtype=np.intp)
     column[:, 0] = outcomes
     probabilities = np.empty(len(amps))
-    for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
-        joint[index != column[rows]] = 0.0
+    for rows, joint in _joint_chunks(amps, amps_prime, m, posts):
+        _project(joint, m, labels, column[rows])
         probabilities[rows] = np.vecdot(joint, joint).real
-        if posts is not None:
-            posts[rows] = joint
     return probabilities
 
 
@@ -319,8 +397,7 @@ def apply_controlled_projector(joint: JointState, qubit: int, z_bit: int) -> Joi
     if z_bit not in (0, 1):
         raise ValidationError(f"z_bit must be 0 or 1, got {z_bit}")
     amps = joint.amplitudes.copy()
-    _pair_hadamard(amps, m, (qubit,))
-    amps[_outcome_index(m, (qubit,)) != z_bit] = 0.0
+    _project(amps[None], m, (qubit,), np.array([[z_bit]]))
     _pair_hadamard(amps, m, (qubit,))
     return JointState(m, amps)
 
@@ -377,7 +454,8 @@ def exact_distributions(states, states_prime, tested: QubitSet) -> np.ndarray:
         # One bincount per chunk: row r's outcomes are offset by r tables.
         index = (index + (np.arange(step) * size)[:, None]).reshape(-1)
     tables = np.empty((len(amps), size))
-    for rows, joint in _pair_basis_chunks(amps, amps_prime, m, labels):
+    for rows, joint in _joint_chunks(amps, amps_prime, m):
+        _pair_hadamard(joint, m, labels)
         weights = np.abs(joint)
         weights *= weights
         count = len(weights)

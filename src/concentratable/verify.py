@@ -350,7 +350,8 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
     all-zero outcome (and any ``post_measurement`` cannot condition on), so
     every trial at n >= 2 tests at least one pair; n = 1 has none to test.
     Per n, the laws, the post-states and the pair marginals are one stacked
-    call each.
+    call each. ``post_measurements`` refusing a drawn outcome is a violation
+    with no bound, not an error.
     """
     rng = np.random.default_rng(seed)
     worst = _Worst()
@@ -364,7 +365,15 @@ def check_singlet_projection(trials=100, n_values=(2, 3, 4), seed=505, tolerance
         if not laws.any():
             continue
         outcomes = draw_outcomes(laws, [drawn[i][2] for i in indices])
-        _, posts = post_measurements(stack, stack, outcomes)
+        try:
+            _, posts = post_measurements(stack, stack, outcomes)
+        except ValidationError as refusal:
+            # Every outcome was drawn with weight above CONDITION_FLOOR, so a
+            # refusal is the kernel's fault: a violation. The refusal's row b
+            # is the state of the b-th seed.
+            group = [drawn[i][1] for i in indices]
+            worst.update(np.inf, f"n={n} state_seeds={group} refused: {refusal}")
+            continue
         infidelities = 1.0 - singlet_fidelities(pair_marginals(posts, n, range(n)))
         # Qubit k reads 1 where table bit n-1-k of the outcome is set.
         rows, qubits = np.nonzero((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)

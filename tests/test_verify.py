@@ -240,6 +240,29 @@ def test_injected_projector_bug_is_caught(monkeypatch):
     assert reports[0].witness
 
 
+def test_injected_projection_bug_is_caught(monkeypatch):
+    # Harness self-test: a projection that keeps a pair's symmetric slot, not
+    # its singlet, where every row reads 1 must trip both checks that condition
+    # on 1s and name a witness: the all-ones probability is wrong, and the
+    # post-measurement pairs leave the singlet, or their outcome is refused. The
+    # pair-basis laws, which rotate every pair, are untouched.
+    original = swaptest_module._butterfly
+
+    def symmetric_kept(amps, m, k, outcome=None):
+        if outcome != 1:
+            return original(amps, m, k, outcome)
+        view = swaptest_module._pair_view(amps, m, k)
+        return (view[:, 0, :, 1] + view[:, 1, :, 0]) / np.sqrt(2.0)
+
+    monkeypatch.setattr(swaptest_module, "_butterfly", symmetric_kept)
+    reports = run_suite(
+        trials=10, n_max=4, seed=9, properties=["tangle-identity", "singlet-projection"]
+    )
+    assert [r.passed for r in reports] == [False, False]
+    assert all(r.witness for r in reports)
+    assert run_suite(trials=10, n_max=4, seed=9, properties=["odd-weight-zero"])[0].passed
+
+
 def test_injected_stacked_pair_kernel_bug_is_caught(monkeypatch):
     # Harness self-test: a fault confined to stacked input of the pair-basis
     # kernel (each joint vector of a stack is read from its neighbour's) must
