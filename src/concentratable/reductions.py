@@ -21,10 +21,20 @@ up to n//2 + 1 of these cuts by one partial trace each. Any cut still open
 becomes its own top on its smaller side, largest first.
 
 The walk. ``_subset_purities`` runs a plan on a (B, 2^n) stack one node at
-a time: a gather and Gram product per top, then one partial trace and one
-purity per node that fills or feeds a cut, each one numpy call for the
+a time: a gather and ``_gram`` product per top, then one partial trace and
+one purity per node that fills or feeds a cut, each one numpy call for the
 whole stack. ``cross_purities`` gives Tr[rho_alpha rho'_alpha] of B pairs
 of states with one gather, Gram product and overlap for the whole stack.
+
+The nodes. Every node of a plan holds S = Re rho + Im rho, a real matrix,
+in place of rho. Re rho is symmetric and Im rho antisymmetric, so their
+entrywise products sum to zero and ||S||_F^2 = ||Re rho||_F^2 +
+||Im rho||_F^2 = ||rho||_F^2, the purity. A partial trace is linear and
+keeps real matrices real, so the partial trace of S is the S of the
+partial trace: S can stand for rho at every node. ``_gram`` gives S as one
+real product L R^T, half the flops of M M^dag, and each node, trace and
+purity then moves half the bytes. ``purity`` and ``cross_purities`` keep
+the complex rho: they are the single-cut references the plans are held to.
 
 The loop order of a partial trace. The walk and the program trace a qubit
 by one ``np.add`` over the views ``_trace_views`` builds. When the traced
@@ -39,14 +49,14 @@ some axes that run slower, 1.02x.
 A plan's first run, one state or a stack, is the walk (on a one-row stack
 for one state): a one-shot command builds nothing beyond the plan. From its
 second run on, a plan runs in one of two other forms, each of which reads
-every cut from the node the walk reads it from, by the same Gram product,
-the same single add per entry and the same contiguous ``vecdot``, so each
-equals the walk bit for bit:
+every cut from the node the walk reads it from, by the same ``_gram``
+product, the same single add per entry and the same contiguous ``vecdot``,
+so each equals the walk bit for bit:
 
 - Gathered (``_gathered_purities``), one state or a stack, for a plan that
   has the form ``_gathered`` builds: the walk's own nodes one qubit count
-  at a time, in chunks of tops of at most 1 MiB of node data. Per chunk and
-  level there is one stacked Gram product for the level's tops, one
+  at a time, in chunks of tops of at most 0.5 MiB of node data. Per chunk
+  and level there is one stacked Gram product for the level's tops, one
   ``take`` of precompiled flat indices into the level above and one ``add``
   for all the partial traces into it, and one ``vecdot`` for the level's
   purities. A plan has the form when its ``uint16`` indices take at most
@@ -94,6 +104,21 @@ def _gather_matrix(amps: np.ndarray, n: int, labels) -> np.ndarray:
     matrices whose rows index the k qubits in ``labels``."""
     axes = [0] + [1 + k for k in labels] + [1 + k for k in range(n) if k not in labels]
     return amps.reshape((-1,) + (2,) * n).transpose(axes).reshape(len(amps), 1 << len(labels), -1)
+
+
+def _gram(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """S = Re rho + Im rho of rho = M M^dag, for a (..., 2^k, m) stack of
+    complex matrices M, into the float64 ``out``.
+
+    R, the (..., 2^k, 2m) float64 view of M, holds each column's (x, y) =
+    (Re M, Im M) side by side; L holds (x + y, y - x), which is M (1 - i)
+    exactly. Then (L R^T)_ab = sum_c x_a x_b + y_a y_b + y_a x_b - x_a y_b =
+    Re rho_ab + Im rho_ab. M is made contiguous first, so every form hands
+    BLAS the same layout and gets the same bits.
+    """
+    matrix = np.ascontiguousarray(matrix)
+    left = (matrix * (1 - 1j)).view(np.float64)
+    return np.matmul(left, matrix.view(np.float64).mT, out=out)
 
 
 def purity(psi: Statevector, alpha: QubitSet) -> float:
@@ -159,9 +184,9 @@ class PurityTable:
 # looks up (121) fits, and a sweep over many masks cannot pile plans up.
 _PLAN_CACHE_SIZE = 128
 
-# Plans past this n build no program. The full plans' programs take 0.38, 0.46
-# and 1.7 MB at n = 10, 11 and 12 (a top of n//2 + 1 qubits sets the rows), so
-# the plan cache keeps at most about 240 MB of programs.
+# Plans past this n build no program. The full plans' programs take 0.22, 0.27
+# and 0.86 MB at n = 10, 11 and 12 (a top of n//2 + 1 qubits sets the rows, 0.62
+# MB of them at n = 12), so the plan cache keeps at most about 115 MB of programs.
 _PROGRAM_MAX_QUBITS = 12
 
 # A plan runs gathered when its compiled indices take at most this many bytes
@@ -174,7 +199,7 @@ _GATHERED_MAX_BYTES = 7 << 17
 # on average: a level costs about ten numpy calls, a node of the program about three.
 _GATHERED_MIN_NODES = 3
 
-# A gathered chunk holds at most this many node entries (1 MiB of complex128),
+# A gathered chunk holds at most this many node entries (0.5 MiB of float64),
 # so indices into any of its levels fit uint16.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -183,12 +208,12 @@ _threads = threading.local()
 
 
 def _workspace(size: int) -> np.ndarray:
-    """This thread's buffer of at least ``size`` complex entries for
+    """This thread's buffer of at least ``size`` float64 entries for
     ``_gathered_purities``: reused from call to call, because a fresh buffer
-    of a megabyte costs a page fault per 4 KiB written."""
+    of half a megabyte costs a page fault per 4 KiB written."""
     space = getattr(_threads, "space", None)
     if space is None or len(space) < size:
-        space = _threads.space = np.empty(size, dtype=complex)
+        space = _threads.space = np.empty(size)
     return space
 
 
@@ -499,20 +524,19 @@ def _subset_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray:
     out = np.empty((count, plan.cuts))
     out[:, 0] = 1.0
     depth = max((len(top[0]) for top in plan.tops), default=0)
-    slots = [np.empty((count, 1 << k, 1 << k), dtype=complex) for k in range(depth + 1)]
+    slots = [np.empty((count, 1 << k, 1 << k)) for k in range(depth + 1)]
     flats = [slot.reshape(count, -1) for slot in slots]
     views = [_trace_views(slots[k], slots[k - 1], k, i) + (flats[k - 1],) for k, i in plan.traces]
     for labels, cut, step_traces, step_cuts in plan.tops:
         k = len(labels)
-        matrix = _gather_matrix(amps, plan.n, labels)
-        np.matmul(matrix, matrix.conj().swapaxes(-1, -2), out=slots[k])
+        _gram(_gather_matrix(amps, plan.n, labels), slots[k])
         if cut:
-            out[:, cut] = np.vecdot(flats[k], flats[k]).real
+            out[:, cut] = np.vecdot(flats[k], flats[k])
         for trace, cut in zip(step_traces, step_cuts):
             diag0, diag1, into, flat = views[trace]
             np.add(diag0, diag1, out=into, order="C")
             if cut:
-                out[:, cut] = np.vecdot(flat, flat).real
+                out[:, cut] = np.vecdot(flat, flat)
     return out[:, plan.cut_of]
 
 
@@ -549,18 +573,20 @@ def _program(plan: _Plan) -> tuple:
     being the most nodes of j qubits that any one top has. Each top starts
     again at row 0 and gives its nodes rows in the walk's order, so the
     partial trace of each step reads its parent's row and writes its own.
-    A top runs as one Gram product into its row, its steps' ``np.add``
-    calls, and one ``np.vecdot`` per qubit count whose nodes fill a cut,
-    over all the top's rows of that count, into consecutive entries of one
-    complex buffer of values.
+    Rows hold the walk's real nodes S (see the module docstring). A top runs
+    as one ``_gram`` product into its row, its steps' ``np.add`` calls, and
+    one ``np.vecdot`` per qubit count whose nodes fill a cut, over all the
+    top's rows of that count, into consecutive entries of one float64
+    buffer of values.
 
     Returns (tops, values, read): per top, (axes, shape, gram, adds, reads)
     holds the transpose of the amplitude tensor and the matrix shape that
     gather the top, the row its Gram product fills, its steps' (diag0,
     diag1, into) view triples and its (rows, into) reads; ``read`` gives
     the entry of ``values`` that holds each subset's purity, entry 0 being
-    the empty cut's 1.0. Views are made once per (count, axis, parent row,
-    child row).
+    the empty cut's 1.0. The diag0 and diag1 views of a step depend only
+    on its (count, axis, parent row) and its ``into`` view only on its
+    (count, axis, child row), so each view is made once per such key.
     """
     n = plan.n
     depth = max((len(labels) for labels, *_ in plan.tops), default=0)
@@ -576,17 +602,20 @@ def _program(plan: _Plan) -> tuple:
             fills[j - 1].append(cut)
         walks.append((labels, fills, steps))
         size = list(map(max, size, map(len, fills)))
-    rows = [np.empty((r, 1 << j, 1 << j), dtype=complex) for j, r in enumerate(size)]
-    values = np.empty(1 + sum(len(cuts) for _, fills, _ in walks for cuts in fills if any(cuts)), dtype=complex)
+    rows = [np.empty((r, 1 << j, 1 << j)) for j, r in enumerate(size)]
+    values = np.empty(1 + sum(len(cuts) for _, fills, _ in walks for cuts in fills if any(cuts)))
     values[0] = 1.0
     entry_of_cut = np.zeros(plan.cuts, dtype=np.intp)
 
     blocks = {(j, i): _trace_views(rows[j], rows[j - 1], j, i) for j, i in plan.traces}
 
     @functools.cache
+    def view(j, i, side, row):
+        return blocks[j, i][side][row]
+
+    @functools.cache
     def add(j, i, parent, child):
-        diag0, diag1, into = blocks[j, i]
-        return diag0[parent], diag1[parent], into[child]
+        return view(j, i, 0, parent), view(j, i, 1, parent), view(j, i, 2, child)
 
     @functools.cache
     def flat(j, used):
@@ -633,13 +662,12 @@ def _program_purities(amps: np.ndarray, plan: _Plan) -> np.ndarray | None:
         tops, values, read = scratch.program
         tensor = amps.reshape((2,) * plan.n)
         for axes, shape, gram, adds, reads in tops:
-            matrix = tensor.transpose(axes).reshape(shape)
-            np.matmul(matrix, matrix.conj().T, out=gram)
+            _gram(tensor.transpose(axes).reshape(shape), gram)
             for diag0, diag1, into in adds:
                 np.add(diag0, diag1, out=into, order="C")
             for rows, into in reads:
                 np.vecdot(rows, rows, out=into)
-        return values.real[read]
+        return values[read]
     finally:
         scratch.lock.release()
 
@@ -648,16 +676,16 @@ def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:
     """Run a plan's gathered form (``_gathered``) on a (B, 2^n) stack:
     ``_subset_purities``, bit for bit.
 
-    Per batch of states, chunk and level: one gather and one stacked Gram
-    product for the level's tops; one ``take`` of block 0 into the level,
-    one of block 1 into the workspace and one ``add`` for all its traced
-    nodes; one ``vecdot`` for its purities. Each node is the walk's Gram
+    Per batch of states, chunk and level: one gather and one stacked
+    ``_gram`` product for the level's tops; one ``take`` of block 0 into the
+    level, one of block 1 into the workspace and one ``add`` for all its
+    traced nodes; one ``vecdot`` for its purities. Each node is the walk's Gram
     product or the walk's sum of the same two entries, and each purity the
     walk's ``vecdot`` of one contiguous row. The nodes live in this
     thread's workspace; the result shares no memory with it.
     """
     batch, (node_space, space), nodes, chunks, read = gathered
-    out = np.empty((len(amps), nodes + 1), dtype=complex)  # the last entry is the empty cut's
+    out = np.empty((len(amps), nodes + 1))  # the last entry is the empty cut's
     out[:, nodes] = 1.0
     for start in range(0, len(amps), batch):
         stack, values = amps[start : start + batch], out[start : start + batch]
@@ -668,8 +696,7 @@ def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:
             for j, at, end, tops, gather, take0, take1, first, last in chunk:
                 level = work[count * at : count * end].reshape(count, last - first, 1 << j, 1 << j)
                 if gather is not None:
-                    matrices = stack.take(gather, 1).reshape(count, tops, 1 << j, -1)
-                    np.matmul(matrices, matrices.conj().mT, out=level[:, :tops])
+                    _gram(stack.take(gather, 1).reshape(count, tops, 1 << j, -1), level[:, :tops])
                 if take0 is not None:
                     traced = level[:, tops:].reshape(count, -1)
                     parent.take(take0, 1, traced, "clip")
@@ -677,7 +704,7 @@ def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:
                 parent = level.reshape(count, -1)
                 flat = level.reshape(count, last - first, -1)
                 values[:, first:last] = np.vecdot(flat, flat)
-    return out.real.take(read, 1)
+    return out.take(read, 1)
 
 
 def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:

@@ -28,8 +28,15 @@ and every call on a plan past n = 12, runs row 0 of the stacked walk.
 
 The walk and the program share one helper for the views of a partial trace
 (``_trace_views``), so they are also held to references that do not use
-it: the plain sum of the two diagonal blocks for every (k, i), and a
-per-node walk written out below for the full plans at n = 11 and 12.
+it: the plain sum of the two diagonal blocks for every (k, i), on real and
+complex rows, and a per-node walk written out below for the full plans at
+n = 11 and 12.
+
+Every form holds S = Re rho + Im rho at its nodes, made by one shared
+helper (``_gram``). So the forms are also held, on one state and on
+stacks, to the complex single-cut ``purity``, which shares no code with
+them past the gather: a fault in ``_gram`` that all forms share, which the
+bitwise comparisons cannot see, fails there.
 """
 
 import functools
@@ -52,6 +59,7 @@ from concentratable import (
     make_haar_random,
     make_product,
     permute_qubits,
+    purity,
     purity_array,
     purity_arrays,
     purity_table,
@@ -68,6 +76,7 @@ from concentratable.reductions import (
     _trace_views,
     submasks,
 )
+from concentratable.verify import run_suite
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -243,8 +252,8 @@ def test_index_bytes_stay_under_the_cap():
     assert 0.8e6 < largest <= reductions._GATHERED_MAX_BYTES
     # 128 cached plans hold at most about 118 MB of indices.
     assert 128 * reductions._GATHERED_MAX_BYTES <= 118e6
-    # The largest program, the full plan's at n = 12, takes about 1.7 MB (1.25 MB of
-    # rows): 128 cached plans hold at most about 240 MB of programs.
+    # The largest program, the full plan's at n = 12, takes about 0.86 MB (0.62 MB of
+    # rows): 128 cached plans hold at most about 115 MB of programs.
     plan = _plan.__wrapped__(12, 4095)
     reductions._program(plan)  # measure a second build: the first also counts one-time allocations
     tracemalloc.start()
@@ -253,7 +262,7 @@ def test_index_bytes_stay_under_the_cap():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert program and 1.25e6 < size and 128 * size <= 240e6
+    assert program and 0.8e6 < size and 128 * size <= 115e6
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -275,21 +284,27 @@ def plain_partial_trace(rho, k, i):
     return (t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :]).reshape(rho.shape[:-2] + (1 << (k - 1),) * 2)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("rows", [None, 3])
 @pytest.mark.parametrize("k", range(1, 9))
-def test_trace_views_equal_the_plain_partial_trace(k, rows):
+def test_trace_views_equal_the_plain_partial_trace(k, rows, dtype):
     lead = () if rows is None else (rows,)
     rng = np.random.default_rng(k)
     rho = rng.standard_normal(lead + (1 << k, 1 << k)) + 1j * rng.standard_normal(lead + (1 << k, 1 << k))
+    rho = rho if dtype is complex else rho.real + rho.imag
     for i in range(k):
-        child = np.full(lead + (1 << (k - 1),) * 2, np.nan, dtype=complex)
+        child = np.full(lead + (1 << (k - 1),) * 2, np.nan, dtype=dtype)
         diag0, diag1, into = _trace_views(rho, child, k, i)
         np.add(diag0, diag1, out=into, order="C")
         assert child.tobytes() == plain_partial_trace(rho, k, i).tobytes(), (k, i)
 
 
 def reference_walk(amps, plan):
-    """One state's purities by the plan's per-node walk, one plain partial trace a step."""
+    """One state's purities by the plan's per-node walk, one plain partial trace a step.
+
+    Each node holds S = Re rho + Im rho. A top's S is L R^T, where R holds
+    each column's (x, y) = (Re M, Im M) side by side and L holds (x + y, y - x).
+    """
     n = plan.n
     out = np.empty(plan.cuts)
     out[0] = 1.0
@@ -297,14 +312,17 @@ def reference_walk(amps, plan):
         k = len(labels)
         axes = list(labels) + [q for q in range(n) if q not in labels]
         matrix = amps.reshape((2,) * n).transpose(axes).reshape(1 << k, -1)
-        nodes = {k: matrix @ matrix.conj().T}
+        x, y = matrix.real, matrix.imag
+        left = np.stack([x + y, y - x], axis=-1).reshape(1 << k, -1)
+        right = np.stack([x, y], axis=-1).reshape(1 << k, -1)
+        nodes = {k: left @ right.T}
         if cut:
-            out[cut] = np.vecdot(nodes[k].ravel(), nodes[k].ravel()).real
+            out[cut] = np.vecdot(nodes[k].ravel(), nodes[k].ravel())
         for trace, cut in zip(step_traces, step_cuts):
             j, i = plan.traces[trace]
             nodes[j - 1] = plain_partial_trace(nodes[j], j, i)
             if cut:
-                out[cut] = np.vecdot(nodes[j - 1].ravel(), nodes[j - 1].ravel()).real
+                out[cut] = np.vecdot(nodes[j - 1].ravel(), nodes[j - 1].ravel())
     return out[plan.cut_of]
 
 
@@ -334,6 +352,46 @@ def test_one_state_equals_stacked_walk_bit_for_bit(case, seed):
     for one in (first, second):
         assert one.dtype == walked.dtype and one.shape == walked.shape
         assert one.tobytes() == walked.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(masks(n_max=12), seeds)
+@example((12, 4095), 3)
+@example((10, 1023), 3)
+@example((7, 0b1011011), 3)
+def test_every_form_equals_the_single_cut_purity(case, seed):
+    # First, second and third one-state calls (the walk, then the gathered form or
+    # the program), and the walk and the gathered form on one-row and 3-row stacks,
+    # each against the complex single-cut purity of every cut.
+    n, mask = case
+    plan, gathered = gathered_form(n, mask)
+    states, stack = haar_stack(n, (seed, seed ^ 1, seed ^ 2))
+    subsets = [QubitSet(n, sub) for sub in plan.subsets.tolist()]
+    expected = np.array([[purity(psi, alpha) for alpha in subsets] for psi in states])
+    runs = [(_state_purities(stack[0], plan), expected[0]) for _ in range(3)]
+    for rows in (stack[:1], stack):
+        runs.append((_subset_purities(rows, plan), expected[: len(rows)]))
+        if gathered is not None:
+            runs.append((_gathered_purities(rows, gathered), expected[: len(rows)]))
+    for values, reference in runs:
+        np.testing.assert_allclose(values, reference, rtol=0, atol=1e-14)
+
+
+def test_injected_gram_without_imaginary_part_is_caught(monkeypatch):
+    # Harness self-test: a Gram that drops Im rho (L = R, so S = Re rho) is shared
+    # by every form, so the bitwise comparisons between forms cannot see it. The
+    # suite's route-agreement (against the SWAP-test law) and the single-cut
+    # property above must. Only complex states expose it; Haar states are complex.
+    def real_part_only(matrix, out):
+        right = np.ascontiguousarray(matrix).view(np.float64)
+        return np.matmul(right, right.mT, out=out)
+
+    monkeypatch.setattr(reductions, "_gram", real_part_only)
+    report = run_suite(trials=10, n_max=4, seed=9, properties=["route-agreement"])[0]
+    assert not report.passed and report.witness
+    for case in ((12, 4095), (10, 1023), (7, 0b1011011)):
+        with pytest.raises(AssertionError):
+            test_every_form_equals_the_single_cut_purity.hypothesis.inner_test(case, 3)
 
 
 def test_repeated_and_interleaved_calls_agree():
