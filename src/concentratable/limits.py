@@ -8,12 +8,9 @@ exhausting memory. The kinds, with the size each one is given:
   enumerates. Cap ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
 - ``"purity-table"``: c(s), for the 2^c(s) entries of ``purity_table``,
   the 2^c(s) purities ``ce_purity`` sums and (c(s) = n) the purity array
-  a purity-sum ``ce_sweep`` reads. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
+  a purity-sum ``ce_sweep`` reads.
 - ``"cross-purity"``: c(s), for the 2^c(s) cross-purity terms of
-  ``ce_two_state``. Cap ``PURITY_TABLE_MAX_CARDINALITY`` = 24.
-- ``"outcomes"``: the tested qubit count m, for the 2^m-entry table of
-  ``exact_distribution`` and ``identical_copy_distribution``. Cap
-  ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
+  ``ce_two_state`` and ``ce_two_states``.
 - ``"purity-terms"``: n, for the state whose purities the purity+Walsh
   outcome law ``identical_copy_distribution`` transforms. Its users are
   ``distribution_via_purities``, ``full_distribution_via_purities``,
@@ -21,8 +18,14 @@ exhausting memory. The kinds, with the size each one is given:
   ``outcome_distribution``, ``sample`` and the CLI's ``dist``, ``sample``
   and ``distill`` on identical copies; and ``verify``'s closed-forms check,
   given its n_max, whose all-subset purity arrays of two states grow about
-  4x per qubit. Cap ``PURITY_DISTRIBUTION_MAX_QUBITS`` = 14; it is checked
-  before ``"outcomes"``.
+  4x per qubit. It is checked before ``"outcomes"``.
+
+  The three purity kinds share one cap, ``PURITY_DISTRIBUTION_MAX_QUBITS``
+  = 14. A full plan's first run takes about 0.35 s at n = 14 and 4x more
+  per added qubit (a 2-vCPU x86 host), so ``ce --haar 16`` is refused.
+- ``"outcomes"``: the tested qubit count m, for the 2^m-entry table of
+  ``exact_distribution`` and ``identical_copy_distribution``. Cap
+  ``OUTCOME_ENUM_MAX_QUBITS`` = 14.
 - ``"compare"``: n_max, for the up to five rows per n = 4..n_max of
   ``compare_ghz_w`` and the CLI's ``compare``, all held in memory with
   their CSV. Cap ``COMPARE_MAX_QUBITS`` = 1024 (5,103 rows).
@@ -55,7 +58,6 @@ import os
 
 from .errors import BudgetError, ValidationError
 
-PURITY_TABLE_MAX_CARDINALITY = 24
 OUTCOME_ENUM_MAX_QUBITS = 14
 PURITY_DISTRIBUTION_MAX_QUBITS = 14
 COMPARE_MAX_QUBITS = 1024
@@ -77,12 +79,12 @@ _KINDS = {
         lambda n, cap: f"--all-subsets would enumerate {_power(n, 1)} subsets (cap n <= {cap})",
     ),
     "purity-table": (
-        "PURITY_TABLE_MAX_CARDINALITY",
+        "PURITY_DISTRIBUTION_MAX_QUBITS",
         lambda c, cap: f"purity table over c(s)={c} would hold 2^{c} = {_power(c)} entries "
         f"(cap: c(s) <= {cap})",
     ),
     "cross-purity": (
-        "PURITY_TABLE_MAX_CARDINALITY",
+        "PURITY_DISTRIBUTION_MAX_QUBITS",
         lambda c, cap: f"{_power(c)} cross-purity terms (cap 2^{cap})",
     ),
     "outcomes": (

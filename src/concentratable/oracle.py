@@ -9,7 +9,9 @@ targets. The random local operations come in stacks for ``verify``:
 ``StateStack``; ``random_local_kraus`` and ``apply_local_kraus`` are their
 row 0, as elsewhere (a purity plan may run gathered or, for one state,
 by a program, each bit-identical to its per-node walk; see
-``reductions``).
+``reductions``). A local branch is a ``MeasurementOutcome`` whose
+post-state is a ``Statevector``, where a SWAP-test branch holds a plain
+(4^n,) two-copy array (``swaptest.post_measurement``).
 """
 
 from __future__ import annotations

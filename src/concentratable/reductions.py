@@ -6,13 +6,15 @@ is the squared Frobenius norm of that Gram matrix. A reduced state and its
 complement share a spectrum, so the cut {alpha, complement} has one purity
 and may be read from either side.
 
-``purity`` answers one cut. ``purity_table``, ``purity_array`` and
-``purity_arrays`` answer every subset of a set s at once from a plan, built
-on first use for each (n, s) and kept in a bounded cache. The plan is flat:
-the tops, each a set whose rho costs one O(2^(n+k)) Gram product for its k
-qubits; below each top, the partial traces that reach each needed cut from
-a top holding one of its sides; and the output index of each subset. The
-empty set is exactly 1.0 and never computed.
+``purity`` answers one cut. ``purity_table`` (a ``{mask: purity}`` dict
+over the subsets of a set s), ``purity_array`` (a 2^n array by label mask)
+and ``purity_arrays`` (one such row per state) answer every subset at once
+from a plan, built on first use for each (n, s) and kept in a bounded
+cache. The plan is flat: the tops, each a set whose rho costs one
+O(2^(n+k)) Gram product for its k qubits; below each top, the partial
+traces that reach each needed cut from a top holding one of its sides; and
+the output index of each subset. The empty set is exactly 1.0 and never
+computed.
 
 The tops. If s has at most n/2 qubits it is the only top. Otherwise the
 cuts with n//2 qubits on their smaller side are covered greedily by
@@ -167,17 +169,6 @@ def cross_purities(states, states_prime, alpha: QubitSet) -> np.ndarray:
     # Tr[M1 M1+ M2 M2+] = ||M1+ M2||_F^2, cheaper on the complement side.
     overlap = (m1.conj().swapaxes(-1, -2) @ m2).reshape(count, -1)
     return np.vecdot(overlap, overlap).real
-
-
-@dataclass(frozen=True)
-class PurityTable:
-    """Purities Tr[rho_alpha^2] for every subset alpha of some base set."""
-
-    n_qubits: int
-    values: dict[int, float]
-
-    def __getitem__(self, mask: int) -> float:
-        return self.values[mask]
 
 
 # Plans kept for a process's later calls: every plan a verify run at n_max 6
@@ -707,13 +698,12 @@ def _gathered_purities(amps: np.ndarray, gathered: tuple) -> np.ndarray:
     return out.take(read, 1)
 
 
-def purity_table(psi: Statevector, s: QubitSet) -> PurityTable:
-    """Purities for every subset of s, keyed by mask (includes the empty set)."""
+def purity_table(psi: Statevector, s: QubitSet) -> dict[int, float]:
+    """Purities for every subset of s as a ``{mask: purity}`` dict (the empty set included)."""
     require_same_qubits(psi, s)
     limits.require("purity-table", s.cardinality)
     plan = _plan(psi.n_qubits, s.mask)
-    values = _state_purities(psi.amplitudes, plan)
-    return PurityTable(psi.n_qubits, dict(zip(plan.subsets.tolist(), values.tolist())))
+    return dict(zip(plan.subsets.tolist(), _state_purities(psi.amplitudes, plan).tolist()))
 
 
 def purity_array(psi: Statevector) -> np.ndarray:

@@ -61,9 +61,8 @@ def _wrap_checked(cls, n: int, amplitudes: np.ndarray):
     """``cls(n, amplitudes)`` for a frozen state class, without its ``__post_init__``.
 
     Only for amplitudes that already passed that class's checks: rows of a
-    checked stack, checked states or stacks stacked, post-states whose
-    norms ``post_measurements`` bounded, and finite rows a builder divided
-    by their own norms itself. They are made read-only here.
+    checked stack, checked states or stacks stacked, and finite rows a
+    builder divided by their own norms itself. They are made read-only here.
     """
     amplitudes.setflags(write=False)
     wrapped = object.__new__(cls)

@@ -1,13 +1,15 @@
 """Exact and sampled simulation of the parallelized SWAP test.
 
-Two copies of an m-qubit state are held as one 4^m joint vector; copy-A
-qubits come first, so copy-A qubit k sits on axis k and copy-B qubit k on
-axis m+k of the (2,)*2m tensor view. Control qubit k reads 1 exactly when
-the pair (A_k, B_k) is projected onto the singlet, and 0 on the symmetric
-subspace. One 2x2 Hadamard on the (|01>, |10>) block of each tested pair
-gives the singlet a slot of its own, so the control-register law is a
-marginal of |amplitude|^2, found in one O(m * 4^m) pass without ancillas.
-The explicit ancilla+Fredkin circuit is kept as a cross-checking oracle.
+Two copies of an m-qubit state are held as one 4^m joint vector, a plain
+complex array: (4^m,) for one pair (``post_measurement``'s post-state;
+``pair_marginal`` and ``apply_controlled_projector`` read m from its
+length) and (B, 4^m) for a stack. Copy-A qubits come first, so copy-A
+qubit k sits on axis k and copy-B qubit k on axis m+k of the (2,)*2m
+tensor view. Control qubit k reads 1 exactly when the pair (A_k, B_k) is
+projected onto the singlet, and 0 on the symmetric subspace. One 2x2
+Hadamard on the (|01>, |10>) block of each tested pair gives the singlet a
+slot of its own, so the control-register law is a marginal of
+|amplitude|^2, found in one O(m * 4^m) pass without ancillas. The explicit ancilla+Fredkin circuit is kept as a cross-checking oracle.
 
 The kernel runs on stacks: ``exact_distributions``,
 ``zero_outcome_probabilities``, ``outcome_probabilities`` and
@@ -68,7 +70,6 @@ from .states import (
     StateStack,
     Statevector,
     _row,
-    _wrap_checked,
     paired_stacks,
     require_same_qubits,
 )
@@ -81,38 +82,6 @@ CONDITION_FLOOR = 1e-12
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Vector on copy-A (x) copy-B, possibly shrunk by earlier projections."""
-
-    n_qubits_per_copy: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        m = self.n_qubits_per_copy
-        if m < 1:
-            raise ValidationError(f"n_qubits_per_copy must be >= 1, got {m}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << (2 * m),):
-            raise ValidationError(
-                f"expected {1 << (2 * m)} joint amplitudes, got shape {amps.shape}"
-            )
-        if float(np.vdot(amps, amps).real) > 1.0 + 1e-10:
-            raise ValidationError("joint state norm exceeds 1")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_copies(cls, psi: Statevector, psi_prime: Statevector) -> "JointState":
-        require_same_qubits(psi, psi_prime)
-        return cls(psi.n_qubits, np.kron(psi.amplitudes, psi_prime.amplitudes))
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 @dataclass(frozen=True)
@@ -169,15 +138,16 @@ class MeasurementOutcome:
     """One probabilistic branch: (probability, normalized post-state)."""
 
     probability: float
-    post_state: object  # Statevector for local operations, JointState for SWAP tests
+    post_state: object  # Statevector, or a SWAP test's read-only (4^m,) two-copy array
 
     def __post_init__(self):
         if not -1e-12 <= self.probability <= 1.0 + 1e-10:
             raise ValidationError(f"branch probability {self.probability} out of [0, 1]")
-        # Statevector normalizes at construction; JointState only bounds its norm.
-        norm_squared = getattr(self.post_state, "norm_squared", None)
-        if norm_squared is not None and abs(np.sqrt(norm_squared) - 1.0) > 1e-10:
-            raise ValidationError(f"post state norm^2 is {norm_squared!r}, expected 1")
+        # Statevector normalizes at construction; a two-copy array is checked here.
+        if isinstance(self.post_state, np.ndarray):
+            norm_squared = float(np.vdot(self.post_state, self.post_state).real)
+            if abs(np.sqrt(norm_squared) - 1.0) > 1e-10:
+                raise ValidationError(f"post state norm^2 is {norm_squared!r}, expected 1")
 
 
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -389,17 +359,27 @@ def _kept(amps: np.ndarray, amps_prime: np.ndarray, m: int, labels, outcomes, po
     return probabilities
 
 
-def apply_controlled_projector(joint: JointState, qubit: int, z_bit: int) -> JointState:
-    """Project the joint state on control outcome ``z_bit`` for one tested qubit."""
-    m = joint.n_qubits_per_copy
+def _copy_qubits(joint: np.ndarray) -> int:
+    """m for a (4^m,) two-copy vector, m >= 1; a ``ValidationError`` otherwise."""
+    m = (np.size(joint).bit_length() - 1) // 2
+    if np.ndim(joint) != 1 or m < 1 or np.size(joint) != 1 << (2 * m):
+        raise ValidationError(f"expected 4^m joint amplitudes, m >= 1, got shape {np.shape(joint)}")
+    return m
+
+
+def apply_controlled_projector(joint: np.ndarray, qubit: int, z_bit: int) -> np.ndarray:
+    """Project a (4^m,) two-copy vector on control outcome ``z_bit`` for one
+    tested qubit; returns a new read-only array."""
+    m = _copy_qubits(joint)
     if not 0 <= qubit < m:
         raise ValidationError(f"qubit {qubit} out of range for {m} qubits per copy")
     if z_bit not in (0, 1):
         raise ValidationError(f"z_bit must be 0 or 1, got {z_bit}")
-    amps = joint.amplitudes.copy()
+    amps = np.array(joint, dtype=np.complex128)
     _project(amps[None], m, (qubit,), np.array([[z_bit]]))
     _pair_hadamard(amps, m, (qubit,))
-    return JointState(m, amps)
+    amps.setflags(write=False)
+    return amps
 
 
 def _require_tested_nonempty(tested: QubitSet) -> None:
@@ -636,12 +616,13 @@ def post_measurement(psi: Statevector, psi_prime: Statevector, z: str) -> Measur
     """Normalized joint state after observing control bitstring ``z``, plus p(z).
 
     Wherever z has a 1, the corresponding pair of copy qubits lands in the
-    singlet (|01> - |10>)/sqrt(2). This is row 0 of ``post_measurements``.
+    singlet (|01> - |10>)/sqrt(2). This is row 0 of ``post_measurements``:
+    the post-state is its read-only (4^n,) two-copy array.
     """
-    n = psi.n_qubits
-    _check_bitstring(z, n)
+    _check_bitstring(z, psi.n_qubits)
     probabilities, posts = post_measurements([psi], [psi_prime], [int(z, 2)])
-    return MeasurementOutcome(float(probabilities[0]), _wrap_checked(JointState, n, posts[0]))
+    posts.setflags(write=False)
+    return MeasurementOutcome(float(probabilities[0]), posts[0])
 
 
 def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.ndarray]:
@@ -687,12 +668,13 @@ def post_measurements(states, states_prime, outcomes) -> tuple[np.ndarray, np.nd
     return probabilities, posts
 
 
-def pair_marginal(joint: JointState, qubit: int) -> np.ndarray:
-    """4x4 reduced density matrix of (copy-A qubit k, copy-B qubit k).
+def pair_marginal(joint: np.ndarray, qubit: int) -> np.ndarray:
+    """4x4 reduced density matrix of (copy-A qubit k, copy-B qubit k) of a
+    (4^m,) two-copy vector, m read from its length.
 
     This is ``pair_marginals`` on one joint vector and one qubit.
     """
-    return pair_marginals(joint.amplitudes[None], joint.n_qubits_per_copy, [qubit])[0, 0]
+    return pair_marginals(np.asarray(joint)[None], _copy_qubits(joint), [qubit])[0, 0]
 
 
 def pair_marginals(joints: np.ndarray, m: int, qubits) -> np.ndarray:
@@ -700,7 +682,7 @@ def pair_marginals(joints: np.ndarray, m: int, qubits) -> np.ndarray:
     row of a (B, 4^m) stack of joint vectors and each k in ``qubits``.
 
     Each row is normalized first. Returns a (B, len(qubits), 4, 4) array;
-    entry [b, j] is ``pair_marginal(JointState(m, joints[b]), qubits[j])``
+    entry [b, j] is ``pair_marginal(joints[b], qubits[j])``
     bit for bit. An error names the row when there is more than one.
     """
     joints = np.asarray(joints, dtype=np.complex128)

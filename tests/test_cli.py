@@ -11,21 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concentratable import (
-    QubitSet,
+from concentratable import reductions, verify
+from concentratable.cli import main
+from concentratable.measures import (
     ce_purity,
     concentratable_entanglement,
     ghz_closed_form,
-    make_haar_random,
-    make_product,
-    statevector_to_dict,
     w_closed_form,
+)
+from concentratable.states import QubitSet, make_haar_random, make_product, statevector_to_dict
+from concentratable.swaptest import (
+    distribution_from_dict,
+    distribution_to_dict,
+    histogram_from_dict,
 )
 import concentratable
 import concentratable.cli as cli_module
-from concentratable import reductions, verify
-from concentratable.cli import main
-from concentratable.swaptest import distribution_from_dict, distribution_to_dict, histogram_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,25 @@ class TestCe:
         )
         assert code == 3
         assert "CE_MAX_QUBITS" in err
+
+    @pytest.mark.parametrize(
+        "argv, c",
+        [
+            (("--haar", "16", "--state-seed", "1"), 16),
+            (("--haar", "20", "--state-seed", "1"), 20),
+            (("--haar", "16", "--state-seed", "1", "--all-cardinalities"), 16),
+            (("--haar", "16", "--state-seed", "1", "--cardinality", "15"), 15),
+        ],
+    )
+    def test_past_the_purity_cap_is_a_budget_error(self, capsys, argv, c):
+        # The purity sum shares the purity-term cap (c(s) <= 14): refused before any plan is built.
+        code, out, err = run_cli(capsys, "ce", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"budget error: purity table over c(s)={c} would hold 2^{c} = {1 << c} entries "
+            "(cap: c(s) <= 14)\n"
+        )
 
     @pytest.mark.parametrize("n", ["40", "100000000000"])
     def test_oversized_generated_state_is_a_budget_error(self, capsys, n):

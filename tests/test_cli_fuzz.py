@@ -31,8 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concentratable import make_haar_random, statevector_to_dict
 from concentratable.cli import main
+from concentratable.states import make_haar_random, statevector_to_dict
 from concentratable.verify import CHECKS
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 141}

@@ -3,44 +3,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concentratable import (
-    BudgetError,
+from concentratable import limits
+from concentratable.cli import main
+from concentratable.errors import BudgetError, ConsistencyError, ValidationError
+from concentratable.measures import (
     CEResult,
-    ConsistencyError,
-    QubitSet,
-    Statevector,
-    ValidationError,
     ce_all_subsets,
     ce_distribution,
     ce_even_weight,
     ce_from_histogram,
     ce_purity,
     ce_shots,
+    ce_sweep,
     ce_two_state,
     compare_ghz_w,
     concentratable_entanglement,
-    exact_distribution,
     ghz_closed_form,
-    identical_copy_distribution,
+    n_tangle,
+    w_closed_form,
+    w_post_projection_ce,
+)
+from concentratable.oracle import LocalKrausPair, apply_local_kraus
+from concentratable.reductions import purity_array, purity_arrays, purity_table
+from concentratable.states import (
+    QubitSet,
+    Statevector,
     make_ghz,
     make_haar_random,
     make_product,
     make_w,
-    n_tangle,
-    outcome_probability,
     permute_qubits,
     perturb,
-    purity_array,
-    purity_arrays,
-    sample,
     trace_distance_pure,
-    w_closed_form,
-    w_post_projection_ce,
 )
-from concentratable import limits
-from concentratable.cli import main
-from concentratable.measures import ce_sweep
-from concentratable.oracle import LocalKrausPair, apply_local_kraus
+from concentratable.swaptest import (
+    exact_distribution,
+    identical_copy_distribution,
+    outcome_probability,
+    sample,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -270,6 +271,22 @@ class TestCeTwoState:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             ce_two_state(make_ghz(2), make_ghz(3), QubitSet.full(2))
+
+
+def test_purity_kinds_share_one_cap(monkeypatch):
+    # purity-table, cross-purity and purity-terms all read PURITY_DISTRIBUTION_MAX_QUBITS.
+    monkeypatch.setattr(limits, "PURITY_DISTRIBUTION_MAX_QUBITS", 3)
+    calls = [
+        lambda psi: ce_purity(psi, QubitSet.full(psi.n_qubits)),
+        lambda psi: purity_table(psi, QubitSet.full(psi.n_qubits)),
+        lambda psi: ce_sweep(psi, [QubitSet(psi.n_qubits, 1), QubitSet(psi.n_qubits, 2)]),
+        lambda psi: ce_two_state(psi, psi, QubitSet.full(psi.n_qubits)),
+        lambda psi: identical_copy_distribution(psi, QubitSet.full(psi.n_qubits)),
+    ]
+    for call in calls:
+        call(make_haar_random(3, 5))
+        with pytest.raises(BudgetError, match="cap"):
+            call(make_haar_random(4, 5))
 
 class TestNTangle:
     def test_ghz4(self):

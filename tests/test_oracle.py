@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 import concentratable.limits as limits
-from concentratable import (
-    BudgetError,
-    QubitSet,
-    ValidationError,
-    ce_purity,
-    make_ghz,
-    make_haar_random,
-    make_product,
-    purity,
-)
+from concentratable.errors import BudgetError, ValidationError
+from concentratable.measures import ce_purity
 from concentratable.oracle import (
     DensityMatrix,
     LocalKrausPair,
@@ -22,6 +14,8 @@ from concentratable.oracle import (
     random_local_kraus,
     reduced_density_matrix,
 )
+from concentratable.reductions import purity
+from concentratable.states import QubitSet, make_ghz, make_haar_random, make_product
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 import concentratable.limits as limits
-from concentratable import (
-    BudgetError,
-    QubitSet,
-    Statevector,
-    ValidationError,
+from concentratable.errors import BudgetError, ValidationError
+from concentratable.oracle import dense_reduced_purity, reduced_density_matrix
+from concentratable.reductions import (
     cross_purity,
-    make_ghz,
-    make_haar_random,
-    make_product,
-    make_w,
     purity,
     purity_array,
     purity_arrays,
     purity_table,
+    submasks,
 )
-from concentratable.oracle import dense_reduced_purity, reduced_density_matrix
-from concentratable.reductions import submasks
+from concentratable.states import (
+    QubitSet,
+    Statevector,
+    make_ghz,
+    make_haar_random,
+    make_product,
+    make_w,
+)
 
 
 def all_subsets(n):
@@ -136,12 +137,12 @@ class TestPurityTable:
     def test_singleton_structure(self):
         psi = make_haar_random(3, 110)
         table = purity_table(psi, QubitSet.from_labels(3, [0]))
-        assert set(table.values) == {0b000, 0b001}
+        assert set(table) == {0b000, 0b001}
         assert table[0] == 1.0
 
     def test_ghz3_full_table(self):
         table = purity_table(make_ghz(3), QubitSet.full(3))
-        assert len(table.values) == 8
+        assert len(table) == 8
         assert table[0] == pytest.approx(1.0)
         assert table[0b111] == pytest.approx(1.0, abs=1e-12)
         for mask in (0b001, 0b010, 0b100, 0b011, 0b101, 0b110):
@@ -151,7 +152,7 @@ class TestPurityTable:
     def test_matches_dense_oracle_entrywise(self, n):
         psi = make_haar_random(n, 120 + n)
         table = purity_table(psi, QubitSet.full(n))
-        for mask, value in table.values.items():
+        for mask, value in table.items():
             assert value == pytest.approx(
                 dense_reduced_purity(psi, QubitSet(n, mask)), abs=1e-10
             )
@@ -159,12 +160,12 @@ class TestPurityTable:
     def test_empty_set_is_exactly_one(self):
         # As for ``purity``: the empty cut is 1.0 exactly, never a Gram product.
         psi = make_ghz(3)
-        assert purity_table(psi, QubitSet(3, 0)).values == {0: 1.0}
+        assert purity_table(psi, QubitSet(3, 0)) == {0: 1.0}
         assert purity_array(psi)[0] == 1.0
         assert purity_arrays([psi, make_w(3)])[:, 0].tolist() == [1.0, 1.0]
 
     def test_budget_error_names_count(self, monkeypatch):
-        monkeypatch.setattr(limits, "PURITY_TABLE_MAX_CARDINALITY", 3)
+        monkeypatch.setattr(limits, "PURITY_DISTRIBUTION_MAX_QUBITS", 3)
         psi = make_haar_random(4, 130)
         with pytest.raises(BudgetError, match="16"):
             purity_table(psi, QubitSet.full(4))

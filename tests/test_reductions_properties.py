@@ -49,22 +49,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concentratable import (
-    QubitSet,
-    Statevector,
-    ce_all_subsets,
-    ce_even_weight,
-    ce_purity,
-    make_graph_state,
-    make_haar_random,
-    make_product,
-    permute_qubits,
-    purity,
-    purity_array,
-    purity_arrays,
-    purity_table,
-)
 from concentratable import reductions
+from concentratable.measures import ce_all_subsets, ce_even_weight, ce_purity
 from concentratable.oracle import dense_reduced_purity
 from concentratable.reductions import (
     _gathered,
@@ -74,7 +60,19 @@ from concentratable.reductions import (
     _state_purities,
     _subset_purities,
     _trace_views,
+    purity,
+    purity_array,
+    purity_arrays,
+    purity_table,
     submasks,
+)
+from concentratable.states import (
+    QubitSet,
+    Statevector,
+    make_graph_state,
+    make_haar_random,
+    make_product,
+    permute_qubits,
 )
 from concentratable.verify import run_suite
 
@@ -112,8 +110,8 @@ def states_and_subsets(draw):
 def test_purity_table_matches_dense_oracle(case):
     psi, s = case
     table = purity_table(psi, s)
-    assert len(table.values) == 1 << s.cardinality
-    for mask, value in table.values.items():
+    assert len(table) == 1 << s.cardinality
+    for mask, value in table.items():
         assert mask & ~s.mask == 0
         assert abs(value - dense_reduced_purity(psi, QubitSet(psi.n_qubits, mask))) <= TOL
 
@@ -580,10 +578,10 @@ def test_purities_match_graph_state_ranks(case):
     np.testing.assert_allclose(purity_array(psi), exact, rtol=0, atol=TOL)
     np.testing.assert_allclose(purity_arrays([psi, phi]), [exact, other_exact], rtol=0, atol=TOL)
     table = purity_table(psi, s)
-    assert set(table.values) == {mask for mask in range(1 << n) if mask & ~s.mask == 0}
-    for mask, value in table.values.items():
+    assert set(table) == {mask for mask in range(1 << n) if mask & ~s.mask == 0}
+    for mask, value in table.items():
         assert abs(value - exact[mask]) <= TOL
-    total = sum(exact[mask] for mask in table.values)
+    total = sum(exact[mask] for mask in table)
     assert abs(ce_purity(psi, s).value - (1 - total / 2**s.cardinality)) <= TOL
 
 

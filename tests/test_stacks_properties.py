@@ -21,39 +21,8 @@ from hypothesis import strategies as st
 
 import concentratable.oracle as oracle_module
 import concentratable.swaptest as swaptest_module
-from concentratable import (
-    ConsistencyError,
-    JointState,
-    QubitSet,
-    StateStack,
-    Statevector,
-    ValidationError,
-    ce_two_state,
-    ce_two_states,
-    cross_purities,
-    cross_purity,
-    exact_distribution,
-    exact_distributions,
-    full_circuit_oracle,
-    make_haar_random,
-    make_haar_random_stack,
-    n_tangle,
-    n_tangles,
-    outcome_probabilities,
-    outcome_probability,
-    pair_marginal,
-    pair_marginals,
-    perturb,
-    perturb_stack,
-    post_measurement,
-    post_measurements,
-    singlet_fidelities,
-    singlet_fidelity,
-    trace_distance_pure,
-    trace_distances_pure,
-    zero_outcome_probabilities,
-    zero_outcome_probability,
-)
+from concentratable.errors import ConsistencyError, ValidationError
+from concentratable.measures import ce_two_state, ce_two_states, n_tangle, n_tangles
 from concentratable.oracle import (
     LocalKrausPair,
     apply_local_kraus,
@@ -62,8 +31,36 @@ from concentratable.oracle import (
     random_local_kraus_stack,
     reduced_density_matrix,
 )
-from concentratable.states import NORM_ATOL, _generators
-from concentratable.swaptest import CONDITION_FLOOR
+from concentratable.reductions import cross_purities, cross_purity
+from concentratable.states import (
+    NORM_ATOL,
+    QubitSet,
+    StateStack,
+    Statevector,
+    _generators,
+    make_haar_random,
+    make_haar_random_stack,
+    perturb,
+    perturb_stack,
+    trace_distance_pure,
+    trace_distances_pure,
+)
+from concentratable.swaptest import (
+    CONDITION_FLOOR,
+    exact_distribution,
+    exact_distributions,
+    full_circuit_oracle,
+    outcome_probabilities,
+    outcome_probability,
+    pair_marginal,
+    pair_marginals,
+    post_measurement,
+    post_measurements,
+    singlet_fidelities,
+    singlet_fidelity,
+    zero_outcome_probabilities,
+    zero_outcome_probability,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 # Seeds of one, two, three and more uint32 words of entropy, and the edges between them.
@@ -344,7 +341,7 @@ def _check_conditioned_rows(states, outcomes, laws):
         # The stacked forms are the single-state code on more rows: bit for bit.
         single = post_measurement(psi, psi, z[b])
         assert probabilities[b] == single.probability
-        np.testing.assert_array_equal(posts[b], single.post_state.amplitudes)
+        np.testing.assert_array_equal(posts[b], single.post_state)
         assert probabilities[b] == outcome_probability(psi, psi, z[b])
         assert ones[b] == outcome_probability(psi, psi, "1" * n)
         for k in range(n):
@@ -409,7 +406,7 @@ def test_stacked_row_below_the_condition_floor_is_named():
     with pytest.raises(ValidationError, match="row 1: cannot take marginals of a zero vector"):
         pair_marginals(np.stack([np.eye(64)[0], np.zeros(64)]), 3, [0])
     with pytest.raises(ValidationError, match="qubit 3 out of range"):
-        pair_marginal(JointState(3, np.eye(64)[0]), 3)
+        pair_marginal(np.eye(64)[0], 3)
 
 
 @st.composite

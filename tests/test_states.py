@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import concentratable.states as states_module
-from concentratable.states import join_stacks
-from concentratable import (
-    BudgetError,
+from concentratable.errors import BudgetError, ValidationError
+from concentratable.reductions import purity
+from concentratable.states import (
     QubitSet,
     StateStack,
     Statevector,
-    ValidationError,
+    join_stacks,
     make_ghz,
     make_graph_state,
     make_haar_random,
@@ -17,7 +17,6 @@ from concentratable import (
     make_w,
     permute_qubits,
     perturb,
-    purity,
     statevector_from_dict,
     statevector_to_dict,
     trace_distance_pure,

@@ -4,44 +4,41 @@ from scipy import stats
 
 import concentratable.limits as limits
 import concentratable.swaptest as swaptest_module
-from concentratable import (
-    BudgetError,
-    ConsistencyError,
-    JointState,
-    OutcomeDistribution,
+from concentratable.errors import BudgetError, ConsistencyError, ValidationError
+from concentratable.measures import ce_from_histogram
+from concentratable.states import (
     QubitSet,
     Statevector,
-    ValidationError,
-    apply_controlled_projector,
-    ce_from_histogram,
-    distribution_via_purities,
-    exact_distribution,
-    full_circuit_oracle,
-    full_distribution_via_purities,
-    identical_copy_distribution,
     make_ghz,
     make_haar_random,
     make_haar_random_stack,
     make_product,
     make_w,
-    outcome_probability,
-    pair_marginal,
     permute_qubits,
-    post_measurement,
-    sample,
-    singlet_fidelity,
-    zero_outcome_probability,
 )
 from concentratable.swaptest import (
     MAX_SHOTS,
+    OutcomeDistribution,
     SINGLET,
+    apply_controlled_projector,
     distribution_from_dict,
-    draw_outcomes,
-    exact_distributions,
     distribution_to_dict,
+    distribution_via_purities,
+    draw_outcomes,
+    exact_distribution,
+    exact_distributions,
+    full_circuit_oracle,
+    full_distribution_via_purities,
     histogram_from_dict,
     histogram_to_dict,
+    identical_copy_distribution,
+    outcome_probability,
+    pair_marginal,
+    post_measurement,
     post_measurements,
+    sample,
+    singlet_fidelity,
+    zero_outcome_probability,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -51,61 +48,70 @@ def dist_as_map(dist):
     return dict(zip(dist.bitstrings(), dist.probabilities))
 
 
+def joint_of(psi, psi_prime):
+    """The (4^m,) two-copy vector of two states, copy A first."""
+    return np.kron(psi.amplitudes, psi_prime.amplitudes)
+
+
+def norm_squared(joint):
+    return float(np.vdot(joint, joint).real)
+
+
 class TestControlledProjector:
     def test_orthogonal_branches_annihilate(self):
-        joint = JointState.from_copies(make_haar_random(2, 0), make_haar_random(2, 1))
+        joint = joint_of(make_haar_random(2, 0), make_haar_random(2, 1))
         once = apply_controlled_projector(joint, 0, 0)
         twice = apply_controlled_projector(once, 0, 1)
-        assert np.abs(twice.amplitudes).max() <= 1e-15
+        assert np.abs(twice).max() <= 1e-15
 
     def test_antisymmetric_projection_of_01(self):
         # |0> and |1> as the two copies: projecting on z=1 leaves (|01>-|10>)/2.
         zero = make_product([(1, 0)])
         one = make_product([(0, 1)])
-        joint = JointState.from_copies(zero, one)
-        projected = apply_controlled_projector(joint, 0, 1)
-        np.testing.assert_allclose(projected.amplitudes, [0, 0.5, -0.5, 0], atol=1e-15)
-        assert projected.norm_squared == pytest.approx(0.5, abs=1e-12)
+        projected = apply_controlled_projector(joint_of(zero, one), 0, 1)
+        np.testing.assert_allclose(projected, [0, 0.5, -0.5, 0], atol=1e-15)
+        assert norm_squared(projected) == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_product_copies_have_no_antisymmetric_part(self):
         psi = make_product([(0.6, 0.8), (1, 0)])
-        joint = JointState.from_copies(psi, psi)
-        projected = apply_controlled_projector(joint, 0, 1)
-        assert projected.norm_squared <= 1e-15
+        projected = apply_controlled_projector(joint_of(psi, psi), 0, 1)
+        assert norm_squared(projected) <= 1e-15
 
     def test_projector_pair_conserves_norm(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             m = int(rng.integers(1, 5))
-            joint = JointState.from_copies(
+            joint = joint_of(
                 make_haar_random(m, int(rng.integers(2**32))),
                 make_haar_random(m, int(rng.integers(2**32))),
             )
             k = int(rng.integers(0, m))
             zero = apply_controlled_projector(joint, k, 0)
             one = apply_controlled_projector(joint, k, 1)
-            assert zero.norm_squared + one.norm_squared == pytest.approx(
-                joint.norm_squared, abs=1e-12
+            assert norm_squared(zero) + norm_squared(one) == pytest.approx(
+                norm_squared(joint), abs=1e-12
             )
 
+    def test_result_is_new_and_read_only(self):
+        joint = joint_of(make_haar_random(2, 0), make_haar_random(2, 1))
+        before = joint.copy()
+        projected = apply_controlled_projector(joint, 1, 0)
+        assert not projected.flags.writeable
+        np.testing.assert_array_equal(joint, before)
+
     def test_qubit_out_of_range(self):
-        joint = JointState.from_copies(make_ghz(2), make_ghz(2))
+        joint = joint_of(make_ghz(2), make_ghz(2))
         with pytest.raises(ValidationError):
             apply_controlled_projector(joint, 2, 0)
 
-
-class TestJointState:
-    def test_from_copies_is_normalized(self):
-        joint = JointState.from_copies(make_haar_random(3, 3), make_haar_random(3, 4))
-        assert joint.norm_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_overnormalized(self):
-        with pytest.raises(ValidationError):
-            JointState(1, 2.0 * np.ones(4))
-
-    def test_rejects_copy_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            JointState.from_copies(make_ghz(2), make_ghz(3))
+    @pytest.mark.parametrize("shape", [(0,), (1,), (8,), (2, 8), (4, 4)])
+    def test_rejects_arrays_that_are_not_two_copies(self, shape):
+        # m is read from the length, so only a flat (4^m,) array with m >= 1 is a two-copy vector.
+        joint = np.zeros(shape, dtype=np.complex128)
+        with pytest.raises(ValidationError, match="4\\^m"):
+            apply_controlled_projector(joint, 0, 0)
+        with pytest.raises(ValidationError, match="4\\^m"):
+            pair_marginal(joint, 0)
 
 
 class TestExactDistribution:
@@ -467,9 +473,7 @@ class TestPostMeasurement:
         one = make_product([(0, 1)])
         outcome = post_measurement(zero, one, "1")
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(
-            outcome.post_state.amplitudes, SINGLET, atol=1e-12
-        )
+        np.testing.assert_allclose(outcome.post_state, SINGLET, atol=1e-12)
 
     def test_ghz2_all_ones(self):
         psi = make_ghz(2)
@@ -514,8 +518,10 @@ class TestPostMeasurement:
         psi, phi = make_haar_random(3, 20), make_haar_random(3, 21)
         outcome = post_measurement(psi, phi, "101")
         probabilities, posts = post_measurements([psi], [phi], [0b101])
-        assert not outcome.post_state.amplitudes.flags.writeable
-        assert outcome.post_state.amplitudes.tobytes() == posts[0].tobytes()
+        assert isinstance(outcome.post_state, np.ndarray)
+        assert outcome.post_state.shape == (64,)
+        assert not outcome.post_state.flags.writeable
+        assert outcome.post_state.tobytes() == posts[0].tobytes()
         assert outcome.probability == probabilities[0]
 
 

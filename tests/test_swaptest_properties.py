@@ -22,22 +22,29 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concentratable import (
-    JointState,
-    OutcomeDistribution,
+from concentratable.measures import ce_from_histogram
+from concentratable.states import (
     QubitSet,
-    ShotHistogram,
-    apply_controlled_projector,
-    exact_distribution,
-    full_circuit_oracle,
-    full_distribution_via_purities,
-    identical_copy_distribution,
     make_ghz,
     make_graph_state,
     make_haar_random,
     make_product,
     make_w,
+)
+from concentratable.swaptest import (
+    OutcomeDistribution,
+    ShotHistogram,
+    apply_controlled_projector,
+    distribution_from_dict,
+    distribution_to_dict,
+    exact_distribution,
+    full_circuit_oracle,
+    full_distribution_via_purities,
+    histogram_from_dict,
+    histogram_to_dict,
+    identical_copy_distribution,
     outcome_probability,
+    outcome_table_json,
     pair_marginal,
     post_measurement,
     sample,
@@ -45,14 +52,6 @@ from concentratable import (
     zero_outcome_probability,
 )
 import concentratable.cli as cli_module
-from concentratable.measures import ce_from_histogram
-from concentratable.swaptest import (
-    distribution_from_dict,
-    distribution_to_dict,
-    histogram_from_dict,
-    histogram_to_dict,
-    outcome_table_json,
-)
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -111,13 +110,13 @@ def test_outcome_probability_matches_circuit_oracle(case):
 @given(st.integers(1, 4), seeds, st.data())
 def test_controlled_projector_matches_dense_matrix(m, seed, data):
     # A generic joint vector, not only a product of two copies.
-    joint = JointState(m, make_haar_random(2 * m, seed).amplitudes)
+    joint = make_haar_random(2 * m, seed).amplitudes
     k = data.draw(st.integers(0, m - 1))
     z_bit = data.draw(st.integers(0, 1))
     sign = 1.0 if z_bit == 0 else -1.0
     dense = 0.5 * (np.eye(1 << (2 * m)) + sign * dense_swap(m, k))
     projected = apply_controlled_projector(joint, k, z_bit)
-    np.testing.assert_allclose(projected.amplitudes, dense @ joint.amplitudes, rtol=0, atol=TOL)
+    np.testing.assert_allclose(projected, dense @ joint, rtol=0, atol=TOL)
 
 
 @PROPERTY_SETTINGS

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 import concentratable.reductions as reductions_module
 import concentratable.swaptest as swaptest_module
 import concentratable.verify as verify_module
-from concentratable import (
+from concentratable.errors import ValidationError
+from concentratable.measures import ce_purity, n_tangles
+from concentratable.oracle import dense_reduced_purity
+from concentratable.reductions import purity_array
+from concentratable.states import (
     QubitSet,
     StateStack,
-    ValidationError,
-    ce_purity,
-    exact_distribution,
-    exact_distributions,
-    full_circuit_oracle,
+    _wrap_checked,
     make_haar_random,
     make_haar_random_stack,
-    n_tangles,
-    purity_array,
 )
-from concentratable.oracle import dense_reduced_purity
-from concentratable.states import _wrap_checked
+from concentratable.swaptest import exact_distribution, exact_distributions, full_circuit_oracle
 from concentratable.verify import (
     CHECKS,
     EPSILON_FLOOR,
